@@ -1,16 +1,27 @@
-"""Chain complexes on named graded bases, with homology via Smith normal
-form over Z and Gaussian elimination over fields.
+"""Chain complexes on named graded bases, with homology ranks and torsion
+from sparse elimination, and representatives built on demand.
 
 A complex stores one ordered label list per degree (through a cutoff) and a
 differential callback label -> Vect.  Homology is reported only through
 cutoff - 1: at the cutoff the incoming boundary is not fully known.
+
+The rank of H_n is dim C_n - rank d_n - rank d_{n+1}, and its torsion is
+the invariant factors of d_{n+1} other than 0 and 1.  Each boundary
+matrix is eliminated once (see linalg.rank_and_torsion) and the result is
+shared by the two degrees it borders.  Representative cycles and class
+coordinates need an explicit cycle basis (saturated kernels and Smith
+normal form over Z, echelon kernels over a field); that is computed only
+when a summary's representatives or class_of are first used.
 """
 
-from fractions import Fraction
+from collections import namedtuple
 
-from .rings import QQ
 from .vectors import Vect, label_key, label_str
 from . import linalg
+
+# The explicit description of H_n behind representatives and class_of.
+CyclePresentation = namedtuple(
+    "CyclePresentation", "free_rank torsion reps kernel decomp kmat")
 
 
 class ChainComplex:
@@ -29,6 +40,9 @@ class ChainComplex:
         self._index = {n: {l: i for i, l in enumerate(b)} for n, b in self.bases.items()}
         self.diff = diff
         self._matrices = {}
+        self._columns = {}
+        self._reduced = {}
+        self._square_zero = set()
 
     def basis(self, n):
         return self.bases.get(n, [])
@@ -70,10 +84,39 @@ class ChainComplex:
         return True, None, None
 
     def homology(self, n):
-        """HomologySummary in degree n (requires n <= cutoff - 1)."""
+        """HomologySummary in degree n (requires n <= cutoff - 1).  Raises
+        ValueError if d_n d_{n+1} != 0."""
         if n > self.cutoff - 1:
             raise ValueError("homology in degree %d is above the reliable "
                              "range (cutoff %d)" % (n, self.cutoff))
+        if n not in self._square_zero:
+            if not linalg.product_is_zero(self._sparse(n), self._sparse(n + 1),
+                                          self.ring):
+                raise ValueError("d^2 != 0: d_%d d_%d is not zero"
+                                 % (n, n + 1))
+            self._square_zero.add(n)
+        rank_in, _ = self._reduction(n)
+        rank_out, torsion = self._reduction(n + 1)
+        return HomologySummary(self, n, self.rank(n) - rank_in - rank_out,
+                               torsion)
+
+    def _sparse(self, n):
+        if n not in self._columns:
+            # a matrix with no rows still has one (empty) column per label
+            self._columns[n] = (linalg.sparse_columns(self.matrix(n))
+                                or [{} for _ in self.basis(n)])
+        return self._columns[n]
+
+    def _reduction(self, n):
+        """(rank, torsion) of d_n, from one sparse elimination."""
+        if n not in self._reduced:
+            self._reduced[n] = linalg.rank_and_torsion(self._sparse(n),
+                                                       self.ring)
+        return self._reduced[n]
+
+    def _cycle_presentation(self, n):
+        """The CyclePresentation of H_n: an explicit cycle basis and the
+        decomposition that representatives and class_of use."""
         if self.ring.kind == "Z":
             return self._homology_integer(n)
         return self._homology_field(n)
@@ -103,7 +146,7 @@ class ChainComplex:
         dnext = self.matrix(n + 1)
         ncols = len(dnext[0]) if dnext else 0
         if k == 0:
-            return HomologySummary(self, n, 0, [], [], kernel, None, None)
+            return CyclePresentation(0, [], [], kernel, None, None)
         kmat = [[kernel[j][i] for j in range(k)] for i in range(len(basis))]
         if ncols:
             rhs = [[dnext[i][j] for i in range(len(basis))] for j in range(ncols)]
@@ -133,15 +176,15 @@ class ChainComplex:
                 torsion_reps.append(vec)
         free_rank = len(free_reps)
         # class coordinates come back torsion-first, then free
-        return HomologySummary(self, n, free_rank, torsion,
-                               torsion_reps + free_reps, kernel, (u, diag), kmat)
+        return CyclePresentation(free_rank, torsion, torsion_reps + free_reps,
+                                 kernel, (u, diag), kmat)
 
     def _homology_field(self, n):
         basis = self.basis(n)
         kernel = self._kernel_cols(n)
         k = len(kernel)
         if k == 0:
-            return HomologySummary(self, n, 0, [], [], kernel, None, None)
+            return CyclePresentation(0, [], [], kernel, None, None)
         kmat = [[kernel[j][i] for j in range(k)] for i in range(len(basis))]
         dnext = self.matrix(n + 1)
         ncols = len(dnext[0]) if dnext else 0
@@ -158,28 +201,36 @@ class ChainComplex:
         for j in free_idx:
             cycle = [kmat[r][j] for r in range(len(basis))]
             reps.append(Vect(self.ring, list(zip(basis, cycle))))
-        return HomologySummary(self, n, len(free_idx), [], reps, kernel,
-                               (rr, pivots, free_idx), kmat)
+        return CyclePresentation(len(free_idx), [], reps, kernel,
+                                 (rr, pivots, free_idx), kmat)
 
 
 class HomologySummary:
-    """Free rank, torsion coefficients, and deterministic representative
-    cycles of H_n, plus a class_of map for product computations."""
+    """Free rank and torsion coefficients of H_n; deterministic
+    representative cycles and a class_of map for product computations,
+    built on first use."""
 
-    def __init__(self, complex_, degree, free_rank, torsion, reps, kernel,
-                 decomp, kmat):
+    def __init__(self, complex_, degree, free_rank, torsion):
         self.complex = complex_
         self.degree = degree
         self.free_rank = free_rank
         self.torsion = list(torsion)
-        self.representatives = reps
-        self._kernel = kernel
-        self._decomp = decomp
-        self._kmat = kmat
+        self._presentation = None
 
     @property
     def rank(self):
         return self.free_rank
+
+    def _present(self):
+        if self._presentation is None:
+            self._presentation = self.complex._cycle_presentation(self.degree)
+        return self._presentation
+
+    @property
+    def representatives(self):
+        """Cycles whose classes generate H_n: torsion classes first, then
+        free classes over Z; free classes over a field."""
+        return self._present().reps
 
     def class_of(self, vect):
         """Coordinates of a cycle's homology class in the representative
@@ -188,13 +239,14 @@ class HomologySummary:
         ring = self.complex.ring
         basis = self.complex.basis(self.degree)
         col = [vect.terms.get(l, ring.zero) for l in basis]
-        if not self._kernel:
+        pres = self._present()
+        if not pres.kernel:
             if any(not ring.is_zero(x) for x in col):
                 raise ValueError("vector is not a cycle")
             return []
         if ring.kind == "Z":
-            coords = linalg.solve_integer(self._kmat, [col])[0]
-            u, diag = self._decomp
+            coords = linalg.solve_integer(pres.kmat, [col])[0]
+            u, diag = pres.decomp
             k = len(coords)
             out_t, out_f = [], []
             for i in range(k):
@@ -206,8 +258,8 @@ class HomologySummary:
                 else:
                     out_t.append(val % diag[i])
             return out_t + out_f
-        coords = linalg.solve_field(self._kmat, [col], ring)[0]
-        rr, pivots, free_idx = self._decomp
+        coords = linalg.solve_field(pres.kmat, [col], ring)[0]
+        rr, pivots, free_idx = pres.decomp
         vec = list(coords)
         for i, pc in enumerate(pivots):
             f = vec[pc]

@@ -16,8 +16,8 @@ from .coalg import tensor_coalgebra
 from .cobar import (CobarAlgebra, OneSidedCobar, TwistedHopfTensor,
                     cotor_trivial_coefficients, cotor_regular_coefficients)
 from .shfamily import InducedHopf, TensorSquare, letterwise_split
-from .pathloop import (path_object, PathLoop, double_loop, loop_fiber,
-                       identity_family, trivial_family)
+from .pathloop import (path_object, PathLoop, FiberCoaction, double_loop,
+                       loop_fiber, identity_family, trivial_family)
 from .formal import FormalDoubleLoop
 from .documents import (DocumentError, load_json, coalgebra_from_document,
                         shmap_from_document, render_report)
@@ -109,13 +109,18 @@ def _problem_str(problem):
     return str(problem)
 
 
-def complex_of(obj, cutoff):
-    """Build the chain complex, falling back to a total-weight cap equal
-    to the cutoff when the alphabet has degree-0 letters."""
-    try:
-        return obj.to_chain_complex(top=cutoff), None
-    except ValueError:
-        return obj.to_chain_complex(max_weight=cutoff, top=cutoff), cutoff
+def weight_cap(alg, cutoff):
+    """The total-weight cap for a word algebra: none when every letter
+    has positive degree, else the cutoff (degree-0 letters give
+    infinitely many words per degree)."""
+    return None if alg.finite_type else cutoff
+
+
+def complex_of(obj, cutoff, alg):
+    """Build the chain complex of obj, whose basis is made of words in
+    the free algebra alg, with the weight cap that alg needs."""
+    mw = weight_cap(alg, cutoff)
+    return obj.to_chain_complex(max_weight=mw, top=cutoff), mw
 
 
 def coeff_str(c):
@@ -167,7 +172,7 @@ def emit(args, report, t0):
 def cmd_cobar(args, t0):
     C, A = load_input(args.document, args)
     om = CobarAlgebra(C)
-    cx, mw = complex_of(om, C.cutoff)
+    cx, mw = complex_of(om, C.cutoff, om.alg)
     if args.verify_all:
         check_d2(cx)
     report = base_report(args, C, "cobar")
@@ -180,7 +185,7 @@ def cmd_cotor(args, t0):
     C, A = load_input(args.document, args)
     hopf = InducedHopf(A)
     require_coassociative(hopf)
-    mw = None if hopf.omega.alg.finite_type else C.cutoff
+    mw = weight_cap(hopf.omega.alg, C.cutoff)
     if args.hopf == "self":
         alg = cotor_regular_coefficients(hopf, C.cutoff, max_weight=mw)
     else:
@@ -202,7 +207,7 @@ def cmd_cotor(args, t0):
 def cmd_path_loop(args, t0):
     C, A = load_input(args.document, args)
     pl = PathLoop(A)
-    cx, mw = complex_of(pl, C.cutoff)
+    cx, mw = complex_of(pl, C.cutoff, pl.omega.alg)
     if args.verify_all:
         check_d2(cx)
     report = base_report(args, C, "path-loop")
@@ -213,12 +218,8 @@ def cmd_path_loop(args, t0):
 
 def cmd_double_loop(args, t0):
     C, A = load_input(args.document, args)
-    try:
-        dl, pl = double_loop(A)
-        mw = None
-    except ValueError:
-        dl, pl = double_loop(A, max_weight=C.cutoff)
-        mw = C.cutoff
+    mw = weight_cap(PathLoop(A).omega.alg, C.cutoff)
+    dl, pl = double_loop(A, max_weight=mw)
     cx = dl.to_chain_complex(top=C.cutoff)
     if args.verify_all:
         check_d2(cx)
@@ -244,12 +245,8 @@ def cmd_fiber(args, t0):
     else:
         family = shmap_from_document(load_json(args.map), Cp, C)
     cutoff = min(C.cutoff, Cp.cutoff)
-    try:
-        hf, fc = loop_fiber(Ap, A, family)
-        mw = None
-    except ValueError:
-        hf, fc = loop_fiber(Ap, A, family, max_weight=cutoff)
-        mw = cutoff
+    mw = weight_cap(FiberCoaction(Ap, A, family).omega.alg, cutoff)
+    hf, fc = loop_fiber(Ap, A, family, max_weight=mw)
     cx = hf.to_chain_complex(top=cutoff)
     if args.verify_all:
         check_d2(cx)
@@ -267,7 +264,7 @@ def cmd_formal_dl(args, t0):
         fm = FormalDoubleLoop(C)
     except ValueError as e:
         raise DocumentError(str(e))
-    cx, mw = complex_of(fm, C.cutoff)
+    cx, mw = complex_of(fm, C.cutoff, fm.alg)
     if args.verify_all:
         check_d2(cx)
     report = base_report(args, C, "formal-dl")
@@ -278,10 +275,12 @@ def cmd_formal_dl(args, t0):
 
 # -- verification suites -------------------------------------------------
 
-def _suite_d2(builder):
+def _suite_d2(builder, alphabet):
+    """A d^2 = 0 suite on builder(); alphabet(obj) is the word algebra
+    spanning its basis."""
     def run():
         obj = builder()
-        cx, _ = complex_of(obj, obj.cutoff)
+        cx, _ = complex_of(obj, obj.cutoff, alphabet(obj))
         ok, label, residue = cx.verify_differential()
         if ok:
             return "pass", None
@@ -323,7 +322,7 @@ def _verify_suites(C, A):
     def section_defect():
         hopf = InducedHopf(A)
         tw = TwistedHopfTensor(hopf, cutoff)
-        mw = None if hopf.omega.alg.finite_type else cutoff
+        mw = weight_cap(hopf.omega.alg, cutoff)
         for n in range(cutoff + 1):
             for b in hopf.basis(n, mw):
                 v = Vect.basis(C.ring, b)
@@ -339,7 +338,7 @@ def _verify_suites(C, A):
 
     def kappa():
         pl = PathLoop(A)
-        mw = None if pl.omega_base.alg.finite_type else cutoff
+        mw = weight_cap(pl.omega_base.alg, cutoff)
         for deg in range(small + 1):
             for w in pl.omega_base.alg.words(deg, mw):
                 v = Vect.basis(C.ring, w)
@@ -386,7 +385,7 @@ def _verify_suites(C, A):
         om = CobarAlgebra(C)
         tsq = TensorSquare(om, om)
         split = letterwise_split(omT, tsq)
-        mw = None if omT.alg.finite_type else cutoff
+        mw = weight_cap(omT.alg, cutoff)
         for deg in range(small + 1):
             for w in omT.alg.words(deg, mw):
                 lhs = omT.d_word(w).map_terms(split)
@@ -402,7 +401,7 @@ def _verify_suites(C, A):
             fm = FormalDoubleLoop(C)
         except ValueError as e:
             return "skipped", str(e)
-        cx, _ = complex_of(fm, cutoff)
+        cx, _ = complex_of(fm, cutoff, fm.alg)
         ok, label, residue = cx.verify_differential()
         if ok:
             return "pass", None
@@ -421,13 +420,15 @@ def _verify_suites(C, A):
         ("sh-coherence", coherence),
         ("induced-coassociativity", coassoc),
         ("induced-chain-map", chain_map),
-        ("cobar-d2", _suite_d2(lambda: CobarAlgebra(C))),
+        ("cobar-d2", _suite_d2(lambda: CobarAlgebra(C), lambda om: om.alg)),
         ("acyclic-cobar-d2-right",
-         _suite_d2(lambda: OneSidedCobar(CobarAlgebra(C), side="right"))),
+         _suite_d2(lambda: OneSidedCobar(CobarAlgebra(C), side="right"),
+                   lambda oc: oc.omega.alg)),
         ("acyclic-cobar-d2-left",
-         _suite_d2(lambda: OneSidedCobar(CobarAlgebra(C), side="left"))),
+         _suite_d2(lambda: OneSidedCobar(CobarAlgebra(C), side="left"),
+                   lambda oc: oc.omega.alg)),
         ("path-object", path_ok),
-        ("path-loop-d2", _suite_d2(lambda: PathLoop(A))),
+        ("path-loop-d2", _suite_d2(lambda: PathLoop(A), lambda pl: pl.omega.alg)),
         ("section-defect", section_defect),
         ("kappa", kappa),
         ("cofreeness", cofreeness),

@@ -171,3 +171,20 @@ def test_installed_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["betti"] == [1, 0, 1, 0, 1, 0]
+
+
+def test_integer_report_does_not_load_sympy():
+    # neither ranks and torsion nor cotor's representatives, which take
+    # the in-house Smith normal form, need sympy
+    code = ("import sys\n"
+            "from loopalg.cli import main\n"
+            "assert main(['double-loop', %r, '--cutoff', '7',"
+            " '--format', 'json']) == 0\n"
+            "assert main(['cotor', '--hopf', 'trivial', %r, '--cutoff', '7',"
+            " '--format', 'json']) == 0\n"
+            "print('sympy' in sys.modules)\n"
+            % (sample("sphere3.json"), sample("sphere3.json")))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"

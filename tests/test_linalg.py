@@ -5,7 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from sympy import Matrix
+from sympy import Matrix, ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from loopalg import linalg
 from loopalg.rings import QQ, F2
@@ -28,6 +30,34 @@ def test_smith_normal_form_properties():
         for a, b in zip(diag, diag[1:]):
             if a and b:
                 assert b % a == 0
+
+
+def test_smith_normal_form_matches_sympy():
+    # U and V, not just D, must be sympy's: cotor structure constants are
+    # read in the representative basis they give
+    rng = random.Random(29)
+    pools = [[0, 0, 0, 1, -1, 2], [0, 1, -1, 2, -2, 3, 4, -6, 9, 12],
+             list(range(-30, 31)), [0, 0, 0, 0, 2, 4, -6]]
+    for _ in range(300):
+        m, n = rng.randrange(1, 9), rng.randrange(1, 9)
+        pool = rng.choice(pools)
+        if rng.random() < 0.3:  # rank at most 2, so zero pivots appear
+            r = rng.randrange(1, 3)
+            mat = linalg.matmul(
+                [[rng.choice(pool) for _ in range(r)] for _ in range(m)],
+                [[rng.choice(pool) for _ in range(n)] for _ in range(r)])
+        else:
+            mat = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+        dm = DomainMatrix([[ZZ(x) for x in row] for row in mat], (m, n), ZZ)
+        expected = [[[int(x) for x in row] for row in f.to_Matrix().tolist()]
+                    for f in smith_normal_decomp(dm)]
+        assert list(linalg.smith_normal_form(mat)) == expected, mat
+
+
+def test_smith_normal_form_degenerate_shapes():
+    assert linalg.smith_normal_form([]) == ([], [], [])
+    assert linalg.smith_normal_form([[], []]) == ([[], []],
+                                                  [[1, 0], [0, 1]], [])
 
 
 def test_invariant_factors_known():
