@@ -3,7 +3,8 @@ and report homology; or run the verification suites.
 
 Exit codes: 0 success, 1 parse/validation problem, 2 mathematical
 invariant failure (d^2 != 0, coherence residue, non-coassociative induced
-diagonal, or a failing verification suite).
+diagonal, or a failing verification suite), 3 internal error (a library
+ValueError that escaped a command, reported on one line of stderr).
 """
 
 import argparse
@@ -14,7 +15,7 @@ from .rings import ring_from_name
 from .vectors import Vect, label_str
 from .coalg import tensor_coalgebra
 from .cobar import (CobarAlgebra, OneSidedCobar, TwistedHopfTensor,
-                    cotor_trivial_coefficients, cotor_regular_coefficients)
+                    AlgebraOnHomology, coalgebra_of_hopf)
 from .shfamily import InducedHopf, TensorSquare, letterwise_split
 from .pathloop import (path_object, PathLoop, FiberCoaction, double_loop,
                        loop_fiber, identity_family, trivial_family)
@@ -185,11 +186,14 @@ def cmd_cotor(args, t0):
     C, A = load_input(args.document, args)
     hopf = InducedHopf(A)
     require_coassociative(hopf)
-    mw = weight_cap(hopf.omega.alg, C.cutoff)
     if args.hopf == "self":
-        alg = cotor_regular_coefficients(hopf, C.cutoff, max_weight=mw)
+        coeffs = TwistedHopfTensor(hopf, C.cutoff)
+        letters = coeffs.omega.alg
     else:
-        alg = cotor_trivial_coefficients(hopf, C.cutoff, max_weight=mw)
+        coeffs = CobarAlgebra(coalgebra_of_hopf(hopf, C.cutoff))
+        letters = coeffs.alg
+    cx, mw = complex_of(coeffs, C.cutoff, letters)
+    alg = AlgebraOnHomology(cx, coeffs.mul)
     if args.verify_all:
         check_d2(alg.complex)
     report = base_report(args, C, "cotor-%s" % args.hopf)
@@ -492,6 +496,9 @@ def main(argv=None):
     except MathError as e:
         print("invariant failure: %s" % e, file=sys.stderr)
         return 2
+    except ValueError as e:
+        print("internal error: %s" % e, file=sys.stderr)
+        return 3
     return 0
 
 

@@ -336,10 +336,9 @@ def _core_factors(cols):
 def kernel_saturated(mat):
     """Columns spanning ker(mat) over Z as a direct summand of the lattice.
 
-    Row-reduces the augmented transpose [mat^T | I] with unimodular row
-    operations (Bezout pivots); the identity-block halves of the rows whose
-    mat^T half vanished form a basis, saturated because the accumulated
-    transform is unimodular.
+    Row-reduces the augmented transpose [mat^T | I] with bezout_echelon;
+    the identity-block halves of the rows whose mat^T half vanished form a
+    basis, saturated because the accumulated transform is unimodular.
     """
     m = len(mat)
     n = len(mat[0]) if m else 0
@@ -349,28 +348,45 @@ def kernel_saturated(mat):
         return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
     aug = [[mat[i][j] for i in range(m)] +
            [1 if t == j else 0 for t in range(n)] for j in range(n)]
-    width = m + n
+    r = len(bezout_echelon(aug, m))
+    return [aug[i][m:] for i in range(r, n)]
+
+
+def bezout_echelon(rows, ncols):
+    """Row echelon form over Z of the first ncols columns of rows (lists
+    of ints of equal length, reduced in place by unimodular row operations
+    on whole rows).  Returns the pivot columns: row i leads at the i-th of
+    them, and every later row is zero there.
+
+    Per column, the pivot is the remaining row with the smallest nonzero
+    entry (the first +-1 if there is one); each row below it is cleared by
+    subtracting a multiple when the pivot divides its entry, else by a
+    Bezout step that leaves their gcd in the pivot row.
+    """
+    n = len(rows)
+    pivots = []
     r = 0
-    for col in range(m):
+    for col in range(ncols):
+        if r == n:
+            break
         piv = None
         for i in range(r, n):
-            x = aug[i][col]
-            if x and (piv is None or abs(x) < abs(aug[piv][col])):
+            x = rows[i][col]
+            if x and (piv is None or abs(x) < abs(rows[piv][col])):
                 piv = i
                 if abs(x) == 1:
                     break
         if piv is None:
             continue
-        aug[r], aug[piv] = aug[piv], aug[r]
+        rows[r], rows[piv] = rows[piv], rows[r]
         for i in range(r + 1, n):
-            b = aug[i][col]
+            b = rows[i][col]
             if not b:
                 continue
-            a = aug[r][col]
+            a = rows[r][col]
             if b % a == 0:
                 q = b // a
-                ri, rr = aug[i], aug[r]
-                aug[i] = [ri[t] - q * rr[t] for t in range(width)]
+                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
             else:
                 g = gcd(a, b)
                 # Bezout coefficients for a unimodular 2x2 block
@@ -382,14 +398,12 @@ def kernel_saturated(mat):
                     x0, x1 = x1, x0 - q * x1
                     y0, y1 = y1, y0 - q * y1
                 u, v = -(b // g), a // g
-                rr, ri = aug[r], aug[i]
-                new_r = [x0 * rr[t] + y0 * ri[t] for t in range(width)]
-                new_i = [u * rr[t] + v * ri[t] for t in range(width)]
-                aug[r], aug[i] = new_r, new_i
+                rr, ri = rows[r], rows[i]
+                rows[r] = [x0 * x + y0 * y for x, y in zip(rr, ri)]
+                rows[i] = [u * x + v * y for x, y in zip(rr, ri)]
+        pivots.append(col)
         r += 1
-        if r == n:
-            break
-    return [aug[i][m:] for i in range(r, n)]
+    return pivots
 
 
 def integer_inverse(mat):

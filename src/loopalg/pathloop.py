@@ -11,6 +11,12 @@ the second output slot.  The cofixed part of that coaction is the
 double-loop model; applied to the coproduct of a source coalgebra with
 P(C) along a map to C, the same construction yields the homotopy-fiber
 model.
+
+A cofixed subalgebra is stored per (degree, weight) block as a kernel
+basis over ambient words.  On a block's first coordinates call an echelon
+form of that basis is built, with one pivot word per vector; every entry
+of the model's differential and product is then found by sparse
+substitution on it, with exact division over Z.
 """
 
 from .vectors import Vect, label_key, label_str, bilinear
@@ -191,7 +197,12 @@ class CofixedSubalgebra:
     When the ambient alphabet has degree-0 letters the computation is run
     per weight block (the coaction and differential must preserve the
     weight for the blocks to be exact; this holds in the primitive
-    situations that produce degree-0 letters)."""
+    situations that produce degree-0 letters).
+
+    Each block keeps its kernel basis, which basis() labels, and, from
+    the block's first coordinates call on, an echelon form of that basis
+    with one pivot word per vector (see _echelon).  Coordinates come from
+    substitution on the echelon rows, with exact division over Z."""
 
     def __init__(self, ambient, coaction_bar, cutoff, max_weight=None,
                  name=""):
@@ -208,7 +219,7 @@ class CofixedSubalgebra:
         self.name = name or ("cofixed(%s)" % getattr(ambient, "name", ""))
         self._kernels = {}
         self._bases = {}
-        self._solvers = {}
+        self._echelons = {}
 
     def _words(self, n, w=None):
         if w is None:
@@ -279,63 +290,101 @@ class CofixedSubalgebra:
     def rank(self, n):
         return len(self.basis(n))
 
-    def _solver(self, n, w):
-        """Cached row reduction of [K | I] for the block's kernel matrix K;
-        solving K x = v then costs one sparse matrix-vector product."""
+    def _echelon(self, n, w):
+        """The block's kernel basis K in echelon form E = W K, built on the
+        block's first coordinates call: the set of the block's words and
+        one (pivot word, E row, W row) per basis vector, E rows as dicts
+        word -> coefficient, W rows as dicts basis index -> coefficient.
+        Every later E row vanishes at an earlier row's pivot word.
+
+        Over a field E = K and W is the identity (None): kernel_field puts
+        the identity on its free columns, so the pivot of each vector is
+        its free column, its last nonzero word.  Over Z, bezout_echelon
+        reduces [K | I]; W is unimodular, so E spans the same saturated
+        lattice and the basis itself stays K."""
         from . import linalg
-        from .rings import QQ
         key = (n, w)
-        if key in self._solvers:
-            return self._solvers[key]
+        if key in self._echelons:
+            return self._echelons[key]
         words, vecs = self._kernel(n, w)
-        fld = QQ if self.ring.kind == "Z" else self.ring
-        k = len(vecs)
-        nw = len(words)
-        aug = []
-        for i, u in enumerate(words):
-            row = [fld.norm(v.terms.get(u, 0)) for v in vecs]
-            row += [fld.one if j == i else fld.zero for j in range(nw)]
-            aug.append(row)
-        r, pivots = linalg.rref(aug, fld)
         index = {u: i for i, u in enumerate(words)}
-        self._solvers[key] = (index, fld, k, r, pivots)
-        return self._solvers[key]
+        rows = []
+        if self.ring.kind == "Z":
+            nw, k = len(words), len(vecs)
+            dense = []
+            for j, v in enumerate(vecs):
+                row = [0] * (nw + k)
+                for u, c in v.items():
+                    row[index[u]] = c
+                row[nw + j] = 1
+                dense.append(row)
+            pivots = linalg.bezout_echelon(dense, nw)
+            for pc, row in zip(pivots, dense):
+                e = {words[t]: x for t, x in enumerate(row[:nw]) if x}
+                back = {j: x for j, x in enumerate(row[nw:]) if x}
+                rows.append((words[pc], e, back))
+        else:
+            for v in vecs:
+                pivot = max(v.terms, key=index.__getitem__)
+                rows.append((pivot, v.terms, None))
+        self._echelons[key] = (frozenset(words), rows)
+        return self._echelons[key]
 
     def coordinates(self, n, vect):
         """Express a Vect over ambient words (lying in the cofixed part of
-        degree n) in the synthetic basis."""
-        from fractions import Fraction
+        degree n) in the synthetic basis, by substitution on each block's
+        echelon form."""
+        if self.blocked:
+            parts = {}
+            for u, c in vect.items():
+                parts.setdefault(self.ambient.weight(u), {})[u] = c
+        else:
+            parts = {None: dict(vect.items())}
         out = []
         for w in self.blocks(n):
-            index, fld, k, r, pivots = self._solver(n, w)
-            part = [(u, c) for u, c in vect.items()
-                    if w is None or self.ambient.weight(u) == w]
-            if not k:
+            part = parts.get(w, {})
+            stored, rows = self._echelon(n, w)
+            if not rows:
                 if part:
                     raise ValueError("vector outside the cofixed block")
                 continue
-            dense = [fld.zero] * len(index)
-            for u, c in part:
-                if u not in index:
-                    raise ValueError("vector leaves the stored block")
-                dense[index[u]] = fld.norm(c)
-            sol = [fld.zero] * k
-            for i, pc in enumerate(pivots):
-                acc = fld.zero
-                row = r[i]
-                for j, x in enumerate(dense):
-                    if not fld.is_zero(x):
-                        acc = fld.add(acc, fld.mul(row[k + j], x))
-                if pc < k:
-                    sol[pc] = acc
-                elif not fld.is_zero(acc):
-                    raise ValueError("vector outside the cofixed block")
-            if self.ring.kind == "Z":
-                if any(Fraction(x).denominator != 1 for x in sol):
-                    raise ValueError("coordinates are not integral")
-                sol = [int(x) for x in sol]
-            out.extend(sol)
+            if any(u not in stored for u in part):
+                raise ValueError("vector leaves the stored block")
+            out.extend(self._substitute(part, rows))
         return out
+
+    def _substitute(self, left, rows):
+        """Coordinates of the vector left (a dict, consumed) over a block's
+        basis: each echelon row in turn takes off the multiple of itself
+        that clears its pivot word, and nothing may be left over."""
+        ring = self.ring
+        integer = ring.kind == "Z"
+        coords = [ring.zero] * len(rows)
+        for i, (pivot, e, back) in enumerate(rows):
+            x = left.get(pivot)
+            if x is None:
+                continue
+            if integer:
+                y, rem = divmod(x, e[pivot])
+                if rem:
+                    raise ValueError("coordinates are not integral: vector "
+                                     "outside the cofixed block")
+            else:
+                y = ring.mul(x, ring.inv(e[pivot]))
+            for u, c in e.items():
+                z = ring.add(left.get(u, ring.zero), ring.neg(ring.mul(y, c)))
+                if ring.is_zero(z):
+                    left.pop(u, None)
+                else:
+                    left[u] = z
+            if integer:
+                for j, c in back.items():
+                    coords[j] += y * c
+            else:
+                coords[i] = y
+        if left:
+            raise ValueError("vector outside the cofixed block")
+        return coords
 
     def diff(self, label):
         """Differential in synthetic coordinates."""

@@ -188,3 +188,37 @@ def test_integer_report_does_not_load_sympy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("cutoff", [4, 5, 6])
+def test_cotor_degree2_generator_matches_double_loop(capsys, cutoff):
+    # the cobar of the induced Hopf algebra of S2 has degree-0 letters,
+    # so cotor needs a weight cap; trivial coefficients give the
+    # double-loop homology and regular ones an acyclic complex
+    argv = (sample("sphere2.json"), "--cutoff", str(cutoff))
+    code, dl, _ = run_json(capsys, "double-loop", *argv)
+    assert code == 0
+    code, trivial, _ = run_json(capsys, "cotor", "--hopf", "trivial", *argv)
+    assert code == 0
+    assert trivial["betti"] == dl["betti"]
+    assert trivial["homology"] == dl["homology"]
+    if cutoff == 6:
+        assert [trivial["homology"][n]["torsion"] for n in "234"] == \
+            [[2, 2, 2], [2], [3]]
+    code, regular, _ = run_json(capsys, "cotor", "--hopf", "self", *argv)
+    assert code == 0
+    assert regular["homology"] == {
+        str(n): {"rank": 1 if n == 0 else 0, "torsion": []}
+        for n in range(cutoff)}
+
+
+def test_library_error_exits_3_on_one_line(capsys):
+    # the weight-capped path-loop basis of S2xS3 over F2 is not closed
+    # under the differential at cutoff 6
+    doc = os.path.join(HERE, "tests", "golden", "inputs", "product2-3.json")
+    code, out, err = run(capsys, "path-loop", doc, "--ring", "F2",
+                         "--cutoff", "6")
+    assert code == 3 and out == ""
+    assert err.startswith("internal error: differential of ")
+    assert "leaves the stored basis" in err
+    assert len(err.splitlines()) == 1

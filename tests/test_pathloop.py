@@ -1,9 +1,13 @@
 """Path objects, path-loop algebras, the cofixed double-loop subalgebra,
 and loop homotopy fibers."""
 
+import os
+import random
+from fractions import Fraction
+
 import pytest
 
-from loopalg.rings import ZZ, F2
+from loopalg.rings import ZZ, QQ, F2, Ring
 from loopalg.vectors import Vect
 from loopalg.coalg import DGCoalgebra, sphere_model
 from loopalg.cobar import s_letter
@@ -11,6 +15,10 @@ from loopalg.shfamily import AWCoalgebra
 from loopalg.pathloop import (bar, path_object, extend_psi, PathLoop,
                               CofixedSubalgebra, double_loop, loop_fiber,
                               identity_family, trivial_family)
+
+
+SAMPLES = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "sample_inputs")
 
 
 def aw(n, ring=ZZ, cutoff=8):
@@ -130,3 +138,123 @@ def test_loop_fiber_trivial_map():
     o5 = [1, 0, 0, 0, 1, 0]
     conv = [sum(o5[p] * d3[n - p] for p in range(n + 1)) for n in range(6)]
     assert cx.betti(0, 5) == conv
+
+
+def _coaction_kills(ring, coaction_bar, v):
+    acc = Vect(ring)
+    for u, c in v.items():
+        acc = acc + coaction_bar(u).scale(c)
+    return acc.is_zero()
+
+
+def _check_coordinates(sub, coaction_bar, top, seed=0):
+    """Round trips through coordinates, and its two refusals, on every
+    degree of a cofixed subalgebra through top."""
+    rng = random.Random(seed)
+    ring = sub.ring
+    amb = sub.ambient
+    for n in range(top + 1):
+        basis = sub.basis(n)
+        vecs = [sub.vector_of(label) for label in basis]
+        for v in vecs:
+            assert _coaction_kills(ring, coaction_bar, v)
+            if n:
+                sub.coordinates(n - 1, amb.d_vect(v))
+        # random combinations of the basis come back with their coefficients
+        for _ in range(4):
+            coeffs = [ring.norm(rng.randint(-3, 3)) for _ in basis]
+            v = Vect(ring)
+            for c, vec in zip(coeffs, vecs):
+                v = v + vec.scale(c)
+            assert sub.coordinates(n, v) == coeffs
+        # a single word is in the cofixed block exactly when the reduced
+        # coaction kills it
+        for u in amb.words(n, sub.max_weight):
+            single = Vect.basis(ring, u)
+            if coaction_bar(u).is_zero():
+                coords = sub.coordinates(n, single)
+                assert sub.expand(Vect(ring, list(zip(basis, coords)))) \
+                    == single
+            else:
+                with pytest.raises(ValueError,
+                                   match="outside the cofixed block"):
+                    sub.coordinates(n, single)
+        # a word of the next degree, in a block with basis vectors, is not
+        # among the stored words
+        if basis:
+            label = basis[-1]
+            w = label[2] if len(label) == 4 else None
+            stray = next(u for u in amb.words(n + 1, w if sub.blocked
+                                              else sub.max_weight)
+                         if w is None or amb.weight(u) == w)
+            v = sub.vector_of(label) + Vect.basis(ring, stray)
+            with pytest.raises(ValueError, match="leaves the stored block"):
+                sub.coordinates(n, v)
+
+
+@pytest.mark.parametrize("ring", [ZZ, F2, Ring("Fp", 3)],
+                         ids=["Z", "F2", "Fp3"])
+def test_double_loop_coordinates_round_trip(ring):
+    dl, pl = double_loop(aw(3, ring, 9))
+    _check_coordinates(dl, pl.nu_bar, 9)
+
+
+def test_blocked_double_loop_coordinates_round_trip():
+    dl, pl = double_loop(AWCoalgebra.strict(sphere_model(2, F2, 5)),
+                         max_weight=6)
+    assert dl.blocked
+    _check_coordinates(dl, pl.nu_bar, 4)
+
+
+def test_fiber_coordinates_round_trip_over_z():
+    A5, A3 = aw(5, ZZ, 9), aw(3, ZZ, 9)
+    hf, fc = loop_fiber(A5, A3, trivial_family(A5, A3))
+    _check_coordinates(hf, fc.nu_bar, 9)
+
+
+def test_integer_double_loop_runs_without_field_elimination(monkeypatch,
+                                                            capsys):
+    """Over Z, the cofixed coordinates and the homology ranks need no
+    elimination over Q: the report is the same with rref disabled."""
+    from loopalg import linalg
+    from loopalg.cli import main
+    argv = ["double-loop", os.path.join(SAMPLES, "sphere3.json"),
+            "--ring", "Z", "--cutoff", "8", "--format", "json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(linalg, "rref", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("ring", [ZZ, QQ], ids=["Z", "Q"])
+def test_cofixed_coordinates_with_a_non_unit_pivot(ring):
+    """The reduced coaction a -> t, b -> -2t has the cofixed line spanned
+    by 2a + b.  Over Z its echelon pivot is 2, and the word a is refused
+    at that pivot, before any leftover is seen."""
+    from loopalg.tensoralg import FreeAlgebra, UNIT_WORD
+    alg = FreeAlgebra(ring, 3, {"a": 1, "b": 1})
+    a, b = ("w", "a"), ("w", "b")
+
+    def coaction_bar(word):
+        c = {a: 1, b: -2}.get(word, 0)
+        return Vect(ring, [(("t", UNIT_WORD, a), c)])
+
+    sub = CofixedSubalgebra(alg, coaction_bar, 3)
+    (v,) = [sub.vector_of(label) for label in sub.basis(1)]
+    sign = v.terms[b]
+    assert v.terms[a] == 2 * sign
+    line = Vect(ring, [(a, 2), (b, 1)])
+    assert sub.coordinates(1, line.scale(3)) == [ring.norm(3 * sign)]
+    if ring.kind == "Q":
+        assert sub.coordinates(1, line.scale(Fraction(1, 2))) == \
+            [Fraction(sign, 2)]
+    refusal = "not integral" if ring.kind == "Z" else "outside the cofixed"
+    with pytest.raises(ValueError, match=refusal):
+        sub.coordinates(1, Vect.basis(ring, a))
+    with pytest.raises(ValueError, match="outside the cofixed block"):
+        sub.coordinates(1, Vect.basis(ring, b))
