@@ -248,6 +248,10 @@ def cmd_fiber(args, t0):
         family = identity_family(A)
     else:
         family = shmap_from_document(load_json(args.map), Cp, C)
+        ok, problems = family.verify()
+        if not ok:
+            raise MathError("map %s fails coherence: %s"
+                            % (args.map, _problem_str(problems[0])))
     cutoff = min(C.cutoff, Cp.cutoff)
     mw = weight_cap(FiberCoaction(Ap, A, family).omega.alg, cutoff)
     hf, fc = loop_fiber(Ap, A, family, max_weight=mw)

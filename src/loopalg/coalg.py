@@ -50,13 +50,6 @@ class DGCoalgebra:
     def basis(self, n):
         return self._basis.get(n, [])
 
-    def max_degree(self):
-        return max(self._basis) if self._basis else 0
-
-    @property
-    def simply_connected(self):
-        return all(deg >= 2 for deg in self.gens.values())
-
     def d_of(self, label):
         if label == UNIT:
             return Vect.zero(self.ring)
@@ -126,10 +119,6 @@ class DGCoalgebra:
             if not (left - right).is_zero():
                 problems.append(("coassociativity", label, left - right))
         return (not problems), problems
-
-
-def verify_coalgebra(C):
-    return C.verify()
 
 
 def sphere_model(n, ring, cutoff, label=None):

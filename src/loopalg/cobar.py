@@ -10,7 +10,7 @@ is a Hopf algebra H, Omega H (x) H is a chain algebra; the product is
 determined by a three-term rule against single letters.
 """
 
-from .vectors import Vect, label_key, label_str
+from .vectors import Vect, label_key
 from .coalg import UNIT, DGCoalgebra
 from .tensoralg import FreeAlgebra, UNIT_WORD, concat
 
@@ -99,15 +99,6 @@ class CobarAlgebra:
 
     def d_vect(self, vect):
         return self.alg.d_vect(vect)
-
-    def suspension_inverse(self, vect):
-        """Vect over coalgebra generators -> Vect of one-letter words,
-        sending the unit to zero."""
-        out = Vect(self.ring)
-        for l, c in vect.items():
-            if l != UNIT:
-                out.iadd_term(c, ("w", s_letter(l)))
-        return out
 
     def to_chain_complex(self, max_weight=None, top=None, name=""):
         return self.alg.to_chain_complex(max_weight, top, name or self.name)
@@ -567,20 +558,3 @@ class AlgebraOnHomology:
                         out[(n1, i1, n2, i2)] = self.product_class(n1, i1, n2, i2)
         return out
 
-
-def cotor_trivial_coefficients(H, cutoff, max_weight=None):
-    """Cotor of a Hopf algebra with trivial coefficients on both sides:
-    the homology of the cobar algebra of H, with the concatenation
-    product."""
-    omega = CobarAlgebra(coalgebra_of_hopf(H, cutoff))
-    cx = omega.to_chain_complex(max_weight=max_weight)
-    return AlgebraOnHomology(cx, omega.mul)
-
-
-def cotor_regular_coefficients(H, cutoff, max_weight=None):
-    """Cotor of a Hopf algebra with the regular comodule algebra as
-    right-hand coefficients: homology of Omega H (x) H with its twisted
-    product."""
-    tw = TwistedHopfTensor(H, cutoff)
-    cx = tw.to_chain_complex(max_weight=max_weight)
-    return AlgebraOnHomology(cx, tw.mul)

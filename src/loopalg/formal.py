@@ -11,7 +11,7 @@ generators are solved for as combinations of expanded bracket monomials.
 """
 
 from .vectors import Vect, label_key, label_str
-from .tensoralg import FreeAlgebra, UNIT_WORD
+from .tensoralg import FreeAlgebra
 from .cobar import CobarAlgebra, s_letter
 from .pathloop import bar, path_object
 from . import linalg
@@ -126,31 +126,3 @@ class FormalDoubleLoop:
     def to_chain_complex(self, max_weight=None, top=None, name=""):
         return self.alg.to_chain_complex(max_weight, top, name or self.name)
 
-
-def mod2_generator_degrees(C, cutoff):
-    """Degrees of the predicted polynomial generators of the mod-2
-    homology of the double-loop model: for each generator x, the brackets
-    ad^(2^k - 1)(s x)(s xbar), k >= 0, within the cutoff."""
-    out = []
-    for g in sorted(C.gens, key=label_key):
-        dv = C.degree(g) - 1
-        dw = C.degree(g) - 2
-        k = 0
-        while True:
-            deg = (2 ** k - 1) * dv + dw
-            if deg > cutoff:
-                break
-            if deg >= 1:
-                out.append(deg)
-            k += 1
-    return sorted(out)
-
-
-def polynomial_betti(degrees, top):
-    """Degreewise ranks of a (commutative) polynomial algebra on
-    generators of the given positive degrees."""
-    counts = [1] + [0] * top
-    for d in degrees:
-        for n in range(d, top + 1):
-            counts[n] += counts[n - d]
-    return counts

@@ -18,7 +18,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .rings import ZZ, QQ
+from .rings import QQ
 
 
 def zeros(m, n):
@@ -27,23 +27,6 @@ def zeros(m, n):
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def matmul(a, b):
-    m, k = len(a), len(b)
-    n = len(b[0]) if k else 0
-    out = zeros(m, n)
-    for i in range(m):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
-            c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(n):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
-    return out
 
 
 def smith_normal_form(mat):
@@ -183,13 +166,6 @@ def _gcdex(a, b):
         x, r = r, x - q * r
         y, s = s, y - q * s
     return x * sa, y * sb, a
-
-
-def invariant_factors(mat):
-    """The nonzero invariant factors of an integer matrix, in divisibility
-    order, without transforms."""
-    units, core = _eliminate(sparse_columns(mat), ZZ)
-    return [1] * units + _core_factors(core)
 
 
 def sparse_columns(mat):
@@ -464,11 +440,6 @@ def rref(mat, ring):
         if r == m:
             break
     return rows, pivots
-
-
-def rank_field(mat, ring):
-    _, pivots = rref(mat, ring)
-    return len(pivots)
 
 
 def kernel_field(mat, ring):

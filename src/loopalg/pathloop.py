@@ -20,10 +20,10 @@ substitution on it, with exact division over Z.
 """
 
 from .vectors import Vect, label_key, label_str, bilinear
-from .coalg import UNIT, DGCoalgebra, tensor_coalgebra, direct_sum
-from .tensoralg import FreeAlgebra, UNIT_WORD, concat
-from .cobar import CobarAlgebra, s_letter, TwistedHopfTensor
-from .shfamily import SHFamily, AWCoalgebra, InducedHopf, TensorSquare
+from .coalg import UNIT, DGCoalgebra, tensor_coalgebra
+from .tensoralg import UNIT_WORD
+from .cobar import CobarAlgebra, s_letter
+from .shfamily import SHFamily, AWCoalgebra, InducedHopf
 
 
 def bar(label):
@@ -141,14 +141,6 @@ class PathLoop:
         self.omega_base = self.base_hopf.omega
         self._nu_cache = {}
 
-    def project_word(self, word):
-        """Omega(pi): kill words containing a barred letter; unbarred
-        letters are shared with Omega C."""
-        for l in word[1:]:
-            if l[1][0] == "bar" if isinstance(l[1], tuple) else False:
-                return Vect.zero(self.ring)
-        return Vect.basis(self.ring, word)
-
     def nu(self, word):
         """The full coaction (1 (x) Omega pi) psi~ as a Vect over
         ('t', path-loop word, base word)."""
@@ -179,10 +171,6 @@ class PathLoop:
                                         ("w", s_letter(bar(letter[1]))), -1)
         fn = self.omega_base.alg.derivation(values, -1)
         return vect.map_terms(fn)
-
-    def include_base(self, vect):
-        """Omega C words are path-loop words verbatim."""
-        return vect
 
     def to_chain_complex(self, max_weight=None, top=None, name=""):
         return self.omega.to_chain_complex(max_weight, top, name or self.name)
@@ -250,15 +238,13 @@ class CofixedSubalgebra:
         for j, img in enumerate(cols):
             for label, c in img.terms.items():
                 mat[rows[label]][j] = c
-        if self.ring.kind == "Z":
-            ker = linalg.kernel_saturated(mat) if row_order else \
-                [[1 if i == j else 0 for i in range(len(words))]
-                 for j in range(len(words))]
+        if not row_order:
+            vecs = [Vect.basis(self.ring, u) for u in words]
         else:
-            ker = linalg.kernel_field(mat, self.ring) if row_order else \
-                [[self.ring.one if i == j else self.ring.zero
-                  for i in range(len(words))] for j in range(len(words))]
-        vecs = [Vect(self.ring, list(zip(words, col))) for col in ker]
+            ker = linalg.kernel_saturated(mat) if self.ring.kind == "Z" \
+                else linalg.kernel_field(mat, self.ring)
+            vecs = [Vect(self.ring, [(u, c) for u, c in zip(words, col) if c])
+                    for col in ker]
         self._kernels[key] = (words, vecs)
         return self._kernels[key]
 

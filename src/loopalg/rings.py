@@ -36,10 +36,6 @@ class Ring:
         self.p = p
 
     @property
-    def is_field(self):
-        return self.kind in ("Q", "Fp")
-
-    @property
     def zero(self):
         return Fraction(0) if self.kind == "Q" else 0
 

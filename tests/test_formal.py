@@ -6,8 +6,7 @@ from loopalg.rings import ZZ, QQ, F2
 from loopalg.coalg import sphere_model
 from loopalg.shfamily import AWCoalgebra
 from loopalg.pathloop import double_loop
-from loopalg.formal import (bracket_generators, FormalDoubleLoop,
-                            mod2_generator_degrees, polynomial_betti)
+from loopalg.formal import bracket_generators, FormalDoubleLoop
 
 
 def test_rejects_integers_and_nonprimitive():
@@ -45,23 +44,3 @@ def test_matches_double_loop_betti():
         assert fm.to_chain_complex(top=8).betti(0, 7) == \
             dl.to_chain_complex(top=8).betti(0, 7)
 
-
-def test_mod2_generator_degrees_s3():
-    assert mod2_generator_degrees(sphere_model(3, F2, 8), 7) == [1, 3, 7]
-    # degree-0 brackets are dropped; S^2 gives the same list
-    assert mod2_generator_degrees(sphere_model(2, F2, 8), 7) == [1, 3, 7]
-
-
-def test_polynomial_betti_oracle():
-    # brute force: count monomials u^e with sum e_i d_i = n
-    degs = [1, 3, 7]
-    top = 7
-    counts = [0] * (top + 1)
-    for e1 in range(top + 1):
-        for e3 in range(top // 3 + 1):
-            for e7 in range(top // 7 + 1):
-                n = e1 + 3 * e3 + 7 * e7
-                if n <= top:
-                    counts[n] += 1
-    assert polynomial_betti(degs, top) == counts
-    assert counts == [1, 1, 1, 2, 2, 2, 3, 4]

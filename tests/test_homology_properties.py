@@ -97,7 +97,9 @@ def test_field_ranks_follow_universal_coefficients(complex_data):
 def test_invariant_factors_match_smith_normal_form(mat):
     d, _, _ = linalg.smith_normal_form(mat)
     diag = [abs(d[i][i]) for i in range(min(len(d), len(d[0]) if d else 0))]
-    assert linalg.invariant_factors(mat) == [x for x in diag if x]
+    rank, torsion = linalg.rank_and_torsion(linalg.sparse_columns(mat), ZZ)
+    assert rank == sum(1 for x in diag if x)
+    assert torsion == [x for x in diag if x > 1]
 
 
 @pytest.mark.parametrize("ring", [ZZ, F2], ids=["Z", "F2"])

@@ -5,14 +5,18 @@ import pytest
 
 from loopalg.rings import ZZ
 from loopalg.vectors import Vect
-from loopalg.coalg import sphere_model, tensor_coalgebra, UNIT
+from loopalg.coalg import sphere_model, tensor_coalgebra
 from loopalg.cobar import CobarAlgebra, s_letter
 from loopalg.tensoralg import UNIT_WORD
-from loopalg.shfamily import (SHFamily, compose_strict, TensorSquare,
-                              letterwise_split, AWCoalgebra, InducedHopf,
-                              aw_sphere, aw_coproduct)
+from loopalg.shfamily import (SHFamily, TensorSquare, letterwise_split,
+                              AWCoalgebra, InducedHopf, aw_coproduct)
 from loopalg.documents import (nonprimitive_document, noncoassoc_document,
                                coalgebra_from_document)
+
+
+def aw_sphere(n, ring, cutoff):
+    """The strict homotopy diagonal on a sphere coalgebra."""
+    return AWCoalgebra.strict(sphere_model(n, ring, cutoff))
 
 
 def test_strict_identity_family_is_coherent():
@@ -95,24 +99,6 @@ def test_letterwise_split_chain_map():
             lhs = omT.d_word(w).map_terms(split)
             rhs = split(w).map_terms(tsq.diff)
             assert (lhs - rhs).is_zero(), w
-
-
-def test_compose_strict_relabel():
-    C = sphere_model(3, ZZ, 8)
-    fam = AWCoalgebra.strict(C).psi
-    D = sphere_model(3, ZZ, 8, label="y3")
-    TD = tensor_coalgebra(D, D)
-
-    def letter_map(p):
-        (_, a, b) = p
-        sw = lambda l: l if l == UNIT else "y3"
-        return Vect.basis(ZZ, ("tp", sw(a), sw(b)))
-
-    pushed = compose_strict(fam, letter_map, TD)
-    ok, problems = pushed.verify()
-    assert ok, problems
-    labels = [l for l, _ in pushed.component(1, "x3").items()]
-    assert all(set(p[1:]) <= {UNIT, "y3"} for lbl in labels for p in lbl[1:])
 
 
 def test_induced_hopf_sphere():
