@@ -84,6 +84,9 @@ CASES = [
      ["--ring", "Fp:3", "--cutoff", "9"]),
     ("cotor-self-sphere3-f2-c7", "cotor", ["sample:sphere3"],
      ["--hopf", "self", "--ring", "F2", "--cutoff", "7"]),
+    ("cotor-self-sphere2-c6", "cotor", ["sample:sphere2"],
+     ["--hopf", "self", "--cutoff", "6"]),
+    ("cotor-sphere2-c6", "cotor", ["sample:sphere2"], ["--cutoff", "6"]),
 ]
 
 
