@@ -17,8 +17,8 @@ from .coalg import tensor_coalgebra
 from .cobar import (CobarAlgebra, OneSidedCobar, TwistedHopfTensor,
                     AlgebraOnHomology, coalgebra_of_hopf)
 from .shfamily import InducedHopf, TensorSquare, letterwise_split
-from .pathloop import (path_object, PathLoop, FiberCoaction, double_loop,
-                       loop_fiber, identity_family, trivial_family)
+from .pathloop import (path_object, PathLoop, FiberCoaction,
+                       identity_family, trivial_family)
 from .formal import FormalDoubleLoop
 from .documents import (DocumentError, load_json, coalgebra_from_document,
                         shmap_from_document, render_report)
@@ -173,7 +173,7 @@ def emit(args, report, t0):
 def cmd_cobar(args, t0):
     C, A = load_input(args.document, args)
     om = CobarAlgebra(C)
-    cx, mw = complex_of(om, C.cutoff, om.alg)
+    cx, mw = complex_of(om, C.cutoff, om)
     if args.verify_all:
         check_d2(cx)
     report = base_report(args, C, "cobar")
@@ -188,10 +188,9 @@ def cmd_cotor(args, t0):
     require_coassociative(hopf)
     if args.hopf == "self":
         coeffs = TwistedHopfTensor(hopf, C.cutoff)
-        letters = coeffs.omega.alg
+        letters = coeffs.omega
     else:
-        coeffs = CobarAlgebra(coalgebra_of_hopf(hopf, C.cutoff))
-        letters = coeffs.alg
+        coeffs = letters = CobarAlgebra(coalgebra_of_hopf(hopf, C.cutoff))
     cx, mw = complex_of(coeffs, C.cutoff, letters)
     alg = AlgebraOnHomology(cx, coeffs.mul)
     if args.verify_all:
@@ -211,7 +210,7 @@ def cmd_cotor(args, t0):
 def cmd_path_loop(args, t0):
     C, A = load_input(args.document, args)
     pl = PathLoop(A)
-    cx, mw = complex_of(pl, C.cutoff, pl.omega.alg)
+    cx, mw = complex_of(pl, C.cutoff, pl.omega)
     if args.verify_all:
         check_d2(cx)
     report = base_report(args, C, "path-loop")
@@ -222,9 +221,9 @@ def cmd_path_loop(args, t0):
 
 def cmd_double_loop(args, t0):
     C, A = load_input(args.document, args)
-    mw = weight_cap(PathLoop(A).omega.alg, C.cutoff)
-    dl, pl = double_loop(A, max_weight=mw)
-    cx = dl.to_chain_complex(top=C.cutoff)
+    pl = PathLoop(A)
+    mw = weight_cap(pl.omega, C.cutoff)
+    cx = pl.cofixed(mw).to_chain_complex(top=C.cutoff)
     if args.verify_all:
         check_d2(cx)
     report = base_report(args, C, "double-loop")
@@ -252,10 +251,9 @@ def cmd_fiber(args, t0):
         if not ok:
             raise MathError("map %s fails coherence: %s"
                             % (args.map, _problem_str(problems[0])))
-    cutoff = min(C.cutoff, Cp.cutoff)
-    mw = weight_cap(FiberCoaction(Ap, A, family).omega.alg, cutoff)
-    hf, fc = loop_fiber(Ap, A, family, max_weight=mw)
-    cx = hf.to_chain_complex(top=cutoff)
+    fc = FiberCoaction(Ap, A, family)
+    mw = weight_cap(fc.omega, fc.cutoff)
+    cx = fc.cofixed(mw).to_chain_complex(top=fc.cutoff)
     if args.verify_all:
         check_d2(cx)
     report = base_report(args, C, "fiber")
@@ -272,7 +270,7 @@ def cmd_formal_dl(args, t0):
         fm = FormalDoubleLoop(C)
     except ValueError as e:
         raise DocumentError(str(e))
-    cx, mw = complex_of(fm, C.cutoff, fm.alg)
+    cx, mw = complex_of(fm, C.cutoff, fm)
     if args.verify_all:
         check_d2(cx)
     report = base_report(args, C, "formal-dl")
@@ -330,7 +328,7 @@ def _verify_suites(C, A):
     def section_defect():
         hopf = InducedHopf(A)
         tw = TwistedHopfTensor(hopf, cutoff)
-        mw = weight_cap(hopf.omega.alg, cutoff)
+        mw = weight_cap(hopf.omega, cutoff)
         for n in range(cutoff + 1):
             for b in hopf.basis(n, mw):
                 v = Vect.basis(C.ring, b)
@@ -346,9 +344,9 @@ def _verify_suites(C, A):
 
     def kappa():
         pl = PathLoop(A)
-        mw = weight_cap(pl.omega_base.alg, cutoff)
+        mw = weight_cap(pl.omega_base, cutoff)
         for deg in range(small + 1):
-            for w in pl.omega_base.alg.words(deg, mw):
+            for w in pl.omega_base.words(deg, mw):
                 v = Vect.basis(C.ring, w)
                 if not (pl.kappa(pl.omega_base.d_vect(v))
                         + pl.omega.d_vect(pl.kappa(v))).is_zero():
@@ -366,22 +364,18 @@ def _verify_suites(C, A):
 
     def cofreeness():
         pl = PathLoop(A)
-        if not pl.omega.alg.finite_type:
-            dl, _ = double_loop(A, max_weight=cutoff)
-            blocked = True
-        else:
-            dl, _ = double_loop(A)
-            blocked = False
+        blocked = not pl.omega.finite_type
+        dl = pl.cofixed(cutoff if blocked else None)
         for n in range(cutoff + 1):
             if blocked:
-                lhs = len(pl.omega.alg.words(n, cutoff))
+                lhs = len(pl.omega.words(n, cutoff))
                 rhs = 0
                 for lab in [l for p in range(n + 1) for l in dl.basis(p)]:
                     p, w = lab[1], lab[2]
-                    rhs += len(pl.omega_base.alg.words(n - p, cutoff - w))
+                    rhs += len(pl.omega_base.words(n - p, cutoff - w))
             else:
-                lhs = len(pl.omega.alg.words(n))
-                rhs = sum(dl.rank(p) * len(pl.omega_base.alg.words(n - p))
+                lhs = len(pl.omega.words(n))
+                rhs = sum(dl.rank(p) * len(pl.omega_base.words(n - p))
                           for p in range(n + 1))
             if lhs != rhs:
                 return "fail", "degree %d: %d != %d" % (n, lhs, rhs)
@@ -393,9 +387,9 @@ def _verify_suites(C, A):
         om = CobarAlgebra(C)
         tsq = TensorSquare(om, om)
         split = letterwise_split(omT, tsq)
-        mw = weight_cap(omT.alg, cutoff)
+        mw = weight_cap(omT, cutoff)
         for deg in range(small + 1):
-            for w in omT.alg.words(deg, mw):
+            for w in omT.words(deg, mw):
                 lhs = omT.d_word(w).map_terms(split)
                 rhs = split(w).map_terms(tsq.diff)
                 if not (lhs - rhs).is_zero():
@@ -409,7 +403,7 @@ def _verify_suites(C, A):
             fm = FormalDoubleLoop(C)
         except ValueError as e:
             return "skipped", str(e)
-        cx, _ = complex_of(fm, cutoff, fm.alg)
+        cx, _ = complex_of(fm, cutoff, fm)
         ok, label, residue = cx.verify_differential()
         if ok:
             return "pass", None
@@ -428,15 +422,15 @@ def _verify_suites(C, A):
         ("sh-coherence", coherence),
         ("induced-coassociativity", coassoc),
         ("induced-chain-map", chain_map),
-        ("cobar-d2", _suite_d2(lambda: CobarAlgebra(C), lambda om: om.alg)),
+        ("cobar-d2", _suite_d2(lambda: CobarAlgebra(C), lambda om: om)),
         ("acyclic-cobar-d2-right",
          _suite_d2(lambda: OneSidedCobar(CobarAlgebra(C), side="right"),
-                   lambda oc: oc.omega.alg)),
+                   lambda oc: oc.omega)),
         ("acyclic-cobar-d2-left",
          _suite_d2(lambda: OneSidedCobar(CobarAlgebra(C), side="left"),
-                   lambda oc: oc.omega.alg)),
+                   lambda oc: oc.omega)),
         ("path-object", path_ok),
-        ("path-loop-d2", _suite_d2(lambda: PathLoop(A), lambda pl: pl.omega.alg)),
+        ("path-loop-d2", _suite_d2(lambda: PathLoop(A), lambda pl: pl.omega)),
         ("section-defect", section_defect),
         ("kappa", kappa),
         ("cofreeness", cofreeness),

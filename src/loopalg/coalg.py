@@ -74,18 +74,6 @@ class DGCoalgebra:
         out.iadd_term(1, ("t", UNIT, label))
         return out + self.delta_red(label)
 
-    def to_chain_complex(self, include_unit=True):
-        from .chain import ChainComplex
-        bases = {n: list(self.basis(n)) for n in range(1, self.cutoff + 1)}
-        if include_unit:
-            bases[0] = [UNIT]
-
-        def diff(label):
-            return self.d_of(label)
-
-        return ChainComplex(self.ring, bases, diff, self.cutoff,
-                            name=self.name or "coalgebra")
-
     def verify(self):
         """Check co-Leibniz and coassociativity on every generator.
         Returns (ok, list of (kind, generator, residue))."""

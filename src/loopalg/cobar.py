@@ -1,16 +1,17 @@
-"""Cobar constructions.
+"""Cobar constructions and one-sided twisted tensor products.
 
 The cobar algebra of a connected coalgebra is the free algebra on
 desuspended generators with the differential
     d(s[c]) = -s[dc] + sum (-1)^{|c_i|} s[c_i] | s[c^i]
-over the reduced comultiplication.  One-sided twisted tensor products
-M (x) Omega C and Omega C (x) N carry the twisted differentials whose
-twisting cochain is the desuspension (with s[1] = 0).  When the coalgebra
-is a Hopf algebra H, Omega H (x) H is a chain algebra; the product is
+over the reduced comultiplication.  A one-sided twisted tensor product
+M (x) Omega C or Omega C (x) N on a comodule carries the twisted
+differential whose twisting cochain is the desuspension (with s[1] = 0).
+TwistedHopfTensor is the left one, Omega H (x) H, on a Hopf algebra H as
+a comodule over itself; it is a chain algebra, whose product is
 determined by a three-term rule against single letters.
 """
 
-from .vectors import Vect, label_key
+from .vectors import Vect, label_key, bilinear
 from .coalg import UNIT, DGCoalgebra
 from .tensoralg import FreeAlgebra, UNIT_WORD, concat
 
@@ -47,23 +48,17 @@ def _prod_sign3(coeffs, da, db, dbp):
     return -1 if exp % 2 else 1
 
 
-class CobarAlgebra:
+class CobarAlgebra(FreeAlgebra):
     """Free algebra on letters s[g], g a generator of a connected
     coalgebra, with the cobar differential."""
 
     def __init__(self, C, name=""):
         self.C = C
-        self.ring = C.ring
-        self.cutoff = C.cutoff
-        self.name = name or ("Omega(%s)" % C.name)
-        letters = {}
-        weights = {}
-        for g, deg in C.gens.items():
-            letters[s_letter(g)] = deg - 1
-            weights[s_letter(g)] = C.weights.get(g, 1)
-        self.alg = FreeAlgebra(self.ring, self.cutoff, letters, weights,
-                               name=self.name)
-        self.alg.set_differential(self._d_letter)
+        letters = {s_letter(g): deg - 1 for g, deg in C.gens.items()}
+        weights = {s_letter(g): C.weights.get(g, 1) for g in C.gens}
+        super().__init__(C.ring, C.cutoff, letters, weights,
+                         name=name or ("Omega(%s)" % C.name))
+        self.set_differential(self._d_letter)
 
     def _d_letter(self, letter):
         g = letter[1]
@@ -75,51 +70,25 @@ class CobarAlgebra:
             out.iadd_term(self.ring.mul(sign, c), ("w", s_letter(a), s_letter(b)))
         return out
 
-    @property
-    def finite_type(self):
-        return self.alg.finite_type
-
-    def degree(self, word):
-        return self.alg.degree(word)
-
-    def weight(self, word):
-        return self.alg.weight(word)
-
-    def words(self, n, max_weight=None):
-        return self.alg.words(n, max_weight)
-
-    def mul(self, u, v):
-        return self.alg.mul(u, v)
-
-    def unit(self):
-        return self.alg.unit()
-
-    def d_word(self, word):
-        return self.alg.d_word(word)
-
-    def d_vect(self, vect):
-        return self.alg.d_vect(vect)
-
-    def to_chain_complex(self, max_weight=None, top=None, name=""):
-        return self.alg.to_chain_complex(max_weight, top, name or self.name)
-
 
 class Comodule:
-    """A differential comodule over a coalgebra, given by a graded basis,
-    a differential, and a full coaction (components through the unit kept
-    explicitly with the label "1")."""
+    """A differential comodule over a coalgebra: a graded basis with a
+    unit label in degree 0, a differential, and the coaction terms whose
+    coalgebra slot is positive, over ('t', c, m) for a left comodule and
+    ('t', m, c) for a right one."""
 
-    def __init__(self, C, side, basis, d, coaction, name="", weights=None):
+    def __init__(self, ring, side, basis, d, coaction, name="", weights=None,
+                 unit_label=UNIT):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        self.C = C
-        self.ring = C.ring
+        self.ring = ring
         self.side = side
         self.name = name
         self.gens = dict(basis)
         self.d_map = dict(d)
         self.coaction_map = dict(coaction)
         self.weights = dict(weights or {})
+        self.unit_label = unit_label
         self._basis = {}
         for label, deg in self.gens.items():
             self._basis.setdefault(deg, []).append(label)
@@ -127,42 +96,37 @@ class Comodule:
             self._basis[deg].sort(key=label_key)
 
     @classmethod
-    def regular(cls, C, side):
+    def regular(cls, C, side, unit_label=UNIT):
         """The coalgebra as a comodule over itself via its own
-        comultiplication."""
-        basis = dict(C.gens)
-        d = {g: C.d_of(g) for g in C.gens}
-        coaction = {g: C.delta_full(g) for g in C.gens}
-        return cls(C, side, basis, d, coaction,
+        comultiplication, with unit_label standing for the unit."""
+        coaction = {}
+        for g in C.gens:
+            pair = (g, unit_label) if side == "left" else (unit_label, g)
+            coaction[g] = Vect.basis(C.ring, ("t",) + pair) + C.delta_red(g)
+        return cls(C.ring, side, C.gens, C.d_map, coaction,
                    name="%s as %s comodule" % (C.name, side),
-                   weights=dict(C.weights))
+                   weights=C.weights, unit_label=unit_label)
 
     def degree(self, label):
-        if label == UNIT:
+        if label == self.unit_label:
             return 0
         return self.gens[label]
 
     def weight(self, label):
-        if label == UNIT:
+        if label == self.unit_label:
             return 0
         return self.weights.get(label, 0)
 
     def basis(self, n):
         if n == 0:
-            return [UNIT] + self._basis.get(0, [])
+            return [self.unit_label] + self._basis.get(0, [])
         return self._basis.get(n, [])
 
     def d_of(self, label):
-        if label == UNIT:
-            return Vect.zero(self.ring)
         return self.d_map.get(label, Vect.zero(self.ring))
 
     def coaction(self, label):
-        """Full coaction; ('t', c, m) for a left comodule,
-        ('t', m, c) for a right one."""
-        if label == UNIT:
-            return Vect.basis(self.ring, ("t", UNIT, UNIT))
-        return self.coaction_map[label]
+        return self.coaction_map.get(label, Vect.zero(self.ring))
 
 
 class OneSidedCobar:
@@ -199,6 +163,9 @@ class OneSidedCobar:
         return self.M.degree(m) + self.omega.degree(word)
 
     def basis(self, n, max_weight=None):
+        """max_weight bounds the total weight across both tensor slots (the
+        weight grading is preserved by the twisted differential, so capped
+        blocks are honest subcomplexes)."""
         out = []
         for p in range(n + 1):
             for m in self.M.basis(p):
@@ -226,8 +193,6 @@ class OneSidedCobar:
             for w2, c in self.omega.d_word(word).items():
                 out.iadd_term(ring.mul(sign, c), self.label(m, w2))
             for (_, mi, ci), c in self.M.coaction(m).items():
-                if ci == UNIT:
-                    continue
                 s = _twist_sign(TWIST_RIGHT, self.M.degree(mi),
                                 self.C.degree(ci))
                 out.iadd_term(ring.mul(s, c),
@@ -241,8 +206,6 @@ class OneSidedCobar:
             for o, c in self.M.d_of(m).items():
                 out.iadd_term(ring.mul(sign, c), self.label(o, word))
             for (_, ci, mi), c in self.M.coaction(m).items():
-                if ci == UNIT:
-                    continue
                 s = _twist_sign(TWIST_LEFT, self.C.degree(ci),
                                 self.M.degree(mi))
                 out.iadd_term(ring.mul(sign * s, c),
@@ -281,168 +244,42 @@ def coalgebra_of_hopf(H, cutoff):
                        name=getattr(H, "name", "H"), weights=weights)
 
 
-class ComoduleAlgebra:
-    """A chain algebra with a compatible left coaction of a Hopf algebra.
-    coaction_red(b) lists the components of the full coaction other than
-    1 (x) b, as a Vect over ('t', h, b') with h a positive H element and
-    b' a basis element of B or the unit."""
+class TwistedHopfTensor(OneSidedCobar):
+    """Omega H (x) H: the left one-sided cobar construction on a Hopf
+    algebra H as a comodule over itself (the model of its based-path
+    fibration), with its chain algebra structure.
 
-    def __init__(self, H, basis, d, mul_labels, coaction_red, name="",
-                 weights=None):
+    H must provide: ring, name, basis(n), degree(h), d_of(h),
+    delta_red(h), mul(h1, h2) -> Vect (the unit included), unit_label,
+    and optionally weight(h).  Labels here are ('t', word, h) with word a
+    word in letters s[h]."""
+
+    def __init__(self, H, cutoff, name=""):
         self.H = H
-        self.ring = H.ring
-        self.name = name
-        self.gens = dict(basis)
-        self.d_map = dict(d)
-        self._mul_labels = mul_labels
-        self.coaction_map = dict(coaction_red)
-        self.unit_label = UNIT
-        self.weights = dict(weights or {})
-        self._basis = {}
-        for label, deg in self.gens.items():
-            self._basis.setdefault(deg, []).append(label)
-        for deg in self._basis:
-            self._basis[deg].sort(key=label_key)
-
-    @classmethod
-    def regular(cls, H, cutoff):
-        """The Hopf algebra as a comodule algebra over itself."""
-        basis = {}
-        d = {}
-        coaction = {}
-        weights = {}
-        for n in range(1, cutoff + 1):
-            for h in H.basis(n):
-                basis[h] = n
-                if hasattr(H, "weight"):
-                    weights[h] = H.weight(h)
-                dv = H.d_of(h)
-                if not dv.is_zero():
-                    d[h] = dv
-                co = Vect.basis(H.ring, ("t", h, H.unit_label))
-                co = co + H.delta_red(h)
-                coaction[h] = co
-        out = cls(H, basis, d, H.mul, coaction,
-                  name=getattr(H, "name", "H"), weights=weights)
-        out.unit_label = H.unit_label
-        return out
-
-    def degree(self, label):
-        if label == self.unit_label:
-            return 0
-        return self.gens[label]
-
-    def basis(self, n):
-        if n == 0:
-            return [self.unit_label]
-        return self._basis.get(n, [])
-
-    def d_of(self, label):
-        if label == self.unit_label:
-            return Vect.zero(self.ring)
-        return self.d_map.get(label, Vect.zero(self.ring))
-
-    def mul(self, b1, b2):
-        if b1 == self.unit_label:
-            return Vect.basis(self.ring, b2)
-        if b2 == self.unit_label:
-            return Vect.basis(self.ring, b1)
-        return self._mul_labels(b1, b2)
-
-    def coaction_red(self, label):
-        if label == self.unit_label:
-            return Vect.zero(self.ring)
-        return self.coaction_map.get(label, Vect.zero(self.ring))
-
-    def weight(self, label):
-        if label == self.unit_label:
-            return 0
-        return self.weights.get(label, 0)
-
-
-class TwistedHopfTensor:
-    """Omega H (x) B with the twisted differential and the chain algebra
-    structure, for B a left comodule algebra over the Hopf algebra H
-    (defaulting to H itself, the model of its based-path fibration).
-
-    H must provide: ring, basis(n), degree(h), d_of(h), delta_red(h),
-    mul(h1, h2) -> Vect, and unit_label.  Labels here are
-    ('t', word, b) with word a word in letters s[h].
-    """
-
-    def __init__(self, H, cutoff, B=None, name=""):
-        self.H = H
-        self.ring = H.ring
-        self.cutoff = cutoff
-        if B is None:
-            B = ComoduleAlgebra.regular(H, cutoff)
-        self.B = B
-        self.name = name or ("Omega(%s)(x)(%s)"
-                             % (getattr(H, "name", "H"), B.name or "B"))
+        M = Comodule.regular(coalgebra_of_hopf(H, cutoff), "left",
+                             unit_label=H.unit_label)
         # letters of Omega H reach degree cutoff, i.e. H elements of
         # degree cutoff + 1
-        self.hcoalg = coalgebra_of_hopf(H, cutoff + 1)
-        self.omega = CobarAlgebra(self.hcoalg)
-
-    def unit_label(self):
-        return ("t", UNIT_WORD, self.B.unit_label)
-
-    def degree(self, label):
-        (_, word, b) = label
-        return self.omega.degree(word) + self.B.degree(b)
-
-    def weight(self, label):
-        (_, word, b) = label
-        return self.omega.weight(word) + self.B.weight(b)
-
-    def basis(self, n, max_weight=None):
-        """max_weight bounds the total weight across both tensor slots (the
-        weight grading is preserved by the twisted differential and the
-        product, so capped blocks are honest subcomplexes)."""
-        out = []
-        for p in range(n + 1):
-            for b in self.B.basis(n - p):
-                room = None if max_weight is None else max_weight - self.B.weight(b)
-                if room is not None and room < 0:
-                    continue
-                for w in self.omega.words(p, room):
-                    out.append(("t", w, b))
-        out.sort(key=label_key)
-        return out
-
-    def diff(self, label):
-        """d(w (x) b) = dw (x) b + (-1)^{|w|} w (x) db
-        - (-1)^{|w|} (w | s[h]) (x) b' over the components h (x) b' of the
-        coaction of b other than 1 (x) b."""
-        (_, word, b) = label
-        ring = self.ring
-        out = Vect(ring)
-        for w2, c in self.omega.d_word(word).items():
-            out.iadd_term(c, ("t", w2, b))
-        sign = -1 if self.omega.degree(word) % 2 else 1
-        for o, c in self.B.d_of(b).items():
-            out.iadd_term(ring.mul(sign, c), ("t", word, o))
-        for (_, h, bp), c in self.B.coaction_red(b).items():
-            s = _twist_sign(TWIST_LEFT, self.H.degree(h), self.B.degree(bp))
-            out.iadd_term(ring.mul(sign * s, c),
-                          ("t", word + (s_letter(h),), bp))
-        return out
+        omega = CobarAlgebra(coalgebra_of_hopf(H, cutoff + 1))
+        super().__init__(omega, M, side="left",
+                         name=name or "Omega(%s)(x)(%s)" % (H.name, H.name))
+        self.cutoff = cutoff
 
     def _one_letter_rule(self, b, a):
-        """(1 (x) b)(s[a] (x) 1) for b a positive B element, a an H basis
+        """(1 (x) b)(s[a] (x) 1) for b a positive H element, a an H basis
         element:
           (-1)^{(|a|+1)|b|} s[a] (x) b
         + (-1)^{|b| + |a||b'|} s[h . a] (x) b'
         over the components h (x) b' of the coaction of b other than
         1 (x) b."""
         ring = self.ring
-        db = self.B.degree(b)
+        db = self.M.degree(b)
         da = self.H.degree(a)
         out = Vect(ring)
         s = _twist_sign(PROD_STRAIGHT, da, db)
         out.iadd_term(s, ("t", ("w", s_letter(a)), b))
-        for (_, h, bp), coef in self.B.coaction_red(b).items():
-            s2 = _prod_sign3(PROD_TWIST, da, db, self.B.degree(bp))
+        for (_, h, bp), coef in self.M.coaction(b).items():
+            s2 = _prod_sign3(PROD_TWIST, da, db, self.M.degree(bp))
             for y, coef2 in self.H.mul(h, a).items():
                 out.iadd_term(ring.mul(ring.mul(s2, coef), coef2),
                               ("t", ("w", s_letter(y)), bp))
@@ -451,11 +288,11 @@ class TwistedHopfTensor:
     def _unit_times(self, b, word, x):
         """(1 (x) b)(word (x) x) by peeling the first letter of word."""
         ring = self.ring
-        if b == self.B.unit_label:
+        if b == self.M.unit_label:
             return Vect.basis(ring, ("t", word, x))
         if word == UNIT_WORD:
             out = Vect(ring)
-            for y, coef in self.B.mul(b, x).items():
+            for y, coef in self.H.mul(b, x).items():
                 out.iadd_term(coef, ("t", UNIT_WORD, y))
             return out
         a = word[1][1]
@@ -479,11 +316,10 @@ class TwistedHopfTensor:
         return out
 
     def mul(self, u, v):
-        from .vectors import bilinear
         return bilinear(self.ring, u, v, self.mul_labels)
 
     def section(self, bvect):
-        """The degree-0 splitting b -> 1 (x) b of the projection to B."""
+        """The degree-0 splitting b -> 1 (x) b of the projection to H."""
         out = Vect(self.ring)
         for b, c in bvect.items():
             out.iadd_term(c, ("t", UNIT_WORD, b))
@@ -494,7 +330,7 @@ class TwistedHopfTensor:
         - s[h] (x) b' over the non-primitive coaction components."""
         out = self.section(bvect).map_terms(self.diff)
         for b, c in bvect.items():
-            out = out - self.section(self.B.d_of(b)).scale(c)
+            out = out - self.section(self.M.d_of(b)).scale(c)
         return out
 
     def projection(self, vect):
@@ -504,13 +340,6 @@ class TwistedHopfTensor:
             if word == UNIT_WORD:
                 out.iadd_term(c, h)
         return out
-
-    def to_chain_complex(self, max_weight=None, top=None, name=""):
-        from .chain import ChainComplex
-        top = self.cutoff if top is None else top
-        bases = {n: self.basis(n, max_weight) for n in range(top + 1)}
-        return ChainComplex(self.ring, bases, self.diff, self.cutoff,
-                            name=name or self.name)
 
 
 class AlgebraOnHomology:

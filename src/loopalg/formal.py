@@ -44,7 +44,7 @@ def bracket_generators(C, cutoff):
     return degs, weights
 
 
-class FormalDoubleLoop:
+class FormalDoubleLoop(FreeAlgebra):
     """Free algebra on iterated brackets with the transported
     differential."""
 
@@ -58,17 +58,14 @@ class FormalDoubleLoop:
                                  "generated input; %s has nonzero reduced "
                                  "comultiplication" % label_str(g))
         self.C = C
-        self.ring = C.ring
-        self.cutoff = C.cutoff
-        self.name = name or ("FDL(%s)" % C.name)
         self.pc = path_object(C)
         self.omega = CobarAlgebra(self.pc)
-        degs, weights = bracket_generators(C, self.cutoff)
-        self.alg = FreeAlgebra(self.ring, self.cutoff, degs, weights,
-                               name=self.name)
+        degs, weights = bracket_generators(C, C.cutoff)
+        super().__init__(C.ring, C.cutoff, degs, weights,
+                         name=name or ("FDL(%s)" % C.name))
         self._expansion_cache = {}
-        self._diff_gen = {}
-        self.alg.set_differential(self._d_gen)
+        self._d_cache = {}
+        self.set_differential(self._d_gen)
 
     # -- commutator expansion -------------------------------------------
     def expand_generator(self, label):
@@ -77,9 +74,9 @@ class FormalDoubleLoop:
             return self._expansion_cache[label]
         (_, vs, w) = label
         out = Vect.basis(self.ring, ("w", w))
-        deg = self.omega.alg.letter_degree(w)
+        deg = self.omega.letters[w]
         for v in reversed(vs):
-            vdeg = self.omega.alg.letter_degree(v)
+            vdeg = self.omega.letters[v]
             vv = Vect.basis(self.ring, ("w", v))
             left = self.omega.mul(vv, out)
             right = self.omega.mul(out, vv)
@@ -91,26 +88,25 @@ class FormalDoubleLoop:
 
     def expand(self, vect):
         """Multiplicative expansion of a Vect of bracket words."""
-        fn = self.alg.algebra_map(
-            lambda l: self.expand_generator(l), self.omega.mul,
-            self.omega.unit)
+        fn = self.algebra_map(self.expand_generator, self.omega.mul,
+                              self.omega.unit)
         return vect.map_terms(fn)
 
     # -- transported differential ---------------------------------------
     def _d_gen(self, label):
-        if label not in self._diff_gen:
-            n = self.alg.letter_degree(label)
-            wt = self.alg.weights[label]
+        if label not in self._d_cache:
+            n = self.letters[label]
+            wt = self.weights[label]
             target = self.expand_generator(label).map_terms(self.omega.d_word)
-            words = [u for u in self.alg.words(n - 1, wt)
-                     if self.alg.weight(u) == wt] if n >= 1 else []
+            words = [u for u in self.words(n - 1, wt)
+                     if self.weight(u) == wt] if n >= 1 else []
             expansions = [self.expand(Vect.basis(self.ring, u))
                           for u in words]
             amb = sorted({l for e in expansions for l in e.terms}
                          | set(target.terms), key=label_key)
             if not amb:
-                self._diff_gen[label] = Vect.zero(self.ring)
-                return self._diff_gen[label]
+                self._d_cache[label] = Vect.zero(self.ring)
+                return self._d_cache[label]
             mat = [[e.terms.get(l, self.ring.zero) for e in expansions]
                    for l in amb]
             col = [target.terms.get(l, self.ring.zero) for l in amb]
@@ -120,9 +116,5 @@ class FormalDoubleLoop:
                 raise ValueError(
                     "transported differential of %s does not lie in the "
                     "bracket subalgebra" % label_str(label))
-            self._diff_gen[label] = Vect(self.ring, list(zip(words, sol)))
-        return self._diff_gen[label]
-
-    def to_chain_complex(self, max_weight=None, top=None, name=""):
-        return self.alg.to_chain_complex(max_weight, top, name or self.name)
-
+            self._d_cache[label] = Vect(self.ring, list(zip(words, sol)))
+        return self._d_cache[label]

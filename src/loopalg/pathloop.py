@@ -125,7 +125,23 @@ def extend_psi(A, name=""):
     return AWCoalgebra(PC, fam, name=name or PC.name)
 
 
-class PathLoop:
+class _Coaction:
+    """What the path-loop and fiber coactions share.  A subclass provides
+    ring, cutoff, the word algebra omega and its full coaction nu; the
+    cofixed part of nu is the double-loop or homotopy-fiber model."""
+
+    def nu_bar(self, word):
+        """The reduced coaction: nu(word) - word (x) 1."""
+        out = Vect(self.ring, dict(self.nu(word).terms))
+        out.iadd_term(-1, ("t", word, UNIT_WORD))
+        return out
+
+    def cofixed(self, max_weight=None):
+        return CofixedSubalgebra(self.omega, self.nu_bar, self.cutoff,
+                                 max_weight=max_weight)
+
+
+class PathLoop(_Coaction):
     """The cobar algebra on P(C) with its induced comultiplication and the
     right coaction over Omega C that erases bars."""
 
@@ -157,19 +173,14 @@ class PathLoop:
             self._nu_cache[word] = out
         return self._nu_cache[word]
 
-    def nu_bar(self, word):
-        out = Vect(self.ring, dict(self.nu(word).terms))
-        out.iadd_term(-1, ("t", word, UNIT_WORD))
-        return out
-
     def kappa(self, vect):
         """The degree -1 derivation of Omega C into the path-loop algebra
         with kappa(s[c]) = -s[bar c]."""
         values = {}
-        for letter in self.omega_base.alg.letters:
+        for letter in self.omega_base.letters:
             values[letter] = Vect.basis(self.ring,
                                         ("w", s_letter(bar(letter[1]))), -1)
-        fn = self.omega_base.alg.derivation(values, -1)
+        fn = self.omega_base.derivation(values, -1)
         return vect.map_terms(fn)
 
     def to_chain_complex(self, max_weight=None, top=None, name=""):
@@ -180,8 +191,8 @@ class CofixedSubalgebra:
     """The degreewise kernel of a reduced coaction inside a word algebra,
     as a chain complex with a product.
 
-    ambient: an algebra with ring, words(n, max_weight), degree, weight,
-    d_word/d_vect, mul; coaction_bar: word -> Vect over ('t', word, hword).
+    ambient: a free word algebra (a FreeAlgebra such as a CobarAlgebra);
+    coaction_bar: word -> Vect over ('t', word, hword).
     When the ambient alphabet has degree-0 letters the computation is run
     per weight block (the coaction and differential must preserve the
     weight for the blocks to be exact; this holds in the primitive
@@ -199,8 +210,7 @@ class CofixedSubalgebra:
         self.coaction_bar = coaction_bar
         self.cutoff = cutoff
         self.max_weight = max_weight
-        self.blocked = not ambient.alg.finite_type if hasattr(ambient, "alg") \
-            else not ambient.finite_type
+        self.blocked = not ambient.finite_type
         if self.blocked and max_weight is None:
             raise ValueError("degree-0 letters in the ambient algebra: a "
                              "weight bound is required")
@@ -404,16 +414,14 @@ class CofixedSubalgebra:
                             name=name or self.name)
 
 
-def double_loop(A, max_weight=None, name=""):
+def double_loop(A, max_weight=None):
     """The cofixed part of the path-loop algebra under its coaction over
     Omega C."""
     pl = PathLoop(A)
-    return CofixedSubalgebra(pl.omega, pl.nu_bar, A.cutoff,
-                             max_weight=max_weight,
-                             name=name or ("DL(%s)" % A.name)), pl
+    return pl.cofixed(max_weight), pl
 
 
-class FiberCoaction:
+class FiberCoaction(_Coaction):
     """Coaction for the homotopy-fiber model: on the cobar algebra of
     C' (+) P(C), push the second comultiplication slot through the map
     induced by (omega + pi) : C' (+) P(C) -> C."""
@@ -424,14 +432,13 @@ class FiberCoaction:
         self.Aprime = Aprime
         self.A = A
         self.family = omega_family
-        self.E = None
         self.name = name
         self.aw_sum = _coproduct_with_path(Aprime, A)
         self.hopf = InducedHopf(self.aw_sum, name=name or "E")
         self.omega = self.hopf.omega
         self.omega_base = CobarAlgebra(A.C)
         self._letter_cache = {}
-        self._push = self.omega.alg.algebra_map(
+        self._push = self.omega.algebra_map(
             self._push_letter, self.omega_base.mul, self.omega_base.unit)
         self._nu_cache = {}
 
@@ -459,25 +466,18 @@ class FiberCoaction:
             self._nu_cache[word] = out
         return self._nu_cache[word]
 
-    def nu_bar(self, word):
-        out = Vect(self.ring, dict(self.nu(word).terms))
-        out.iadd_term(-1, ("t", word, UNIT_WORD))
-        return out
-
 
 def _coproduct_with_path(Aprime, A):
     from .shfamily import aw_coproduct
     return aw_coproduct(Aprime, extend_psi(A))
 
 
-def loop_fiber(Aprime, A, omega_family, max_weight=None, name=""):
+def loop_fiber(Aprime, A, omega_family, max_weight=None):
     """Homotopy-fiber model of a map (C', Psi') -> (C, Psi) given by a
     homotopy-coherent family: the cofixed part of Omega(C' (+) P(C))
     under the pushed coaction."""
-    fc = FiberCoaction(Aprime, A, omega_family, name=name)
-    return CofixedSubalgebra(fc.omega, fc.nu_bar, fc.cutoff,
-                             max_weight=max_weight,
-                             name=name or "hofiber"), fc
+    fc = FiberCoaction(Aprime, A, omega_family)
+    return fc.cofixed(max_weight), fc
 
 
 def identity_family(A):

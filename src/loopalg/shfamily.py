@@ -128,9 +128,8 @@ class SHFamily:
 
     def induced_map(self, omega_source, omega_target):
         """The induced algebra map Omega C -> Omega C' on words."""
-        return omega_source.alg.algebra_map(self.induced_letter_value,
-                                            omega_target.mul,
-                                            omega_target.unit)
+        return omega_source.algebra_map(self.induced_letter_value,
+                                        omega_target.mul, omega_target.unit)
 
 
 class TensorSquare:
@@ -143,9 +142,6 @@ class TensorSquare:
         self.ring = omA.ring
         self.cutoff = min(omA.cutoff, omB.cutoff)
         self.name = name or ("%s(x)%s" % (omA.name, omB.name))
-
-    def degree(self, label):
-        return self.omA.degree(label[1]) + self.omB.degree(label[2])
 
     def unit(self):
         return Vect.basis(self.ring, ("t", UNIT_WORD, UNIT_WORD))
@@ -199,7 +195,7 @@ def letterwise_split(omega_tensor, tsq):
             return Vect.basis(ring, ("t", UNIT_WORD, ("w", s_letter(b))))
         return Vect.zero(ring)
 
-    return omega_tensor.alg.algebra_map(letter_value, tsq.mul, tsq.unit)
+    return omega_tensor.algebra_map(letter_value, tsq.mul, tsq.unit)
 
 
 class AWCoalgebra:
@@ -277,9 +273,6 @@ class InducedHopf:
     def mul(self, w1, w2):
         return Vect.basis(self.ring, concat(w1, w2))
 
-    def to_chain_complex(self, max_weight=None, top=None, name=""):
-        return self.omega.to_chain_complex(max_weight, top, name or self.name)
-
     # -- comultiplication ------------------------------------------------
     def psi_letter(self, letter):
         if letter not in self._psi_letter_cache:
@@ -310,7 +303,7 @@ class InducedHopf:
         homotopy diagonal is not balanced enough for a genuine Hopf
         structure."""
         defects = []
-        for letter in sorted(self.omega.alg.letters, key=label_key):
+        for letter in sorted(self.omega.letters, key=label_key):
             lhs = Vect(self.ring)
             rhs = Vect(self.ring)
             for (_, u, v), c in self.psi(("w", letter)).items():
@@ -329,7 +322,7 @@ class InducedHopf:
     def chain_map_defects(self):
         """psi d - (d (x) 1 + 1 (x) d) psi on every letter."""
         defects = []
-        for letter in sorted(self.omega.alg.letters, key=label_key):
+        for letter in sorted(self.omega.letters, key=label_key):
             word = ("w", letter)
             lhs = self.omega.d_word(word).map_terms(self.psi)
             rhs = self.psi(word).map_terms(self.tsq.diff)

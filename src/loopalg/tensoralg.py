@@ -32,15 +32,11 @@ class FreeAlgebra:
                     raise ValueError("letter weight must be positive")
                 self.weights[l] = w
         self._ordered = sorted(self.letters, key=label_key)
-        self._diff_gen = None
         self._word_cache = {}
 
     @property
     def finite_type(self):
         return all(d >= 1 for d in self.letters.values())
-
-    def letter_degree(self, letter):
-        return self.letters[letter]
 
     def degree(self, word):
         return sum(self.letters[l] for l in word[1:])
@@ -120,7 +116,6 @@ class FreeAlgebra:
     def set_differential(self, gen_values):
         """Install d on letters (dict or callable); words get the derivation
         extension."""
-        self._diff_gen = gen_values
         self._diff = self.derivation(gen_values, -1)
 
     def d_word(self, word):

@@ -69,7 +69,7 @@ def assert_d2(obj, max_weight=None, top=CUTOFF, what=""):
 def letters_d2(om, what=""):
     """d^2 = 0 on every letter; the derivation property extends this to
     every word of the algebra."""
-    for letter in om.alg.letters:
+    for letter in om.letters:
         assert om.d_vect(om.d_word(("w", letter))).is_zero(), (what, letter)
 
 
@@ -79,7 +79,7 @@ def coaction_chain_map_letters(om, om_base, nu, what=""):
     with d^2 = 0 on the ambient this proves d^2 = 0 on the cofixed
     subcomplex."""
     ring = om.ring
-    for letter in om.alg.letters:
+    for letter in om.letters:
         lhs = om.d_word(("w", letter)).map_terms(nu)
         rhs = Vect(ring)
         for (_, u, v), c in nu(("w", letter)).items():
@@ -196,7 +196,7 @@ def test_criterion_04_kappa_identities():
         ring = pl.ring
         wmax = None if mw is None else 7
         for deg in range(0, 7):
-            for w in ob.alg.words(deg, wmax):
+            for w in ob.words(deg, wmax):
                 v = Vect.basis(ring, w)
                 # (1) kappa d + d kappa = 0
                 assert (pl.kappa(ob.d_vect(v))
@@ -217,7 +217,7 @@ def test_criterion_04_kappa_identities():
                         ring, dict(pl.hopf.psi(u).terms)).scale(c)
                 right2 = Vect(ring)
                 for (_, a, b), c in pl.base_hopf.psi(w).items():
-                    da = ob.alg.degree(a)
+                    da = ob.degree(a)
                     for u2, c2 in pl.kappa(Vect.basis(ring, a)).items():
                         right2.iadd_term(ring.mul(c, c2), ("t", u2, b))
                     s = -1 if da % 2 else 1
@@ -230,7 +230,7 @@ def test_criterion_04_kappa_identities():
 def f2_block_kernel_rank(pl, n, w):
     """Dimension over F2 of the cofixed part of the (degree, weight)
     block, via bitmask Gaussian elimination on the reduced coaction."""
-    alg = pl.omega.alg
+    alg = pl.omega
     words = [u for u in alg.words(n, w) if alg.weight(u) == w]
     rows = {}
     rank = 0
@@ -265,15 +265,15 @@ def test_criterion_06_cofreeness_rank_identity():
         dl, _ = double_loop(A, max_weight=mw)
         for n in range(0, CUTOFF + 1):
             if mw is None:
-                lhs = len(pl.omega.alg.words(n))
-                rhs = sum(dl.rank(p) * len(pl.omega_base.alg.words(n - p))
+                lhs = len(pl.omega.words(n))
+                rhs = sum(dl.rank(p) * len(pl.omega_base.words(n - p))
                           for p in range(n + 1))
             else:
-                lhs = len(pl.omega.alg.words(n, mw))
+                lhs = len(pl.omega.words(n, mw))
                 rhs = 0
                 for lab in [l for p in range(n + 1) for l in dl.basis(p)]:
                     p, w = lab[1], lab[2]
-                    rhs += len(pl.omega_base.alg.words(n - p, mw - w))
+                    rhs += len(pl.omega_base.words(n - p, mw - w))
             assert lhs == rhs, (name, n, lhs, rhs)
     # tensor member over F2
     for name, A, mw in corpus(F2):
@@ -286,9 +286,9 @@ def test_criterion_06_cofreeness_rank_identity():
                 nwords, kdim = f2_block_kernel_rank(pl, p, w)
                 if nwords:
                     dlr[(p, w)] = kdim
-        omb = pl.omega_base.alg
+        omb = pl.omega_base
         for n in range(0, CUTOFF + 1):
-            lhs = len(pl.omega.alg.words(n, CUTOFF))
+            lhs = len(pl.omega.words(n, CUTOFF))
             rhs = sum(r * len(omb.words(n - p, CUTOFF - w))
                       for (p, w), r in dlr.items() if p <= n)
             assert lhs == rhs, (name, n, lhs, rhs)
@@ -304,7 +304,7 @@ def test_criterion_07_formal_model_ranks():
             dl, _ = double_loop(AWCoalgebra.strict(C), max_weight=mw)
             fm = FormalDoubleLoop(C)
             for k in range(0, CUTOFF + 1):
-                assert dl.rank(k) == len(fm.alg.words(k, mw)), \
+                assert dl.rank(k) == len(fm.words(k, mw)), \
                     (ring.name, n, k)
 
 
@@ -415,7 +415,7 @@ def test_criterion_11_tensor_splitting():
     tsq = TensorSquare(omA, omB)
     split = letterwise_split(omT, tsq)
     for deg in range(0, 7):
-        for w in omT.alg.words(deg):
+        for w in omT.words(deg):
             lhs = omT.d_word(w).map_terms(split)
             rhs = split(w).map_terms(tsq.diff)
             assert (lhs - rhs).is_zero(), w

@@ -19,7 +19,7 @@ def hopf(n, ring=ZZ, cutoff=8):
 def test_cobar_sphere_d2_and_letters():
     for n in (2, 3, 5):
         om = CobarAlgebra(sphere_model(n, ZZ, 8))
-        assert om.alg.letters == {("s", "x%d" % n): n - 1}
+        assert om.letters == {("s", "x%d" % n): n - 1}
         cx = om.to_chain_complex()
         ok, label, _ = cx.verify_differential()
         assert ok, label

@@ -68,7 +68,7 @@ def test_kappa_anti_chain_map_small():
     pl = PathLoop(aw(3, ZZ, 8))
     ob = pl.omega_base
     for deg in range(0, 5):
-        for w in ob.alg.words(deg):
+        for w in ob.words(deg):
             v = Vect.basis(pl.ring, w)
             res = pl.kappa(ob.d_vect(v)) + pl.omega.d_vect(pl.kappa(v))
             assert res.is_zero(), w
