@@ -263,7 +263,7 @@ class TwistedHopfTensor(OneSidedCobar):
         omega = CobarAlgebra(coalgebra_of_hopf(H, cutoff + 1))
         super().__init__(omega, M, side="left",
                          name=name or "Omega(%s)(x)(%s)" % (H.name, H.name))
-        self.cutoff = cutoff
+        self.cutoff = cutoff  # omega's cutoff is one higher
 
     def _one_letter_rule(self, b, a):
         """(1 (x) b)(s[a] (x) 1) for b a positive H element, a an H basis
