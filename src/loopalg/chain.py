@@ -9,9 +9,12 @@ The rank of H_n is dim C_n - rank d_n - rank d_{n+1}, and its torsion is
 the invariant factors of d_{n+1} other than 0 and 1.  Each boundary
 matrix is eliminated once (see linalg.rank_and_torsion) and the result is
 shared by the two degrees it borders.  Representative cycles and class
-coordinates need an explicit cycle basis (saturated kernels and Smith
-normal form over Z, echelon kernels over a field); that is computed only
-when a summary's representatives or class_of are first used.
+coordinates need an explicit cycle basis (a saturated kernel over Z, an
+echelon kernel over a field) and a linalg.Solver on it.  The solver gives
+the coordinates of the boundaries (then put in Smith normal form over Z,
+or row reduced over a field) and of every class_of argument.  Both are
+built once per degree, when a summary's representatives or class_of are
+first used.
 """
 
 from collections import namedtuple
@@ -21,7 +24,7 @@ from . import linalg
 
 # The explicit description of H_n behind representatives and class_of.
 CyclePresentation = namedtuple(
-    "CyclePresentation", "free_rank torsion reps kernel decomp kmat")
+    "CyclePresentation", "free_rank torsion reps solver decomp")
 
 
 class ChainComplex:
@@ -139,26 +142,31 @@ class ChainComplex:
             return linalg.kernel_saturated(mat)
         return linalg.kernel_field(mat, self.ring)
 
-    def _homology_integer(self, n):
+    def _cycles(self, n):
+        """(kernel columns of d_n, the linalg.Solver on them, the
+        coordinates of the columns of d_{n+1} over them)."""
         basis = self.basis(n)
         kernel = self._kernel_cols(n)
+        solver = linalg.Solver(
+            [{basis[i]: x for i, x in enumerate(col) if x} for col in kernel],
+            basis, self.ring, "cycle space")
+        ycols = [solver.coordinates({basis[i]: x for i, x in col.items()})
+                 for col in self._sparse(n + 1)] if kernel else []
+        return kernel, solver, ycols
+
+    def _homology_integer(self, n):
+        basis = self.basis(n)
+        kernel, solver, ycols = self._cycles(n)
         k = len(kernel)
-        dnext = self.matrix(n + 1)
-        ncols = len(dnext[0]) if dnext else 0
         if k == 0:
-            return CyclePresentation(0, [], [], kernel, None, None)
-        kmat = [[kernel[j][i] for j in range(k)] for i in range(len(basis))]
+            return CyclePresentation(0, [], [], solver, ([], []))
+        ncols = len(ycols)
         if ncols:
-            rhs = [[dnext[i][j] for i in range(len(basis))] for j in range(ncols)]
-            ycols = linalg.solve_integer(kmat, rhs)
-            ymat = [[ycols[j][i] for j in range(ncols)] for i in range(k)]
+            ymat = [[col[i] for col in ycols] for i in range(k)]
+            d, u, _ = linalg.smith_normal_form(ymat)
         else:
-            ymat = [[0] * 0 for _ in range(k)]
-        d, u, _ = linalg.smith_normal_form(ymat) if ncols else (None, linalg.identity(k), None)
-        diag = []
-        for i in range(k):
-            val = d[i][i] if (ncols and i < min(k, ncols)) else 0
-            diag.append(abs(val))
+            u = linalg.identity(k)
+        diag = [abs(d[i][i]) if i < min(k, ncols) else 0 for i in range(k)]
         uinv = linalg.integer_inverse(u)
         torsion = []
         torsion_reps = []
@@ -167,42 +175,28 @@ class ChainComplex:
             if diag[i] == 1:
                 continue
             coeffs = [uinv[r][i] for r in range(k)]
-            cycle = [sum(kmat[r][t] * coeffs[t] for t in range(k)) for r in range(len(basis))]
+            cycle = [sum(col[r] * c for col, c in zip(kernel, coeffs))
+                     for r in range(len(basis))]
             vec = Vect(self.ring, list(zip(basis, cycle)))
             if diag[i] == 0:
                 free_reps.append(vec)
             else:
                 torsion.append(diag[i])
                 torsion_reps.append(vec)
-        free_rank = len(free_reps)
         # class coordinates come back torsion-first, then free
-        return CyclePresentation(free_rank, torsion, torsion_reps + free_reps,
-                                 kernel, (u, diag), kmat)
+        return CyclePresentation(len(free_reps), torsion,
+                                 torsion_reps + free_reps, solver, (u, diag))
 
     def _homology_field(self, n):
         basis = self.basis(n)
-        kernel = self._kernel_cols(n)
+        kernel, solver, ycols = self._cycles(n)
         k = len(kernel)
-        if k == 0:
-            return CyclePresentation(0, [], [], kernel, None, None)
-        kmat = [[kernel[j][i] for j in range(k)] for i in range(len(basis))]
-        dnext = self.matrix(n + 1)
-        ncols = len(dnext[0]) if dnext else 0
-        if ncols:
-            rhs = [[dnext[i][j] for i in range(len(basis))] for j in range(ncols)]
-            ycols = linalg.solve_field(kmat, rhs, self.ring)
-            yrows = [[col[i] for i in range(k)] for col in ycols]
-            rr, pivots = linalg.rref(yrows, self.ring)
-        else:
-            rr, pivots = [], []
+        rr, pivots = linalg.rref(ycols, self.ring) if ycols else ([], [])
         pivset = set(pivots)
-        reps = []
         free_idx = [j for j in range(k) if j not in pivset]
-        for j in free_idx:
-            cycle = [kmat[r][j] for r in range(len(basis))]
-            reps.append(Vect(self.ring, list(zip(basis, cycle))))
-        return CyclePresentation(len(free_idx), [], reps, kernel,
-                                 (rr, pivots, free_idx), kmat)
+        reps = [Vect(self.ring, list(zip(basis, kernel[j]))) for j in free_idx]
+        return CyclePresentation(len(free_idx), [], reps, solver,
+                                 (rr, pivots, free_idx))
 
 
 class HomologySummary:
@@ -236,34 +230,28 @@ class HomologySummary:
         """Coordinates of a cycle's homology class in the representative
         basis (torsion classes first, then free classes over Z; free classes
         over a field)."""
-        ring = self.complex.ring
-        basis = self.complex.basis(self.degree)
-        col = [vect.terms.get(l, ring.zero) for l in basis]
         pres = self._present()
-        if not pres.kernel:
-            if any(not ring.is_zero(x) for x in col):
-                raise ValueError("vector is not a cycle")
-            return []
-        if ring.kind == "Z":
-            coords = linalg.solve_integer(pres.kmat, [col])[0]
+        # terms off the degree's basis (above a weight cap) are dropped
+        stored = self.complex._index.get(self.degree, {})
+        coords = pres.solver.coordinates(
+            {l: c for l, c in vect.items() if l in stored})
+        if self.complex.ring.kind == "Z":
             u, diag = pres.decomp
-            k = len(coords)
             out_t, out_f = [], []
-            for i in range(k):
-                val = sum(u[i][t] * coords[t] for t in range(k))
-                if diag[i] == 1:
+            for row, d in zip(u, diag):
+                if d == 1:
                     continue
-                if diag[i] == 0:
-                    out_f.append(val)
+                val = sum(a * b for a, b in zip(row, coords))
+                if d:
+                    out_t.append(val % d)
                 else:
-                    out_t.append(val % diag[i])
+                    out_f.append(val)
             return out_t + out_f
-        coords = linalg.solve_field(pres.kmat, [col], ring)[0]
+        ring = self.complex.ring
         rr, pivots, free_idx = pres.decomp
-        vec = list(coords)
-        for i, pc in enumerate(pivots):
-            f = vec[pc]
+        for row, pc in zip(rr, pivots):
+            f = coords[pc]
             if not ring.is_zero(f):
-                for j in range(len(vec)):
-                    vec[j] = ring.add(vec[j], ring.neg(ring.mul(f, rr[i][j])))
-        return [vec[j] for j in free_idx]
+                coords = [ring.add(x, ring.neg(ring.mul(f, y)))
+                          for x, y in zip(coords, row)]
+        return [coords[j] for j in free_idx]

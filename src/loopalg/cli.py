@@ -76,7 +76,9 @@ def build_parser():
 
 # -- shared plumbing -----------------------------------------------------
 
-def load_input(path, args):
+def read_document(path, args):
+    """The coalgebra and homotopy diagonal of a document, with the --ring
+    and --cutoff overrides applied; not yet verified."""
     ring = None
     if args.ring is not None:
         try:
@@ -85,8 +87,14 @@ def load_input(path, args):
             raise DocumentError(str(e))
     if args.cutoff is not None and args.cutoff < 2:
         raise DocumentError("cutoff must be at least 2")
-    C, A = coalgebra_from_document(load_json(path), ring=ring,
+    return coalgebra_from_document(load_json(path), ring=ring,
                                    cutoff=args.cutoff)
+
+
+def load_input(path, args):
+    """read_document, refusing a coalgebra or diagonal that fails its
+    checks."""
+    C, A = read_document(path, args)
     ok, problems = C.verify()
     if not ok:
         kind, gen, _ = problems[0]
@@ -124,27 +132,6 @@ def complex_of(obj, cutoff, alg):
     return obj.to_chain_complex(max_weight=mw, top=cutoff), mw
 
 
-def coeff_str(c):
-    return str(c)
-
-
-def homology_section(cx):
-    betti = []
-    hom = {}
-    for n in range(cx.cutoff):
-        h = cx.homology(n)
-        betti.append(h.free_rank)
-        hom[str(n)] = {"rank": h.free_rank, "torsion": list(h.torsion)}
-    return betti, hom
-
-
-def check_d2(cx):
-    ok, label, residue = cx.verify_differential()
-    if not ok:
-        raise MathError("d^2 != 0 at %s (residue %s)"
-                        % (label_str(label), residue))
-
-
 def require_coassociative(hopf):
     defects = hopf.coassociativity_defects()
     if defects:
@@ -168,18 +155,34 @@ def emit(args, report, t0):
     print("elapsed: %.2fs" % (time.time() - t0), file=sys.stderr)
 
 
+def emit_homology(args, C, construction, cx, mw, t0, extra=dict):
+    """The compute commands' report: with --verify-all, first check
+    d^2 = 0 on cx; then the homology of cx below its cutoff and the
+    fields that extra() returns."""
+    if args.verify_all:
+        ok, label, residue = cx.verify_differential()
+        if not ok:
+            raise MathError("d^2 != 0 at %s (residue %s)"
+                            % (label_str(label), residue))
+    report = base_report(args, C, construction)
+    report["max_weight"] = mw
+    report["betti"], report["homology"] = [], {}
+    for n in range(cx.cutoff):
+        h = cx.homology(n)
+        report["betti"].append(h.free_rank)
+        report["homology"][str(n)] = {"rank": h.free_rank,
+                                      "torsion": list(h.torsion)}
+    report.update(extra())
+    emit(args, report, t0)
+
+
 # -- compute subcommands -------------------------------------------------
 
 def cmd_cobar(args, t0):
     C, A = load_input(args.document, args)
     om = CobarAlgebra(C)
     cx, mw = complex_of(om, C.cutoff, om)
-    if args.verify_all:
-        check_d2(cx)
-    report = base_report(args, C, "cobar")
-    report["max_weight"] = mw
-    report["betti"], report["homology"] = homology_section(cx)
-    emit(args, report, t0)
+    emit_homology(args, C, "cobar", cx, mw, t0)
 
 
 def cmd_cotor(args, t0):
@@ -193,30 +196,24 @@ def cmd_cotor(args, t0):
         coeffs = letters = CobarAlgebra(coalgebra_of_hopf(hopf, C.cutoff))
     cx, mw = complex_of(coeffs, C.cutoff, letters)
     alg = AlgebraOnHomology(cx, coeffs.mul)
-    if args.verify_all:
-        check_d2(alg.complex)
-    report = base_report(args, C, "cotor-%s" % args.hopf)
-    report["max_weight"] = mw
-    report["betti"], report["homology"] = homology_section(alg.complex)
-    sc = []
-    for (n1, i1, n2, i2), coords in sorted(alg.structure_constants().items()):
-        if any(not C.ring.is_zero(c) for c in coords):
-            sc.append({"left": [n1, i1], "right": [n2, i2],
-                       "value": [coeff_str(c) for c in coords]})
-    report["structure_constants"] = sc
-    emit(args, report, t0)
+
+    def structure_constants():
+        sc = []
+        for (n1, i1, n2, i2), coords in sorted(
+                alg.structure_constants().items()):
+            if any(not C.ring.is_zero(c) for c in coords):
+                sc.append({"left": [n1, i1], "right": [n2, i2],
+                           "value": [str(c) for c in coords]})
+        return {"structure_constants": sc}
+    emit_homology(args, C, "cotor-%s" % args.hopf, alg.complex, mw, t0,
+                  structure_constants)
 
 
 def cmd_path_loop(args, t0):
     C, A = load_input(args.document, args)
     pl = PathLoop(A)
     cx, mw = complex_of(pl, C.cutoff, pl.omega)
-    if args.verify_all:
-        check_d2(cx)
-    report = base_report(args, C, "path-loop")
-    report["max_weight"] = mw
-    report["betti"], report["homology"] = homology_section(cx)
-    emit(args, report, t0)
+    emit_homology(args, C, "path-loop", cx, mw, t0)
 
 
 def cmd_double_loop(args, t0):
@@ -224,12 +221,7 @@ def cmd_double_loop(args, t0):
     pl = PathLoop(A)
     mw = weight_cap(pl.omega, C.cutoff)
     cx = pl.cofixed(mw).to_chain_complex(top=C.cutoff)
-    if args.verify_all:
-        check_d2(cx)
-    report = base_report(args, C, "double-loop")
-    report["max_weight"] = mw
-    report["betti"], report["homology"] = homology_section(cx)
-    emit(args, report, t0)
+    emit_homology(args, C, "double-loop", cx, mw, t0)
 
 
 def cmd_fiber(args, t0):
@@ -254,14 +246,8 @@ def cmd_fiber(args, t0):
     fc = FiberCoaction(Ap, A, family)
     mw = weight_cap(fc.omega, fc.cutoff)
     cx = fc.cofixed(mw).to_chain_complex(top=fc.cutoff)
-    if args.verify_all:
-        check_d2(cx)
-    report = base_report(args, C, "fiber")
-    report["input"] = "%s -> %s" % (Cp.name, C.name)
-    report["map"] = args.map
-    report["max_weight"] = mw
-    report["betti"], report["homology"] = homology_section(cx)
-    emit(args, report, t0)
+    emit_homology(args, C, "fiber", cx, mw, t0, lambda: {
+        "input": "%s -> %s" % (Cp.name, C.name), "map": args.map})
 
 
 def cmd_formal_dl(args, t0):
@@ -271,12 +257,7 @@ def cmd_formal_dl(args, t0):
     except ValueError as e:
         raise DocumentError(str(e))
     cx, mw = complex_of(fm, C.cutoff, fm)
-    if args.verify_all:
-        check_d2(cx)
-    report = base_report(args, C, "formal-dl")
-    report["max_weight"] = mw
-    report["betti"], report["homology"] = homology_section(cx)
-    emit(args, report, t0)
+    emit_homology(args, C, "formal-dl", cx, mw, t0)
 
 
 # -- verification suites -------------------------------------------------
@@ -440,15 +421,7 @@ def _verify_suites(C, A):
 
 
 def cmd_verify(args, t0):
-    C, A = None, None
-    try:
-        ring = ring_from_name(args.ring) if args.ring else None
-    except (ValueError, TypeError) as e:
-        raise DocumentError(str(e))
-    if args.cutoff is not None and args.cutoff < 2:
-        raise DocumentError("cutoff must be at least 2")
-    C, A = coalgebra_from_document(load_json(args.document), ring=ring,
-                                   cutoff=args.cutoff)
+    C, A = read_document(args.document, args)
     report = base_report(args, C, "verify")
     outcomes = []
     failed = False

@@ -7,7 +7,8 @@ model is the free algebra on iterated commutators
 with inputs drawn from the desuspended generators and tails from the
 desuspended acyclicity partners.  The differential is transported from
 the path-loop cobar algebra through the commutator expansion: images of
-generators are solved for as combinations of expanded bracket monomials.
+generators are solved for as combinations of expanded bracket monomials,
+by a linalg.Solver on the expansions.
 """
 
 from .vectors import Vect, label_key, label_str
@@ -100,18 +101,12 @@ class FormalDoubleLoop(FreeAlgebra):
             target = self.expand_generator(label).map_terms(self.omega.d_word)
             words = [u for u in self.words(n - 1, wt)
                      if self.weight(u) == wt] if n >= 1 else []
-            expansions = [self.expand(Vect.basis(self.ring, u))
+            expansions = [self.expand(Vect.basis(self.ring, u)).terms
                           for u in words]
-            amb = sorted({l for e in expansions for l in e.terms}
-                         | set(target.terms), key=label_key)
-            if not amb:
-                self._d_cache[label] = Vect.zero(self.ring)
-                return self._d_cache[label]
-            mat = [[e.terms.get(l, self.ring.zero) for e in expansions]
-                   for l in amb]
-            col = [target.terms.get(l, self.ring.zero) for l in amb]
+            amb = sorted(set(target.terms).union(*expansions), key=label_key)
             try:
-                sol = linalg.solve_field(mat, [col], self.ring)[0]
+                sol = linalg.Solver(expansions, amb, self.ring).coordinates(
+                    target.terms)
             except ValueError:
                 raise ValueError(
                     "transported differential of %s does not lie in the "

@@ -3,22 +3,26 @@
 Ranks and Z torsion come from one sparse elimination per matrix: over a
 field every nonzero entry is a pivot; over Z only entries +-1 are, and the
 small core that is left goes to a dense invariant-factor routine that
-keeps no transforms.  Smith normal form with transforms (the steps of
-sympy's, so that its transforms are reproduced without importing it),
-saturated integer kernels and Gaussian elimination over Q / F_p serve the
-explicit cycle bases that homology representatives and class coordinates
-need.
+keeps no transforms.  Explicit cycle bases come from saturated integer
+kernels (bezout_echelon) and field kernels (rref), and homology
+representatives from Smith normal form with transforms (the steps of
+sympy's, so that its transforms are reproduced without importing it).
+
+Every exact solve A x = b goes through one Solver: built once on the
+independent columns of A, as dicts over ordered keys, in an echelon form
+(bezout_echelon over Z, sparse over a field), it gives each b's
+coordinates by substitution.  solve_field, solve_integer and
+integer_inverse are fronts on it for dense matrices.
 
 Dense matrices are plain lists of rows; sparse matrices are lists of
 columns, each a dict row index -> nonzero entry.  Everything is arbitrary
 precision.
 """
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .rings import QQ
+from .rings import ZZ
 
 
 def zeros(m, n):
@@ -383,33 +387,11 @@ def bezout_echelon(rows, ncols):
 
 
 def integer_inverse(mat):
-    """Inverse of a unimodular integer matrix, exactly."""
+    """Inverse of a unimodular integer matrix, exactly: the solution X of
+    mat * X = I."""
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i in range(n)]
-    _gauss(aug, n)
-    out = []
-    for i in range(n):
-        row = aug[i][n:]
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(x) for x in row])
-    return out
-
-
-def _gauss(aug, ncols):
-    """Full Gauss-Jordan on the first ncols columns of an augmented
-    Fraction matrix; requires those columns to be nonsingular."""
-    m = len(aug)
-    for col in range(ncols):
-        piv = next(i for i in range(col, m) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(m):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    cols = solve_integer(mat, identity(n))
+    return [[col[i] for col in cols] for i in range(n)]
 
 
 def rref(mat, ring):
@@ -464,34 +446,127 @@ def kernel_field(mat, ring):
 
 
 def solve_field(mat, rhs_cols, ring):
-    """Solve mat * X = rhs for each rhs column over a field.
-    Returns list of solution columns; raises if any system is inconsistent."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    k = len(rhs_cols)
-    aug = [[ring.norm(mat[i][j]) for j in range(n)] + [ring.norm(rhs_cols[t][i]) for t in range(k)]
-           for i in range(m)]
-    r, pivots = rref(aug, ring)
-    for i in range(len(pivots)):
-        if pivots[i] >= n:
-            raise ValueError("inconsistent linear system")
-    sols = []
-    for t in range(k):
-        col = [ring.zero] * n
-        for i, pc in enumerate(pivots):
-            col[pc] = r[i][n + t]
-        sols.append(col)
-    # rows of rank beyond pivots are zero by rref; consistency is guaranteed
-    # unless a pivot landed in the rhs block, checked above
-    return sols
+    """Solve mat * X = rhs for each rhs column over a field; a column of
+    mat that depends on earlier ones gets coordinate 0.  Raises
+    ValueError if a system is inconsistent."""
+    return _solve(mat, rhs_cols, ring)
 
 
 def solve_integer(mat, rhs_cols):
-    """Solve mat * X = rhs over Q and verify integrality of the solutions."""
-    sols = solve_field(mat, rhs_cols, QQ)
-    out = []
-    for col in sols:
-        if any(Fraction(x).denominator != 1 for x in col):
-            raise ValueError("solution is not integral")
-        out.append([int(x) for x in col])
-    return out
+    """Solve mat * X = rhs over Z.  Raises ValueError if a rhs column is
+    not an integer combination of the columns of mat."""
+    return _solve(mat, rhs_cols, ZZ)
+
+
+def _solve(mat, rhs_cols, ring):
+    cols = [{i: x for i, row in enumerate(mat) if (x := ring.norm(row[j]))}
+            for j in range(len(mat[0]) if mat else 0)]
+    solver = Solver(cols, range(len(mat)), ring)
+    return [solver.coordinates({i: x for i, c in enumerate(col)
+                                if (x := ring.norm(c))})
+            for col in rhs_cols]
+
+
+class Solver:
+    """Exact coordinates over a basis of independent vectors.
+
+    The vectors are dicts key -> nonzero coefficient over an ordered list
+    of keys.  Their echelon form E = W K is built once, one way per ring:
+
+    - over Z, bezout_echelon reduces [K | I], so each row leads at its
+      first key, W is unimodular and E spans the same lattice;
+    - over a field, each vector in turn is cleared at the earlier rows'
+      pivots and then leads at its last key.  A kernel_field basis holds
+      the identity on its free columns, so it takes no row operation: its
+      rows lead at their free columns and E = K.  A vector that clears to
+      zero depends on the earlier ones and gets coordinate 0.
+
+    Every later row of E vanishes at an earlier row's pivot key, so
+    coordinates() substitutes a vector into E row by row.  It refuses a
+    vector with a key outside the list, a coordinate that is not integral
+    over Z, or a remainder once every pivot is cleared; span names the
+    subspace in those messages.
+    """
+
+    def __init__(self, vectors, keys, ring, span="column space"):
+        self.ring = ring
+        self.size = len(vectors)
+        self.span = span
+        self._index = {u: t for t, u in enumerate(keys)}
+        # rows of E as (pivot key, E row, W row); pivot key -> row number
+        self._rows = []
+        self._pivot_row = {}
+        if ring.kind == "Z":
+            nk = len(keys)
+            dense = []
+            for j, v in enumerate(vectors):
+                row = [0] * (nk + self.size)
+                for u, c in v.items():
+                    row[self._index[u]] = c
+                row[nk + j] = 1
+                dense.append(row)
+            for pc, row in zip(bezout_echelon(dense, nk), dense):
+                self._add_row(keys[pc],
+                              {keys[t]: x for t, x in enumerate(row[:nk]) if x},
+                              {j: x for j, x in enumerate(row[nk:]) if x})
+            return
+        for j, v in enumerate(vectors):
+            left = dict(v)
+            back = {i: ring.neg(c) for i, c in self._clear(left).items()}
+            if left:
+                back[j] = ring.one
+                self._add_row(max(left, key=self._index.__getitem__), left,
+                              back)
+
+    def _add_row(self, pivot, e, back):
+        self._pivot_row[pivot] = len(self._rows)
+        self._rows.append((pivot, e, back))
+
+    def _clear(self, left):
+        """Take off left (a dict, changed in place) the multiple of each
+        row that clears its pivot key, in row order.  Returns the sum of
+        those multiples of the W rows, as a dict basis index -> coefficient
+        (over F_p not yet reduced mod p)."""
+        ring = self.ring
+        integer = ring.kind == "Z"
+        p = ring.p if ring.kind == "Fp" else None
+        where = self._pivot_row
+        todo = [where[u] for u in left if u in where]
+        heapify(todo)
+        acc = {}
+        while todo:
+            pivot, e, back = self._rows[heappop(todo)]
+            x = left.get(pivot)
+            if x is None:
+                continue
+            if integer:
+                y, rem = divmod(x, e[pivot])
+                if rem:
+                    raise ValueError("coordinates are not integral: vector "
+                                     "outside the %s" % self.span)
+            else:
+                y = ring.mul(x, ring.inv(e[pivot]))
+            for u, c in e.items():
+                z = left.get(u, 0) - y * c
+                if p:
+                    z %= p
+                if z:
+                    if u not in left and u in where:
+                        heappush(todo, where[u])
+                    left[u] = z
+                else:
+                    left.pop(u, None)
+            for j, c in back.items():
+                acc[j] = acc.get(j, 0) + y * c
+        return acc
+
+    def coordinates(self, vector):
+        """The coefficients, one per basis vector, of the combination that
+        equals vector, a dict key -> coefficient (left unchanged)."""
+        if any(u not in self._index for u in vector):
+            raise ValueError("vector leaves the stored block")
+        left = dict(vector)
+        acc = self._clear(left)
+        if left:
+            raise ValueError("vector outside the %s" % self.span)
+        return [self.ring.norm(acc.get(j, 0)) for j in range(self.size)]

@@ -13,10 +13,9 @@ P(C) along a map to C, the same construction yields the homotopy-fiber
 model.
 
 A cofixed subalgebra is stored per (degree, weight) block as a kernel
-basis over ambient words.  On a block's first coordinates call an echelon
-form of that basis is built, with one pivot word per vector; every entry
-of the model's differential and product is then found by sparse
-substitution on it, with exact division over Z.
+basis over ambient words.  On a block's first coordinates call a
+linalg.Solver is built on that basis; every entry of the model's
+differential and product is then found by sparse substitution into it.
 """
 
 from .vectors import Vect, label_key, label_str, bilinear
@@ -24,6 +23,7 @@ from .coalg import UNIT, DGCoalgebra, tensor_coalgebra
 from .tensoralg import UNIT_WORD
 from .cobar import CobarAlgebra, s_letter
 from .shfamily import SHFamily, AWCoalgebra, InducedHopf
+from . import linalg
 
 
 def bar(label):
@@ -199,9 +199,8 @@ class CofixedSubalgebra:
     situations that produce degree-0 letters).
 
     Each block keeps its kernel basis, which basis() labels, and, from
-    the block's first coordinates call on, an echelon form of that basis
-    with one pivot word per vector (see _echelon).  Coordinates come from
-    substitution on the echelon rows, with exact division over Z."""
+    the block's first coordinates call on, a linalg.Solver on that basis
+    over the block's words, which gives the coordinates."""
 
     def __init__(self, ambient, coaction_bar, cutoff, max_weight=None,
                  name=""):
@@ -217,7 +216,7 @@ class CofixedSubalgebra:
         self.name = name or ("cofixed(%s)" % getattr(ambient, "name", ""))
         self._kernels = {}
         self._bases = {}
-        self._echelons = {}
+        self._solvers = {}
 
     def _words(self, n, w=None):
         if w is None:
@@ -228,7 +227,6 @@ class CofixedSubalgebra:
     def _kernel(self, n, w=None):
         """Kernel vectors of the reduced coaction on the (degree, weight)
         block, as Vects over ambient words."""
-        from . import linalg
         key = (n, w)
         if key in self._kernels:
             return self._kernels[key]
@@ -286,101 +284,29 @@ class CofixedSubalgebra:
     def rank(self, n):
         return len(self.basis(n))
 
-    def _echelon(self, n, w):
-        """The block's kernel basis K in echelon form E = W K, built on the
-        block's first coordinates call: the set of the block's words and
-        one (pivot word, E row, W row) per basis vector, E rows as dicts
-        word -> coefficient, W rows as dicts basis index -> coefficient.
-        Every later E row vanishes at an earlier row's pivot word.
-
-        Over a field E = K and W is the identity (None): kernel_field puts
-        the identity on its free columns, so the pivot of each vector is
-        its free column, its last nonzero word.  Over Z, bezout_echelon
-        reduces [K | I]; W is unimodular, so E spans the same saturated
-        lattice and the basis itself stays K."""
-        from . import linalg
+    def _solver(self, n, w):
+        """The linalg.Solver on the block's kernel basis, built on the
+        block's first coordinates call."""
         key = (n, w)
-        if key in self._echelons:
-            return self._echelons[key]
-        words, vecs = self._kernel(n, w)
-        index = {u: i for i, u in enumerate(words)}
-        rows = []
-        if self.ring.kind == "Z":
-            nw, k = len(words), len(vecs)
-            dense = []
-            for j, v in enumerate(vecs):
-                row = [0] * (nw + k)
-                for u, c in v.items():
-                    row[index[u]] = c
-                row[nw + j] = 1
-                dense.append(row)
-            pivots = linalg.bezout_echelon(dense, nw)
-            for pc, row in zip(pivots, dense):
-                e = {words[t]: x for t, x in enumerate(row[:nw]) if x}
-                back = {j: x for j, x in enumerate(row[nw:]) if x}
-                rows.append((words[pc], e, back))
-        else:
-            for v in vecs:
-                pivot = max(v.terms, key=index.__getitem__)
-                rows.append((pivot, v.terms, None))
-        self._echelons[key] = (frozenset(words), rows)
-        return self._echelons[key]
+        if key not in self._solvers:
+            words, vecs = self._kernel(n, w)
+            self._solvers[key] = linalg.Solver(
+                [v.terms for v in vecs], words, self.ring, "cofixed block")
+        return self._solvers[key]
 
     def coordinates(self, n, vect):
         """Express a Vect over ambient words (lying in the cofixed part of
-        degree n) in the synthetic basis, by substitution on each block's
-        echelon form."""
+        degree n) in the synthetic basis, block by block."""
         if self.blocked:
             parts = {}
             for u, c in vect.items():
                 parts.setdefault(self.ambient.weight(u), {})[u] = c
         else:
-            parts = {None: dict(vect.items())}
+            parts = {None: vect.terms}
         out = []
         for w in self.blocks(n):
-            part = parts.get(w, {})
-            stored, rows = self._echelon(n, w)
-            if not rows:
-                if part:
-                    raise ValueError("vector outside the cofixed block")
-                continue
-            if any(u not in stored for u in part):
-                raise ValueError("vector leaves the stored block")
-            out.extend(self._substitute(part, rows))
+            out.extend(self._solver(n, w).coordinates(parts.get(w, {})))
         return out
-
-    def _substitute(self, left, rows):
-        """Coordinates of the vector left (a dict, consumed) over a block's
-        basis: each echelon row in turn takes off the multiple of itself
-        that clears its pivot word, and nothing may be left over."""
-        ring = self.ring
-        integer = ring.kind == "Z"
-        coords = [ring.zero] * len(rows)
-        for i, (pivot, e, back) in enumerate(rows):
-            x = left.get(pivot)
-            if x is None:
-                continue
-            if integer:
-                y, rem = divmod(x, e[pivot])
-                if rem:
-                    raise ValueError("coordinates are not integral: vector "
-                                     "outside the cofixed block")
-            else:
-                y = ring.mul(x, ring.inv(e[pivot]))
-            for u, c in e.items():
-                z = ring.add(left.get(u, ring.zero), ring.neg(ring.mul(y, c)))
-                if ring.is_zero(z):
-                    left.pop(u, None)
-                else:
-                    left[u] = z
-            if integer:
-                for j, c in back.items():
-                    coords[j] += y * c
-            else:
-                coords[i] = y
-        if left:
-            raise ValueError("vector outside the cofixed block")
-        return coords
 
     def diff(self, label):
         """Differential in synthetic coordinates."""

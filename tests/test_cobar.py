@@ -149,3 +149,27 @@ def test_homology_product_tensor_algebra():
     assert a.betti(0, 7) == [1, 0, 1, 0, 1, 0, 1, 0]
     assert a.product_class(2, 0, 2, 0) != [0]
     assert a.product_class(2, 0, 4, 0) != [0]
+
+
+def test_cotor_builds_one_solver_per_degree(monkeypatch):
+    """Structure constants reuse each degree's solver: a Z cotor of S^3
+    builds at most one solver on the cycles of each degree, and one for the
+    inverse of each degree's Smith transform, however many classes it
+    reads off."""
+    from loopalg import linalg
+    built = []
+
+    class Counting(linalg.Solver):
+        def __init__(self, vectors, keys, *args):
+            built.append(keys)
+            super().__init__(vectors, keys, *args)
+
+    monkeypatch.setattr(linalg, "Solver", Counting)
+    omega = CobarAlgebra(coalgebra_of_hopf(hopf(3, cutoff=8), 8))
+    cx = omega.to_chain_complex(top=8)
+    constants = AlgebraOnHomology(cx, omega.mul).structure_constants()
+    on_cycles = [n for n in cx.degrees() for keys in built
+                 if keys is cx.basis(n)]
+    assert len(constants) > 2 * len(cx.degrees())
+    assert len(set(on_cycles)) == len(on_cycles) == 8
+    assert len(built) - len(on_cycles) <= len(on_cycles)

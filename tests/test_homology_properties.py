@@ -6,6 +6,8 @@ random, so torsion appears wherever R_n has non-unit invariant factors.
 The ranks and torsion that ChainComplex.homology reports are compared
 with the full cycle presentation (saturated kernels and Smith normal
 form), and with the universal-coefficient prediction over F2, F3 and Q.
+class_of is checked on representatives, boundaries and combinations over
+Z, Q, F2 and F3.
 """
 
 import pytest
@@ -112,3 +114,44 @@ def test_nonzero_square_raises(ring):
     assert cx.homology(0).free_rank == 0
     with pytest.raises(ValueError):
         cx.homology(1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(integer_complexes(), st.randoms(use_true_random=False))
+def test_class_of_round_trip(complex_data, rng):
+    """class_of sends the i-th representative to e_i and a boundary to 0,
+    and is linear, with torsion coordinates taken mod their invariant
+    factor."""
+    dims, mats = complex_data
+    for ring in (ZZ, QQ, F2, F3):
+        cx = chain_complex(ring, dims, mats)
+        for n in range(TOP):
+            h = cx.homology(n)
+            moduli = h.torsion + [0] * h.free_rank \
+                if ring.kind == "Z" else [0] * h.free_rank
+
+            def reduce(coords):
+                return [ring.norm(c % m if m else c)
+                        for c, m in zip(coords, moduli)]
+
+            reps = h.representatives
+            for i, rep in enumerate(reps):
+                assert h.class_of(rep) == reduce(
+                    [int(j == i) for j in range(len(reps))])
+
+            def boundary():
+                v = Vect(ring)
+                for label in cx.basis(n + 1):
+                    v = v + cx.diff(label).scale(rng.randint(-3, 3))
+                return v
+
+            assert h.class_of(boundary()) == [ring.zero] * len(reps)
+            coeffs = [rng.randint(-3, 3) for _ in reps]
+            x = boundary()
+            for c, rep in zip(coeffs, reps):
+                x = x + rep.scale(c)
+            assert h.class_of(x) == reduce(coeffs)
+            y = boundary() + reps[-1] if reps else boundary()
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            assert h.class_of(x.scale(a) + y.scale(b)) == reduce(
+                [a * s + b * t for s, t in zip(h.class_of(x), h.class_of(y))])

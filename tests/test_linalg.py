@@ -10,7 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import smith_normal_decomp
 
 from loopalg import linalg
-from loopalg.rings import QQ, F2, ZZ as Z
+from loopalg.rings import QQ, F2, Ring, ZZ as Z
 
 
 def rand_mat(rng, m, n, lo=-4, hi=4):
@@ -146,3 +146,74 @@ def test_integer_inverse():
     assert matmul(u, linalg.integer_inverse(u)) == linalg.identity(2)
     with pytest.raises(ValueError):
         linalg.integer_inverse([[2, 0], [0, 1]])
+
+
+F3 = Ring("Fp", 3)
+SOLVER_RINGS = [Z, QQ, F2, F3]
+
+
+def rank(ring, vecs, keys):
+    """Rank of dict vectors over keys, from the sparse elimination behind
+    homology ranks (over Q for Z: independence is the same)."""
+    cols = [{keys.index(u): x for u, x in v.items()} for v in vecs]
+    return linalg.rank_and_torsion(cols, QQ if ring.kind == "Z" else ring)[0]
+
+
+def independent_vectors(rng, ring, keys, k):
+    """k random independent sparse vectors over keys, as dicts."""
+    vecs = []
+    while len(vecs) < k:
+        v = {u: x for u in rng.sample(keys, rng.randrange(1, len(keys) + 1))
+             if (x := ring.norm(rng.randint(-3, 3)))}
+        if v and rank(ring, vecs + [v], keys) == len(vecs) + 1:
+            vecs.append(v)
+    return vecs
+
+
+def combination(ring, vecs, coeffs):
+    out = {}
+    for v, c in zip(vecs, coeffs):
+        for u, x in v.items():
+            out[u] = ring.add(out.get(u, ring.zero), ring.mul(c, x))
+    return {u: x for u, x in out.items() if not ring.is_zero(x)}
+
+
+@pytest.mark.parametrize("ring", SOLVER_RINGS, ids=["Z", "Q", "F2", "F3"])
+def test_solver_round_trip_and_refusals(ring):
+    rng = random.Random(41)
+    for _ in range(40):
+        keys = ["k%d" % i for i in range(rng.randrange(2, 7))]
+        vecs = independent_vectors(rng, ring, keys,
+                                   rng.randrange(1, len(keys)))
+        solver = linalg.Solver(vecs, keys, ring)
+        for _ in range(4):
+            coeffs = [ring.norm(rng.randint(-4, 4)) for _ in vecs]
+            assert solver.coordinates(combination(ring, vecs, coeffs)) \
+                == coeffs
+        with pytest.raises(ValueError, match="leaves the stored block"):
+            solver.coordinates({**vecs[0], "stray": ring.one})
+        outside = next(u for u in keys
+                       if rank(ring, vecs + [{u: ring.one}], keys) > len(vecs))
+        with pytest.raises(ValueError, match="outside the column space"):
+            solver.coordinates({outside: ring.one})
+        if ring.kind == "Z":
+            # the sum of the vectors is half a combination of their doubles
+            doubled = linalg.Solver([combination(ring, [v], [2])
+                                     for v in vecs], keys, ring)
+            with pytest.raises(ValueError, match="not integral"):
+                doubled.coordinates(combination(ring, vecs, [1] * len(vecs)))
+
+
+@pytest.mark.parametrize("ring", [Z, QQ], ids=["Z", "Q"])
+def test_solver_non_unit_pivot(ring):
+    # the line through 2a + b: over Z the echelon row leads at a with
+    # pivot 2, so a alone is refused there, before any remainder is seen
+    line = {"a": ring.norm(2), "b": ring.one}
+    solver = linalg.Solver([line], ["a", "b"], ring, "line")
+    assert solver.coordinates(combination(ring, [line], [-3])) == \
+        [ring.norm(-3)]
+    refusal = "not integral" if ring.kind == "Z" else "outside the line"
+    with pytest.raises(ValueError, match=refusal):
+        solver.coordinates({"a": ring.one})
+    with pytest.raises(ValueError, match="outside the line"):
+        solver.coordinates({"b": ring.one})
