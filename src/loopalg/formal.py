@@ -65,7 +65,6 @@ class FormalDoubleLoop(FreeAlgebra):
         super().__init__(C.ring, C.cutoff, degs, weights,
                          name=name or ("FDL(%s)" % C.name))
         self._expansion_cache = {}
-        self._d_cache = {}
         self.set_differential(self._d_gen)
 
     # -- commutator expansion -------------------------------------------
@@ -95,21 +94,20 @@ class FormalDoubleLoop(FreeAlgebra):
 
     # -- transported differential ---------------------------------------
     def _d_gen(self, label):
-        if label not in self._d_cache:
-            n = self.letters[label]
-            wt = self.weights[label]
-            target = self.expand_generator(label).map_terms(self.omega.d_word)
-            words = [u for u in self.words(n - 1, wt)
-                     if self.weight(u) == wt] if n >= 1 else []
-            expansions = [self.expand(Vect.basis(self.ring, u)).terms
-                          for u in words]
-            amb = sorted(set(target.terms).union(*expansions), key=label_key)
-            try:
-                sol = linalg.Solver(expansions, amb, self.ring).coordinates(
-                    target.terms)
-            except ValueError:
-                raise ValueError(
-                    "transported differential of %s does not lie in the "
-                    "bracket subalgebra" % label_str(label))
-            self._d_cache[label] = Vect(self.ring, list(zip(words, sol)))
-        return self._d_cache[label]
+        """Solved once per generator; the derivation caches letter values."""
+        n = self.letters[label]
+        wt = self.weights[label]
+        target = self.expand_generator(label).map_terms(self.omega.d_word)
+        words = [u for u in self.words(n - 1, wt)
+                 if self.weight(u) == wt] if n >= 1 else []
+        expansions = [self.expand(Vect.basis(self.ring, u)).terms
+                      for u in words]
+        amb = sorted(set(target.terms).union(*expansions), key=label_key)
+        try:
+            sol = linalg.Solver(expansions, amb, self.ring).coordinates(
+                target.terms)
+        except ValueError:
+            raise ValueError(
+                "transported differential of %s does not lie in the "
+                "bracket subalgebra" % label_str(label))
+        return Vect(self.ring, list(zip(words, sol)))

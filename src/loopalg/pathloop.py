@@ -10,7 +10,9 @@ comultiplication; it right-coacts on itself over Omega C by erasing bars in
 the second output slot.  The cofixed part of that coaction is the
 double-loop model; applied to the coproduct of a source coalgebra with
 P(C) along a map to C, the same construction yields the homotopy-fiber
-model.
+model.  Both coactions are maps of chain algebras, built prefix by prefix
+as products of letter values: a letter's comultiplication with its second
+slot projected or pushed once, never the full comultiplication of a word.
 
 A cofixed subalgebra is stored per (degree, weight) block as a kernel
 basis over ambient words.  On a block's first coordinates call a
@@ -22,12 +24,16 @@ from .vectors import Vect, label_key, label_str, bilinear
 from .coalg import UNIT, DGCoalgebra, tensor_coalgebra
 from .tensoralg import UNIT_WORD
 from .cobar import CobarAlgebra, s_letter
-from .shfamily import SHFamily, AWCoalgebra, InducedHopf
+from .shfamily import SHFamily, AWCoalgebra, InducedHopf, TensorSquare
 from . import linalg
 
 
 def bar(label):
     return ("bar", label)
+
+
+def _is_bar(label):
+    return isinstance(label, tuple) and label[:1] == ("bar",)
 
 
 def path_object(C, name=""):
@@ -38,7 +44,7 @@ def path_object(C, name=""):
         if deg < 2:
             raise ValueError("path object needs generators in degree >= 2; "
                              "%s has degree %d" % (label_str(g), deg))
-        if isinstance(g, tuple) and g and g[0] == "bar":
+        if _is_bar(g):
             raise ValueError("path object cannot be iterated: generator "
                              "%s is already barred" % (label_str(g),))
     ring = C.ring
@@ -127,8 +133,23 @@ def extend_psi(A, name=""):
 
 class _Coaction:
     """What the path-loop and fiber coactions share.  A subclass provides
-    ring, cutoff, the word algebra omega and its full coaction nu; the
-    cofixed part of nu is the double-loop or homotopy-fiber model."""
+    ring, cutoff, the word algebra omega, the algebra tsq that the coaction
+    lands in, and _nu_letter, the coaction of one letter; the cofixed part
+    of nu is the double-loop or homotopy-fiber model."""
+
+    def nu(self, word):
+        """The full coaction, over ('t', word, base word).  It is a map of
+        algebras, so it is nu of the prefix times nu of the last letter, in
+        tsq; no full comultiplication of a word is built."""
+        if word not in self._nu_cache:
+            if word == UNIT_WORD:
+                val = self.tsq.unit()
+            elif len(word) == 2:
+                val = self._nu_letter(word[1])
+            else:
+                val = self.tsq.mul(self.nu(word[:-1]), self.nu(("w", word[-1])))
+            self._nu_cache[word] = val
+        return self._nu_cache[word]
 
     def nu_bar(self, word):
         """The reduced coaction: nu(word) - word (x) 1."""
@@ -143,7 +164,8 @@ class _Coaction:
 
 class PathLoop(_Coaction):
     """The cobar algebra on P(C) with its induced comultiplication and the
-    right coaction over Omega C that erases bars."""
+    right coaction over Omega C that erases bars.  nu is the product of the
+    letter coproducts with their barred second-slot terms dropped."""
 
     def __init__(self, A, name=""):
         self.base = A
@@ -155,23 +177,18 @@ class PathLoop(_Coaction):
         self.omega = self.hopf.omega
         self.base_hopf = InducedHopf(A)
         self.omega_base = self.base_hopf.omega
+        self.tsq = self.hopf.tsq
         self._nu_cache = {}
 
-    def nu(self, word):
-        """The full coaction (1 (x) Omega pi) psi~ as a Vect over
-        ('t', path-loop word, base word)."""
-        if word not in self._nu_cache:
-            out = Vect(self.ring)
-            for (_, u, v), c in self.hopf.psi(word).items():
-                keep = True
-                for l in v[1:]:
-                    if isinstance(l[1], tuple) and l[1][0] == "bar":
-                        keep = False
-                        break
-                if keep:
-                    out.iadd_term(c, ("t", u, v))
-            self._nu_cache[word] = out
-        return self._nu_cache[word]
+    def _nu_letter(self, letter):
+        """(1 (x) Omega pi) psi~ of a letter, over ('t', path-loop word,
+        base word): Omega pi erases every term with a barred letter in the
+        second slot."""
+        out = Vect(self.ring)
+        for (_, u, v), c in self.hopf.psi_letter(letter).items():
+            if not any(_is_bar(l[1]) for l in v[1:]):
+                out.iadd_term(c, ("t", u, v))
+        return out
 
     def kappa(self, vect):
         """The degree -1 derivation of Omega C into the path-loop algebra
@@ -350,7 +367,8 @@ def double_loop(A, max_weight=None):
 class FiberCoaction(_Coaction):
     """Coaction for the homotopy-fiber model: on the cobar algebra of
     C' (+) P(C), push the second comultiplication slot through the map
-    induced by (omega + pi) : C' (+) P(C) -> C."""
+    induced by (omega + pi) : C' (+) P(C) -> C.  nu is the product of the
+    pushed letter coactions in Omega(C' (+) P(C)) (x) Omega C."""
 
     def __init__(self, Aprime, A, omega_family, name=""):
         self.ring = A.ring
@@ -363,34 +381,26 @@ class FiberCoaction(_Coaction):
         self.hopf = InducedHopf(self.aw_sum, name=name or "E")
         self.omega = self.hopf.omega
         self.omega_base = CobarAlgebra(A.C)
-        self._letter_cache = {}
         self._push = self.omega.algebra_map(
             self._push_letter, self.omega_base.mul, self.omega_base.unit)
+        self.tsq = TensorSquare(self.omega, self.omega_base)
         self._nu_cache = {}
 
     def _push_letter(self, letter):
-        if letter not in self._letter_cache:
-            g = letter[1]
-            tag, inner = g
-            if tag == "inl":
-                val = self.family.induced_letter_value(s_letter(inner))
-            else:
-                if isinstance(inner, tuple) and inner[0] == "bar":
-                    val = Vect.zero(self.ring)
-                else:
-                    val = Vect.basis(self.ring, ("w", s_letter(inner)))
-            self._letter_cache[letter] = val
-        return self._letter_cache[letter]
+        tag, inner = letter[1]
+        if tag == "inl":
+            return self.family.induced_letter_value(s_letter(inner))
+        if _is_bar(inner):
+            return Vect.zero(self.ring)
+        return Vect.basis(self.ring, ("w", s_letter(inner)))
 
-    def nu(self, word):
-        if word not in self._nu_cache:
-            out = Vect(self.ring)
-            for (_, u, v), c in self.hopf.psi(word).items():
-                img = self._push(v)
-                for w2, c2 in img.items():
-                    out.iadd_term(self.ring.mul(c, c2), ("t", u, w2))
-            self._nu_cache[word] = out
-        return self._nu_cache[word]
+    def _nu_letter(self, letter):
+        """psi of a letter with its second slot pushed to Omega C."""
+        out = Vect(self.ring)
+        for (_, u, v), c in self.hopf.psi_letter(letter).items():
+            for w2, c2 in self._push(v).items():
+                out.iadd_term(self.ring.mul(c, c2), ("t", u, w2))
+        return out
 
 
 def _coproduct_with_path(Aprime, A):

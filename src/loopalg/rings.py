@@ -45,6 +45,8 @@ class Ring:
 
     def norm(self, c):
         """Coerce an int/Fraction into normal form for this ring."""
+        if type(c) is int and self.kind != "Q":
+            return c if self.kind == "Z" else c % self.p
         if self.kind == "Z":
             if isinstance(c, Fraction):
                 if c.denominator != 1:

@@ -13,9 +13,12 @@ A homotopy diagonal is a family Psi : C -> (C (x) C)^{(x)k} with Psi_1 the
 full comultiplication; pushing its induced map through the letterwise
 quotient Omega(C (x) C) -> Omega C (x) Omega C equips Omega C with a
 comultiplication, coassociative exactly when Psi is suitably coherent.
+That comultiplication is a map of chain algebras, so it is the product,
+in the interchange algebra Omega C (x) Omega C, of its letter values: the
+value on a word is that on its prefix times that on its last letter.
 """
 
-from .vectors import Vect, label_key, bilinear
+from .vectors import Vect, label_key
 from .coalg import UNIT, tensor_coalgebra, direct_sum
 from .tensoralg import UNIT_WORD, concat
 from .cobar import CobarAlgebra, s_letter
@@ -147,12 +150,18 @@ class TensorSquare:
         return Vect.basis(self.ring, ("t", UNIT_WORD, UNIT_WORD))
 
     def mul(self, u, v):
-        def pair(l1, l2):
-            (_, a1, a2), (_, b1, b2) = l1, l2
-            sign = -1 if (self.omB.degree(a2) * self.omA.degree(b1)) % 2 else 1
-            return Vect.basis(self.ring, ("t", concat(a1, b1), concat(a2, b2)),
-                              sign)
-        return bilinear(self.ring, u, v, pair)
+        """(a1 (x) a2)(b1 (x) b2) = (-1)^{|a2||b1|} a1 b1 (x) a2 b2, with one
+        parity per factor term and one normalization per result term."""
+        right = [(b1, b2[1:], cb, self.omA.degree(b1) % 2)
+                 for (_, b1, b2), cb in v.terms.items()]
+        terms = {}
+        for (_, a1, a2), ca in u.terms.items():
+            odd = self.omB.degree(a2) % 2
+            for b1, b2, cb, b_odd in right:
+                label = ("t", a1 + b1[1:], a2 + b2)
+                c = ca * cb
+                terms[label] = terms.get(label, 0) + (-c if odd and b_odd else c)
+        return Vect(self.ring, terms)
 
     def diff(self, label):
         (_, w1, w2) = label
@@ -281,12 +290,15 @@ class InducedHopf:
         return self._psi_letter_cache[letter]
 
     def psi(self, word):
-        """Full comultiplication of a word, over ('t', word, word)."""
+        """Full comultiplication of a word, over ('t', word, word).  It is
+        an algebra map: psi of the prefix times psi_letter of the last
+        letter."""
         if word not in self._psi_cache:
-            acc = self.tsq.unit()
-            for l in word[1:]:
-                acc = self.tsq.mul(acc, self.psi_letter(l))
-            self._psi_cache[word] = acc
+            if word == UNIT_WORD:
+                self._psi_cache[word] = self.tsq.unit()
+            else:
+                self._psi_cache[word] = self.tsq.mul(
+                    self.psi(word[:-1]), self.psi_letter(word[-1]))
         return self._psi_cache[word]
 
     def delta_red(self, word):

@@ -90,14 +90,18 @@ class FreeAlgebra:
         """Extend letter values (letter -> Vect of words) to a derivation of
         the given degree shift.  If relabel is given, letters left untouched
         by the derivation are mapped through it (an (f,f)-derivation into
-        another word algebra)."""
+        another word algebra).  Each letter value is taken once."""
+        values = {}
+
         def apply_word(word):
             letters = word[1:]
             out = Vect(self.ring)
             total = 0
             for j, lj in enumerate(letters):
-                val = gen_values(lj) if callable(gen_values) else \
-                    gen_values.get(lj, Vect.zero(self.ring))
+                if lj not in values:
+                    values[lj] = gen_values(lj) if callable(gen_values) else \
+                        gen_values.get(lj, Vect.zero(self.ring))
+                val = values[lj]
                 if not val.is_zero():
                     sign = -1 if (shift % 2) and (total % 2) else 1
                     if relabel is None:

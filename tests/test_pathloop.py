@@ -11,10 +11,12 @@ from loopalg.rings import ZZ, QQ, F2, Ring
 from loopalg.vectors import Vect
 from loopalg.coalg import DGCoalgebra, sphere_model
 from loopalg.cobar import s_letter
-from loopalg.shfamily import AWCoalgebra
+from loopalg.shfamily import AWCoalgebra, InducedHopf, TensorSquare
 from loopalg.pathloop import (bar, path_object, extend_psi, PathLoop,
                               CofixedSubalgebra, double_loop, loop_fiber,
-                              identity_family, trivial_family)
+                              FiberCoaction, identity_family, trivial_family)
+from loopalg.documents import (coalgebra_from_document, sphere_document,
+                               nonprimitive_document, load_json)
 
 
 SAMPLES = os.path.join(os.path.dirname(os.path.dirname(
@@ -258,3 +260,100 @@ def test_cofixed_coordinates_with_a_non_unit_pivot(ring):
         sub.coordinates(1, Vect.basis(ring, a))
     with pytest.raises(ValueError, match="outside the cofixed block"):
         sub.coordinates(1, Vect.basis(ring, b))
+
+
+PRODUCT35 = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "golden", "inputs", "product3-5.json")
+COACTION_DOCUMENTS = {"S3": lambda: sphere_document(3),
+                      "S3xS5": lambda: load_json(PRODUCT35),
+                      "nonprimitive": nonprimitive_document}
+RINGS = [ZZ, F2, Ring("Fp", 3)]
+RING_IDS = ["Z", "F2", "Fp3"]
+
+
+def _check_nu_is_projected_psi(pl, top, max_weight=None):
+    """nu(w) is the full comultiplication of w with every term that has a
+    barred letter in the second slot dropped."""
+    ring = pl.ring
+    checked = 0
+    for n in range(top + 1):
+        for w in pl.omega.words(n, max_weight):
+            want = Vect(ring)
+            for (_, u, v), c in pl.hopf.psi(w).items():
+                if not any(isinstance(l[1], tuple) and l[1][0] == "bar"
+                           for l in v[1:]):
+                    want.iadd_term(c, ("t", u, v))
+            assert pl.nu(w) == want, w
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+@pytest.mark.parametrize("doc", sorted(COACTION_DOCUMENTS))
+def test_nu_is_the_bar_filtered_comultiplication(doc, ring):
+    _, A = coalgebra_from_document(COACTION_DOCUMENTS[doc](), ring=ring,
+                                   cutoff=8)
+    assert _check_nu_is_projected_psi(PathLoop(A), 8)
+
+
+def test_weight_capped_nu_is_the_bar_filtered_comultiplication():
+    pl = PathLoop(AWCoalgebra.strict(sphere_model(2, F2, 5)))
+    assert not pl.omega.finite_type
+    assert _check_nu_is_projected_psi(pl, 4, max_weight=6)
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+@pytest.mark.parametrize("family", ["trivial", "identity"])
+def test_fiber_nu_is_the_pushed_comultiplication(family, ring):
+    """On S5 -> S3 (trivial map) and S3 -> S3 (identity), nu(w) is the full
+    comultiplication of w with its second slot pushed to Omega C."""
+    A3 = aw(3, ring, 8)
+    if family == "trivial":
+        A5 = aw(5, ring, 8)
+        fc = FiberCoaction(A5, A3, trivial_family(A5, A3))
+    else:
+        fc = FiberCoaction(A3, A3, identity_family(A3))
+    for n in range(9):
+        for w in fc.omega.words(n):
+            want = Vect(ring)
+            for (_, u, v), c in fc.hopf.psi(w).items():
+                for w2, c2 in fc._push(v).items():
+                    want.iadd_term(ring.mul(c, c2), ("t", u, w2))
+            assert fc.nu(w) == want, w
+
+
+def test_double_loop_builds_no_comultiplication_of_a_word(monkeypatch):
+    """nu comes from letter values: during a Z double loop of S3 at
+    cutoff 9, psi is never asked for a path-loop word, and the tensor
+    product runs at most once per distinct word that nu is asked for."""
+    psi_calls = []
+    mul_calls = [0]
+    nu_words = set()
+    psi, mul, nu = InducedHopf.psi, TensorSquare.mul, PathLoop.nu
+
+    def counting_psi(self, word):
+        psi_calls.append((self, word))
+        return psi(self, word)
+
+    def counting_mul(self, u, v):
+        mul_calls[0] += 1
+        return mul(self, u, v)
+
+    def recording_nu(self, word):
+        nu_words.add(word)
+        return nu(self, word)
+
+    monkeypatch.setattr(InducedHopf, "psi", counting_psi)
+    monkeypatch.setattr(PathLoop, "nu", recording_nu)
+    dl, pl = double_loop(aw(3, ZZ, 9))
+    # the letter values themselves are products in the letterwise split;
+    # take them first, so that only products of words are counted
+    for letter in pl.omega.letters:
+        pl.hopf.psi_letter(letter)
+    monkeypatch.setattr(TensorSquare, "mul", counting_mul)
+    cx = dl.to_chain_complex(top=9)
+    # rationally the double loop of S3 is a circle
+    assert cx.betti(0, 8) == [1, 1, 0, 0, 0, 0, 0, 0, 0]
+    assert not [w for h, w in psi_calls if h is pl.hopf]
+    assert len(nu_words) > 100
+    assert mul_calls[0] <= len(nu_words)

@@ -1,17 +1,31 @@
 """Strongly homotopy coalgebra-map families, homotopy diagonals, and the
 induced Hopf structure on the cobar algebra."""
 
+import os
+import random
+from fractions import Fraction
+
 import pytest
 
-from loopalg.rings import ZZ
+from loopalg.rings import ZZ, QQ, F2, Ring
 from loopalg.vectors import Vect
-from loopalg.coalg import sphere_model, tensor_coalgebra
+from loopalg.coalg import DGCoalgebra, sphere_model, tensor_coalgebra
 from loopalg.cobar import CobarAlgebra, s_letter
-from loopalg.tensoralg import UNIT_WORD
+from loopalg.tensoralg import UNIT_WORD, concat
 from loopalg.shfamily import (SHFamily, TensorSquare, letterwise_split,
                               AWCoalgebra, InducedHopf, aw_coproduct)
+from loopalg.pathloop import extend_psi
 from loopalg.documents import (nonprimitive_document, noncoassoc_document,
-                               coalgebra_from_document)
+                               coalgebra_from_document, sphere_document,
+                               load_json)
+
+RINGS = [ZZ, F2, Ring("Fp", 3)]
+RING_IDS = ["Z", "F2", "Fp3"]
+PRODUCT35 = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                         "golden", "inputs", "product3-5.json")
+DOCUMENTS = {"S3": lambda: sphere_document(3),
+             "S3xS5": lambda: load_json(PRODUCT35),
+             "nonprimitive": nonprimitive_document}
 
 
 def aw_sphere(n, ring, cutoff):
@@ -130,3 +144,46 @@ def test_aw_coproduct_verifies():
     ok, problems = E.verify()
     assert ok, problems
     assert ("inl", "x2") in E.C.gens and ("inr", "x3") in E.C.gens
+
+
+def test_tensor_square_mul_is_the_interchange_product():
+    """Random Vects with odd-degree words in both slots, over two
+    different alphabets, against the pairwise interchange rule."""
+    rng = random.Random(5)
+    for ring in (ZZ, QQ, Ring("Fp", 3)):
+        omA = CobarAlgebra(DGCoalgebra(ring, 6, {"a2": 2, "b3": 3}))
+        omB = CobarAlgebra(DGCoalgebra(ring, 6, {"c4": 4, "e2": 2}))
+        tsq = TensorSquare(omA, omB)
+        labels = [("t", wa, wb) for p in range(4) for q in range(4)
+                  for wa in omA.words(p) for wb in omB.words(q)]
+        assert any(omA.degree(l[1]) % 2 and omB.degree(l[2]) % 2
+                   for l in labels)
+
+        def coeff():
+            c = rng.randint(-4, 4)
+            return Fraction(c, rng.randint(1, 3)) if ring == QQ else c
+
+        for _ in range(30):
+            u, v = [Vect(ring, [(rng.choice(labels), coeff())
+                                for _ in range(8)]) for _ in range(2)]
+            want = Vect(ring)
+            for (_, a1, a2), ca in u.items():
+                for (_, b1, b2), cb in v.items():
+                    sign = -1 if omB.degree(a2) * omA.degree(b1) % 2 else 1
+                    want.iadd_term(ring.mul(sign, ring.mul(ca, cb)),
+                                   ("t", concat(a1, b1), concat(a2, b2)))
+            assert tsq.mul(u, v) == want
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+@pytest.mark.parametrize("doc", sorted(DOCUMENTS))
+def test_psi_is_the_algebra_map_of_its_letter_values(doc, ring):
+    """psi built from the prefix is the multiplicative extension of
+    psi_letter from the unit, on every word through cutoff 8, for the base
+    and the path-loop comultiplication."""
+    _, A = coalgebra_from_document(DOCUMENTS[doc](), ring=ring, cutoff=8)
+    for H in (InducedHopf(A), InducedHopf(extend_psi(A))):
+        oracle = H.omega.algebra_map(H.psi_letter, H.tsq.mul, H.tsq.unit)
+        for n in range(9):
+            for w in H.omega.words(n):
+                assert H.psi(w) == oracle(w), w
