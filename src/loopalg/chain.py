@@ -7,14 +7,15 @@ cutoff - 1: at the cutoff the incoming boundary is not fully known.
 
 The rank of H_n is dim C_n - rank d_n - rank d_{n+1}, and its torsion is
 the invariant factors of d_{n+1} other than 0 and 1.  Each boundary
-matrix is eliminated once (see linalg.rank_and_torsion) and the result is
-shared by the two degrees it borders.  Representative cycles and class
-coordinates need an explicit cycle basis (a saturated kernel over Z, an
-echelon kernel over a field) and a linalg.Solver on it.  The solver gives
-the coordinates of the boundaries (then put in Smith normal form over Z,
-or row reduced over a field) and of every class_of argument.  Both are
-built once per degree, when a summary's representatives or class_of are
-first used.
+matrix is built as sparse columns straight from the differential and
+eliminated once (see linalg.rank_and_torsion); the result is shared by
+the two degrees it borders.  Representative cycles and class coordinates
+need an explicit cycle basis (a saturated kernel over Z, an echelon
+kernel over a field, both on the dense matrix) and a linalg.Solver on
+it.  The solver gives the coordinates of the boundaries (then put in
+Smith normal form over Z, or row reduced over a field) and of every
+class_of argument.  Both are built once per degree, when a summary's
+representatives or class_of are first used.
 """
 
 from collections import namedtuple
@@ -57,24 +58,16 @@ class ChainComplex:
         return sorted(self.bases)
 
     def matrix(self, n):
-        """The matrix of d_n : C_n -> C_{n-1}, rows indexed by the basis in
-        degree n-1, columns by the basis in degree n."""
-        if n in self._matrices:
-            return self._matrices[n]
-        src = self.basis(n)
-        tgt_index = self._index.get(n - 1, {})
-        mat = linalg.zeros(len(tgt_index), len(src))
-        for j, label in enumerate(src):
-            v = self.diff(label)
-            for out_label, c in v.items():
-                i = tgt_index.get(out_label)
-                if i is None:
-                    raise ValueError(
-                        "differential of %s leaves the stored basis (term %s)"
-                        % (label_str(label), label_str(out_label)))
-                mat[i][j] = c
-        self._matrices[n] = mat
-        return mat
+        """The dense matrix of d_n : C_n -> C_{n-1}, rows indexed by the
+        basis in degree n-1, columns by the basis in degree n.  Only the
+        cycle presentations ask for it."""
+        if n not in self._matrices:
+            mat = linalg.zeros(self.rank(n - 1), self.rank(n))
+            for j, col in enumerate(self._sparse(n)):
+                for i, c in col.items():
+                    mat[i][j] = c
+            self._matrices[n] = mat
+        return self._matrices[n]
 
     def verify_differential(self):
         """Check d(d(g)) = 0 for every stored basis label.  Returns
@@ -104,10 +97,22 @@ class ChainComplex:
                                torsion)
 
     def _sparse(self, n):
+        """The columns of d_n, dicts row index -> nonzero entry by row."""
         if n not in self._columns:
-            # a matrix with no rows still has one (empty) column per label
-            self._columns[n] = (linalg.sparse_columns(self.matrix(n))
-                                or [{} for _ in self.basis(n)])
+            tgt_index = self._index.get(n - 1, {})
+            cols = []
+            for label in self.basis(n):
+                col = {}
+                for out_label, c in self.diff(label).items():
+                    i = tgt_index.get(out_label)
+                    if i is None:
+                        raise ValueError(
+                            "differential of %s leaves the stored basis "
+                            "(term %s)" % (label_str(label),
+                                           label_str(out_label)))
+                    col[i] = c
+                cols.append(dict(sorted(col.items())))
+            self._columns[n] = cols
         return self._columns[n]
 
     def _reduction(self, n):

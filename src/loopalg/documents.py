@@ -241,39 +241,3 @@ def _flatten(obj, prefix=""):
     else:
         rows.append((prefix, obj))
     return rows
-
-
-# -- bundled example documents ------------------------------------------
-
-def sphere_document(n, ring="Z", cutoff=8):
-    return {"name": "sphere%d" % n, "ring": ring, "cutoff": cutoff,
-            "generators": [{"label": "x%d" % n, "degree": n}]}
-
-
-def nonprimitive_document(ring="Z", cutoff=8):
-    """Primitive-free differential and comultiplication, but a nontrivial
-    level-2 homotopy diagonal: a coherent family that is not strict."""
-    return {"name": "nonprimitive", "ring": ring, "cutoff": cutoff,
-            "generators": [{"label": "a3", "degree": 3},
-                           {"label": "b3", "degree": 3},
-                           {"label": "v5", "degree": 5}],
-            "psi": {"2": {"v5": [[1, ["a3", "1"], ["1", "b3"]]]}}}
-
-
-def noncoassoc_document(ring="Z", cutoff=8):
-    """A coherent family whose induced comultiplication on the cobar
-    algebra fails to be coassociative."""
-    doc = nonprimitive_document(ring, cutoff)
-    doc["name"] = "noncoassoc"
-    doc["generators"].append({"label": "u7", "degree": 7})
-    doc["psi"]["2"]["u7"] = [[1, ["v5", "1"], ["1", "b3"]]]
-    return doc
-
-
-EXAMPLES = {
-    "sphere2": lambda: sphere_document(2),
-    "sphere3": lambda: sphere_document(3),
-    "sphere5": lambda: sphere_document(5),
-    "nonprimitive": nonprimitive_document,
-    "noncoassoc": noncoassoc_document,
-}

@@ -1,10 +1,10 @@
 """Exact linear algebra over Z, Q and F_p.
 
-Ranks and Z torsion come from one sparse elimination per matrix: over a
-field every nonzero entry is a pivot; over Z only entries +-1 are, and the
-small core that is left goes to a dense invariant-factor routine that
-keeps no transforms.  Explicit cycle bases come from saturated integer
-kernels (bezout_echelon) and field kernels (rref), and homology
+Ranks, Z torsion and kernels come from one sparse elimination per
+matrix: over a field every nonzero entry is a pivot; over Z only entries
++-1 are, and the small core that is left goes to a dense invariant-factor
+routine (ranks) or to kernel_saturated (kernels).  Dense cycle bases come
+from kernel_saturated and kernel_field (rref), and homology
 representatives from Smith normal form with transforms (the steps of
 sympy's, so that its transforms are reproduced without importing it).
 
@@ -15,7 +15,7 @@ coordinates by substitution.  solve_field, solve_integer and
 integer_inverse are fronts on it for dense matrices.
 
 Dense matrices are plain lists of rows; sparse matrices are lists of
-columns, each a dict row index -> nonzero entry.  Everything is arbitrary
+columns, each a dict row key -> nonzero entry.  Everything is arbitrary
 precision.
 """
 
@@ -172,22 +172,53 @@ def _gcdex(a, b):
     return x * sa, y * sb, a
 
 
-def sparse_columns(mat):
-    """The columns of a dense matrix as dicts row index -> nonzero entry."""
-    cols = [{} for _ in range(len(mat[0]) if mat else 0)]
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
-    return cols
-
-
 def rank_and_torsion(cols, ring):
     """Rank of a matrix given by sparse columns, and its invariant factors
     other than 0 and 1 (always empty over a field)."""
-    units, core = _eliminate(cols, ring)
-    factors = _core_factors(core)
-    return units + len(factors), [d for d in factors if d != 1]
+    pivots, core = _eliminate(cols, ring)
+    factors = _core_factors(core.values())
+    return len(pivots) + len(factors), [d for d in factors if d != 1]
+
+
+def kernel(cols, ring):
+    """A basis of the kernel of the matrix with the given sparse columns,
+    as (free, vectors), each vector a dict column index -> nonzero entry.
+    Each column that _eliminate clears gives its transform, which is 1 at
+    that column and 0 at every other free column (only pivot columns are
+    added into a column): these are the first len(free) vectors.  Over Z
+    a kernel_saturated basis of the core's kernel follows, carried back
+    through the core's transforms; as these are unimodular, the whole
+    basis is saturated."""
+    log = {}
+    pivots, core = _eliminate(cols, ring, log)
+    done = set(pivots).union(core)
+    free = [j for j in range(len(cols)) if j not in done]
+    vecs = [log.get(j, {j: ring.one}) for j in free]
+    if core:
+        order = list(core)
+        rows = dict.fromkeys(i for j in order for i in core[j])
+        for x in kernel_saturated([[core[j].get(i, 0) for j in order]
+                                   for i in rows]):
+            v = {}
+            for j, c in zip(order, x):
+                if c:
+                    add_multiple(v, log.get(j, {j: ring.one}), c, ring)
+            vecs.append(v)
+    return free, vecs
+
+
+def add_multiple(dst, src, f, ring):
+    """dst += f * src for dicts key -> nonzero coefficient, in place,
+    dropping the entries that become zero."""
+    p = ring.p if ring.kind == "Fp" else None
+    for k, x in src.items():
+        y = dst.get(k, 0) + f * x
+        if p:
+            y %= p
+        if y:
+            dst[k] = y
+        else:
+            dst.pop(k, None)
 
 
 def product_is_zero(a_cols, b_cols, ring):
@@ -203,13 +234,17 @@ def product_is_zero(a_cols, b_cols, ring):
     return True
 
 
-def _eliminate(cols, ring):
+def _eliminate(cols, ring, log=None):
     """Sparse elimination on a copy of the columns.  Over Z only entries
     +-1 are pivots; over a field every nonzero entry is.  Each pivot
     clears its row from every other column, so the matrix splits as a
-    unit block plus the columns left over.  Returns (number of pivots,
-    leftover columns), the leftover columns having no unit entry (none
-    over a field).
+    unit block plus the columns left over.  Returns (pivot columns,
+    leftover columns as a dict column index -> column), the leftover
+    columns having no unit entry (none over a field).
+
+    If log is a dict, it gets the transform of each column that a step
+    changes: the combination of given columns (a dict column index ->
+    coefficient) that it has become.
 
     The next pivot column is the shortest one, and within it the pivot row
     with the fewest other entries, which keeps fill-in low."""
@@ -226,7 +261,7 @@ def _eliminate(cols, ring):
     version = dict.fromkeys(live, 0)
     heap = [(len(col), j, 0) for j, col in live.items()]
     heapify(heap)
-    pivots = 0
+    pivots = []
     while heap:
         _, j, ver = heappop(heap)
         if version.get(j) != ver:
@@ -255,13 +290,16 @@ def _eliminate(cols, ring):
                 elif r in other:
                     del other[r]
                     where[r].discard(t)
+            if log is not None:
+                add_multiple(log.setdefault(t, {t: ring.one}),
+                             log.get(j, {j: ring.one}), -f, ring)
             if other:
                 version[t] += 1
                 heappush(heap, (len(other), t, version[t]))
             else:
                 del live[t], version[t]
-        pivots += 1
-    return pivots, list(live.values())
+        pivots.append(j)
+    return pivots, live
 
 
 def _core_factors(cols):

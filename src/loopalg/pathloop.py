@@ -15,9 +15,10 @@ as products of letter values: a letter's comultiplication with its second
 slot projected or pushed once, never the full comultiplication of a word.
 
 A cofixed subalgebra is stored per (degree, weight) block as a kernel
-basis over ambient words.  On a block's first coordinates call a
-linalg.Solver is built on that basis; every entry of the model's
-differential and product is then found by sparse substitution into it.
+basis over ambient words, from linalg.kernel on the coaction columns.
+Each entry of the model's differential and product is read off at the
+free words; only the vectors of a leftover Z core (none in the measured
+blocks) go through a linalg.Solver.
 """
 
 from .vectors import Vect, label_key, label_str, bilinear
@@ -215,9 +216,9 @@ class CofixedSubalgebra:
     weight for the blocks to be exact; this holds in the primitive
     situations that produce degree-0 letters).
 
-    Each block keeps its kernel basis, which basis() labels, and, from
-    the block's first coordinates call on, a linalg.Solver on that basis
-    over the block's words, which gives the coordinates."""
+    Each block keeps its kernel basis, which basis() labels, its free
+    words and a linalg.Solver on its core vectors, which together give
+    the coordinates."""
 
     def __init__(self, ambient, coaction_bar, cutoff, max_weight=None,
                  name=""):
@@ -233,7 +234,7 @@ class CofixedSubalgebra:
         self.name = name or ("cofixed(%s)" % getattr(ambient, "name", ""))
         self._kernels = {}
         self._bases = {}
-        self._solvers = {}
+        self._readers = {}
 
     def _words(self, n, w=None):
         if w is None:
@@ -243,34 +244,23 @@ class CofixedSubalgebra:
 
     def _kernel(self, n, w=None):
         """Kernel vectors of the reduced coaction on the (degree, weight)
-        block, as Vects over ambient words."""
+        block, as Vects over ambient words: the unit vectors in the order
+        of their free words, then the core vectors."""
         key = (n, w)
-        if key in self._kernels:
-            return self._kernels[key]
-        words = self._words(n, w)
-        rows = {}
-        cols = []
-        for u in words:
-            img = self.coaction_bar(u)
-            cols.append(img)
-            for label in img.terms:
-                if label not in rows:
-                    rows[label] = len(rows)
-        row_order = sorted(rows, key=label_key)
-        rows = {l: i for i, l in enumerate(row_order)}
-        mat = [[0 if self.ring.kind == "Z" else self.ring.zero
-                for _ in words] for _ in row_order]
-        for j, img in enumerate(cols):
-            for label, c in img.terms.items():
-                mat[rows[label]][j] = c
-        if not row_order:
-            vecs = [Vect.basis(self.ring, u) for u in words]
-        else:
-            ker = linalg.kernel_saturated(mat) if self.ring.kind == "Z" \
-                else linalg.kernel_field(mat, self.ring)
-            vecs = [Vect(self.ring, [(u, c) for u, c in zip(words, col) if c])
-                    for col in ker]
-        self._kernels[key] = (words, vecs)
+        if key not in self._kernels:
+            words = self._words(n, w)
+            images = [self.coaction_bar(u).terms for u in words]
+            rows = {l: i for i, l in enumerate(sorted(
+                {l for img in images for l in img}, key=label_key))}
+            free, vecs = linalg.kernel(
+                [dict(sorted((rows[l], c) for l, c in img.items()))
+                 for img in images], self.ring)
+            vecs = [Vect(self.ring, {words[j]: c for j, c in v.items()})
+                    for v in vecs]
+            self._kernels[key] = (words, vecs)
+            self._readers[key] = ([words[j] for j in free], linalg.Solver(
+                [v.terms for v in vecs[len(free):]], words, self.ring,
+                "cofixed block"))
         return self._kernels[key]
 
     def blocks(self, n):
@@ -282,7 +272,7 @@ class CofixedSubalgebra:
         """Synthetic labels ('k', n, i) or ('k', n, w, i) per block."""
         if n in self._bases:
             return self._bases[n]
-        out = []
+        out, zero = [], self.ring.zero
         for w in self.blocks(n):
             _, vecs = self._kernel(n, w)
             for i in range(len(vecs)):
@@ -301,28 +291,28 @@ class CofixedSubalgebra:
     def rank(self, n):
         return len(self.basis(n))
 
-    def _solver(self, n, w):
-        """The linalg.Solver on the block's kernel basis, built on the
-        block's first coordinates call."""
-        key = (n, w)
-        if key not in self._solvers:
-            words, vecs = self._kernel(n, w)
-            self._solvers[key] = linalg.Solver(
-                [v.terms for v in vecs], words, self.ring, "cofixed block")
-        return self._solvers[key]
-
     def coordinates(self, n, vect):
         """Express a Vect over ambient words (lying in the cofixed part of
-        degree n) in the synthetic basis, block by block."""
+        degree n) in the synthetic basis, block by block: its coefficients
+        at the free words, then the core Solver's coordinates of what the
+        unit vectors leave, which refuses a remainder."""
         if self.blocked:
             parts = {}
             for u, c in vect.items():
                 parts.setdefault(self.ambient.weight(u), {})[u] = c
         else:
             parts = {None: vect.terms}
-        out = []
+        out, zero = [], self.ring.zero
         for w in self.blocks(n):
-            out.extend(self._solver(n, w).coordinates(parts.get(w, {})))
+            _, vecs = self._kernel(n, w)
+            free, core = self._readers[(n, w)]
+            left = dict(parts.get(w, {}))
+            coords = [left.get(u, zero) for u in free]
+            for c, v in zip(coords, vecs):
+                if c:
+                    linalg.add_multiple(left, v.terms, -c, self.ring)
+            out.extend(coords)
+            out.extend(core.coordinates(left))
         return out
 
     def diff(self, label):
@@ -331,13 +321,14 @@ class CofixedSubalgebra:
         dv = self.ambient.d_vect(self.vector_of(label))
         coords = self.coordinates(n - 1, dv)
         basis = self.basis(n - 1)
-        return Vect(self.ring, list(zip(basis, coords)))
+        return Vect(self.ring, [(l, c) for l, c in zip(basis, coords) if c])
 
     def mul_labels(self, l1, l2):
         n = l1[1] + l2[1]
         prod = self.ambient.mul(self.vector_of(l1), self.vector_of(l2))
         coords = self.coordinates(n, prod)
-        return Vect(self.ring, list(zip(self.basis(n), coords)))
+        return Vect(self.ring, [(l, c) for l, c in zip(self.basis(n), coords)
+                                if c])
 
     def mul(self, u, v):
         return bilinear(self.ring, u, v, self.mul_labels)

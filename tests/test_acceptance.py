@@ -23,12 +23,13 @@ from loopalg.shfamily import AWCoalgebra, TensorSquare, letterwise_split
 from loopalg.pathloop import (path_object, PathLoop, double_loop, loop_fiber,
                               identity_family, trivial_family)
 from loopalg.formal import FormalDoubleLoop
-from loopalg.documents import nonprimitive_document, coalgebra_from_document
+from loopalg.documents import coalgebra_from_document, load_json
 from loopalg.cli import main
 
 CUTOFF = 8
 SAMPLES = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "sample_inputs")
+NONPRIMITIVE = os.path.join(SAMPLES, "nonprimitive.json")
 
 _cache = {}
 
@@ -46,7 +47,7 @@ def corpus(ring=ZZ):
                 sphere_model(2, ring, CUTOFF),
                 sphere_model(3, ring, CUTOFF))), CUTOFF),
         ]
-        _, A = coalgebra_from_document(nonprimitive_document(), ring=ring)
+        _, A = coalgebra_from_document(load_json(NONPRIMITIVE), ring=ring)
         members.append(("nonprim", A, None))
         _cache[key] = members
     return _cache[key]
@@ -151,7 +152,7 @@ def test_criterion_01_differential_integrity():
             assert_d2(fm, what=("formal", n))
         except ValueError:
             assert_d2(fm, max_weight=CUTOFF, what=("formal", n))
-    Cnp, _ = coalgebra_from_document(nonprimitive_document(), ring=F2)
+    Cnp, _ = coalgebra_from_document(load_json(NONPRIMITIVE), ring=F2)
     assert_d2(FormalDoubleLoop(Cnp), what=("formal", "nonprim"))
     elapsed = time.time() - t0
     assert elapsed < 60, "criterion 1 exceeded one minute: %.1fs" % elapsed

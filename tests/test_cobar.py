@@ -1,6 +1,8 @@
 """Cobar constructions, twisted one-sided complexes, and the twisted
 Hopf tensor algebra."""
 
+import os
+
 import pytest
 
 from loopalg.rings import ZZ, F2
@@ -9,7 +11,10 @@ from loopalg.coalg import sphere_model
 from loopalg.cobar import (CobarAlgebra, OneSidedCobar, TwistedHopfTensor,
                            AlgebraOnHomology, coalgebra_of_hopf, s_letter)
 from loopalg.shfamily import AWCoalgebra, InducedHopf
-from loopalg.documents import nonprimitive_document, coalgebra_from_document
+from loopalg.documents import coalgebra_from_document, load_json
+
+NONPRIMITIVE = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "sample_inputs", "nonprimitive.json")
 
 
 def hopf(n, ring=ZZ, cutoff=8):
@@ -26,7 +31,7 @@ def test_cobar_sphere_d2_and_letters():
 
 
 def test_cobar_nonprimitive_d2():
-    C, _ = coalgebra_from_document(nonprimitive_document())
+    C, _ = coalgebra_from_document(load_json(NONPRIMITIVE))
     om = CobarAlgebra(C)
     ok, label, _ = om.to_chain_complex().verify_differential()
     assert ok, label

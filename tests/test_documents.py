@@ -1,6 +1,7 @@
 """Input document parsing, validation messages, and report rendering."""
 
 import json
+import os
 
 import pytest
 
@@ -8,13 +9,22 @@ from loopalg.rings import ZZ, F2
 from loopalg.coalg import sphere_model
 from loopalg.documents import (DocumentError, coalgebra_from_document,
                                shmap_from_document, render_report,
-                               sphere_document, nonprimitive_document,
-                               noncoassoc_document, EXAMPLES, load_json)
+                               load_json)
+
+SAMPLES = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "sample_inputs")
+
+
+def sample(name):
+    return load_json(os.path.join(SAMPLES, name + ".json"))
 
 
 def test_examples_all_build_and_verify():
-    for name, mk in EXAMPLES.items():
-        C, aw = coalgebra_from_document(mk())
+    names = sorted(f[:-5] for f in os.listdir(SAMPLES) if f.endswith(".json"))
+    assert names == ["noncoassoc", "nonprimitive", "sphere2", "sphere3",
+                     "sphere5"]
+    for name in names:
+        C, aw = coalgebra_from_document(sample(name))
         okC, problems = C.verify()
         assert okC, (name, problems)
         ok, problems = aw.verify()
@@ -22,24 +32,24 @@ def test_examples_all_build_and_verify():
 
 
 def test_sphere_document_matches_model():
-    C, aw = coalgebra_from_document(sphere_document(3))
+    C, aw = coalgebra_from_document(sample("sphere3"))
     M = sphere_model(3, ZZ, 8)
     assert C.gens == M.gens
     assert aw.psi.max_level() == 1
 
 
 def test_ring_and_cutoff_overrides():
-    C, _ = coalgebra_from_document(sphere_document(3), ring=F2, cutoff=5)
+    C, _ = coalgebra_from_document(sample("sphere3"), ring=F2, cutoff=5)
     assert C.ring is F2 and C.cutoff == 5
 
 
 def test_validation_messages_name_generators():
-    doc = sphere_document(3)
+    doc = sample("sphere3")
     doc["d"] = {"x3": [[1, "nope"]]}
     with pytest.raises(DocumentError, match="'d' of x3.*nope"):
         coalgebra_from_document(doc)
 
-    doc = sphere_document(3)
+    doc = sample("sphere3")
     doc["generators"].append({"label": "y4", "degree": 4})
     doc["d"] = {"y4": [[1, "x3"]]}
     C, _ = coalgebra_from_document(doc)
@@ -48,7 +58,7 @@ def test_validation_messages_name_generators():
     with pytest.raises(DocumentError, match="lower degree by one"):
         coalgebra_from_document(doc)
 
-    doc = nonprimitive_document()
+    doc = sample("nonprimitive")
     doc["psi"]["2"]["v5"] = [[1, ["a3", "a3"], ["1", "b3"]]]
     with pytest.raises(DocumentError, match="'psi' level 2 of v5.*raise "
                        "degree by 1"):
@@ -68,14 +78,14 @@ def test_bad_toplevel_documents():
 
 
 def test_psi_level_one_rejected():
-    doc = nonprimitive_document()
+    doc = sample("nonprimitive")
     doc["psi"]["1"] = {}
     with pytest.raises(DocumentError, match="levels start at 2"):
         coalgebra_from_document(doc)
 
 
 def test_noncoassoc_document_extends_nonprimitive():
-    C, aw = coalgebra_from_document(noncoassoc_document())
+    C, aw = coalgebra_from_document(sample("noncoassoc"))
     assert "u7" in C.gens
 
 

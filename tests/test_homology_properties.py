@@ -29,6 +29,16 @@ def matrix(m, n, entries=entries):
                     min_size=m, max_size=m)
 
 
+def sparse_columns(mat):
+    """The columns of a dense matrix as dicts row index -> nonzero entry."""
+    cols = [{} for _ in range(len(mat[0]) if mat else 0)]
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
 @st.composite
 def integer_complexes(draw):
     """Dimensions dims[0..TOP] and matrices mats[n] of d_n, n = 1..TOP."""
@@ -99,7 +109,7 @@ def test_field_ranks_follow_universal_coefficients(complex_data):
 def test_invariant_factors_match_smith_normal_form(mat):
     d, _, _ = linalg.smith_normal_form(mat)
     diag = [abs(d[i][i]) for i in range(min(len(d), len(d[0]) if d else 0))]
-    rank, torsion = linalg.rank_and_torsion(linalg.sparse_columns(mat), ZZ)
+    rank, torsion = linalg.rank_and_torsion(sparse_columns(mat), ZZ)
     assert rank == sum(1 for x in diag if x)
     assert torsion == [x for x in diag if x > 1]
 

@@ -15,17 +15,16 @@ from loopalg.tensoralg import UNIT_WORD, concat
 from loopalg.shfamily import (SHFamily, TensorSquare, letterwise_split,
                               AWCoalgebra, InducedHopf, aw_coproduct)
 from loopalg.pathloop import extend_psi
-from loopalg.documents import (nonprimitive_document, noncoassoc_document,
-                               coalgebra_from_document, sphere_document,
-                               load_json)
+from loopalg.documents import coalgebra_from_document, load_json
 
 RINGS = [ZZ, F2, Ring("Fp", 3)]
 RING_IDS = ["Z", "F2", "Fp3"]
-PRODUCT35 = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         "golden", "inputs", "product3-5.json")
-DOCUMENTS = {"S3": lambda: sphere_document(3),
-             "S3xS5": lambda: load_json(PRODUCT35),
-             "nonprimitive": nonprimitive_document}
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SAMPLES = os.path.join(HERE, "sample_inputs")
+DOCUMENTS = {"S3": os.path.join(SAMPLES, "sphere3.json"),
+             "S3xS5": os.path.join(HERE, "tests", "golden", "inputs",
+                                   "product3-5.json"),
+             "nonprimitive": os.path.join(SAMPLES, "nonprimitive.json")}
 
 
 def aw_sphere(n, ring, cutoff):
@@ -56,7 +55,7 @@ def test_degree_problems_detected():
 
 
 def test_nonprimitive_family_is_coherent():
-    C, aw = coalgebra_from_document(nonprimitive_document())
+    C, aw = coalgebra_from_document(load_json(DOCUMENTS["nonprimitive"]))
     ok, problems = aw.verify()
     assert ok, problems
 
@@ -77,7 +76,8 @@ def test_incoherent_family_detected():
 
 
 def test_noncoassoc_document_fails_coassociativity_only():
-    C, aw = coalgebra_from_document(noncoassoc_document())
+    C, aw = coalgebra_from_document(
+        load_json(os.path.join(SAMPLES, "noncoassoc.json")))
     ok, problems = aw.verify()
     assert ok, problems
     H = InducedHopf(aw)
@@ -129,7 +129,7 @@ def test_induced_hopf_sphere():
 
 
 def test_induced_hopf_nonprimitive():
-    _, aw = coalgebra_from_document(nonprimitive_document())
+    _, aw = coalgebra_from_document(load_json(DOCUMENTS["nonprimitive"]))
     H = InducedHopf(aw)
     assert H.coassociative
     assert not H.chain_map_defects()
@@ -181,7 +181,8 @@ def test_psi_is_the_algebra_map_of_its_letter_values(doc, ring):
     """psi built from the prefix is the multiplicative extension of
     psi_letter from the unit, on every word through cutoff 8, for the base
     and the path-loop comultiplication."""
-    _, A = coalgebra_from_document(DOCUMENTS[doc](), ring=ring, cutoff=8)
+    _, A = coalgebra_from_document(load_json(DOCUMENTS[doc]), ring=ring,
+                                   cutoff=8)
     for H in (InducedHopf(A), InducedHopf(extend_psi(A))):
         oracle = H.omega.algebra_map(H.psi_letter, H.tsq.mul, H.tsq.unit)
         for n in range(9):
