@@ -272,7 +272,7 @@ class CofixedSubalgebra:
         """Synthetic labels ('k', n, i) or ('k', n, w, i) per block."""
         if n in self._bases:
             return self._bases[n]
-        out, zero = [], self.ring.zero
+        out = []
         for w in self.blocks(n):
             _, vecs = self._kernel(n, w)
             for i in range(len(vecs)):
