@@ -20,7 +20,7 @@ representatives or class_of are first used.
 
 from collections import namedtuple
 
-from .vectors import Vect, label_key, label_str
+from .vectors import Vect, label_str
 from . import linalg
 
 # The explicit description of H_n behind representatives and class_of.
@@ -30,14 +30,16 @@ CyclePresentation = namedtuple(
 
 class ChainComplex:
     def __init__(self, ring, bases, diff, cutoff, name=""):
-        """bases: dict degree -> iterable of labels (will be sorted
-        canonically); diff: callable label -> Vect of degree one lower."""
+        """bases: dict degree -> iterable of labels, kept in the order
+        given (the builders hand over label_key order, which fixes every
+        matrix and pivot); diff: callable label -> Vect of degree one
+        lower."""
         self.ring = ring
         self.cutoff = cutoff
         self.name = name
         self.bases = {}
         for n, labels in bases.items():
-            ordered = sorted(labels, key=label_key)
+            ordered = list(labels)
             if len(set(ordered)) != len(ordered):
                 raise ValueError("duplicate labels in degree %d" % n)
             self.bases[n] = ordered

@@ -322,9 +322,13 @@ def _core_factors(cols):
         if not a:
             return out
         keep = [j for j in range(len(a[0])) if any(row[j] for row in a)]
-        a = [[row[j] for j in keep] for row in a]
-        _, pi, pj = min((abs(x), i, j) for i, row in enumerate(a)
-                        for j, x in enumerate(row) if x)
+        if len(keep) < len(a[0]):
+            a = [[row[j] for j in keep] for row in a]
+        # the first smallest entry in row order
+        lows = [min(map(abs, filter(None, row))) for row in a]
+        low = min(lows)
+        pi = lows.index(low)
+        pj = next(j for j, x in enumerate(a[pi]) if abs(x) == low)
         piv = a[pi][pj]
         prow = a[pi]
         for i, row in enumerate(a):
@@ -340,9 +344,10 @@ def _core_factors(cols):
         if any(row[pj] for i, row in enumerate(a) if i != pi) or \
                 any(x for j, x in enumerate(prow) if j != pj):
             continue
-        bad = next((row for i, row in enumerate(a)
-                    if i != pi and any(x % piv for x in row)), None)
-        if bad is not None:
+        # a unit pivot divides every entry
+        bad = low > 1 and next((row for i, row in enumerate(a) if i != pi
+                                and any(x % piv for x in row)), None)
+        if bad:
             a[pi] = [x + y for x, y in zip(prow, bad)]
             continue
         out.append(abs(piv))

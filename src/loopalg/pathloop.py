@@ -258,9 +258,10 @@ class CofixedSubalgebra:
             vecs = [Vect(self.ring, {words[j]: c for j, c in v.items()})
                     for v in vecs]
             self._kernels[key] = (words, vecs)
-            self._readers[key] = ([words[j] for j in free], linalg.Solver(
-                [v.terms for v in vecs[len(free):]], words, self.ring,
-                "cofixed block"))
+            self._readers[key] = (
+                {words[j]: i for i, j in enumerate(free)},
+                linalg.Solver([v.terms for v in vecs[len(free):]], words,
+                              self.ring, "cofixed block"))
         return self._kernels[key]
 
     def blocks(self, n):
@@ -281,11 +282,7 @@ class CofixedSubalgebra:
         return out
 
     def vector_of(self, label):
-        if len(label) == 3:
-            (_, n, i) = label
-            w = None
-        else:
-            (_, n, w, i) = label
+        n, w, i = (label[1], None, label[2]) if len(label) == 3 else label[1:]
         return self._kernel(n, w)[1][i]
 
     def rank(self, n):
@@ -293,52 +290,46 @@ class CofixedSubalgebra:
 
     def coordinates(self, n, vect):
         """Express a Vect over ambient words (lying in the cofixed part of
-        degree n) in the synthetic basis, block by block: its coefficients
-        at the free words, then the core Solver's coordinates of what the
-        unit vectors leave, which refuses a remainder."""
+        degree n) in the synthetic basis, block by block, as a dict
+        label -> nonzero coefficient: its coefficients at the free words,
+        then the core Solver's coordinates of what the unit vectors leave,
+        which refuses a remainder."""
         if self.blocked:
             parts = {}
             for u, c in vect.items():
                 parts.setdefault(self.ambient.weight(u), {})[u] = c
         else:
             parts = {None: vect.terms}
-        out, zero = [], self.ring.zero
-        for w in self.blocks(n):
+        out = {}
+        for w in (w for w in self.blocks(n) if w in parts):
             _, vecs = self._kernel(n, w)
             free, core = self._readers[(n, w)]
-            left = dict(parts.get(w, {}))
-            coords = [left.get(u, zero) for u in free]
-            for c, v in zip(coords, vecs):
+            head = ("k", n) if w is None else ("k", n, w)
+            left = dict(parts[w])
+            for i, c in sorted((free[u], c) for u, c in parts[w].items()
+                               if u in free):
+                out[head + (i,)] = c
+                linalg.add_multiple(left, vecs[i].terms, -c, self.ring)
+            for i, c in enumerate(core.coordinates(left), len(free)):
                 if c:
-                    linalg.add_multiple(left, v.terms, -c, self.ring)
-            out.extend(coords)
-            out.extend(core.coordinates(left))
+                    out[head + (i,)] = c
         return out
 
     def diff(self, label):
         """Differential in synthetic coordinates."""
-        n = label[1]
         dv = self.ambient.d_vect(self.vector_of(label))
-        coords = self.coordinates(n - 1, dv)
-        basis = self.basis(n - 1)
-        return Vect(self.ring, [(l, c) for l, c in zip(basis, coords) if c])
+        return Vect(self.ring, self.coordinates(label[1] - 1, dv))
 
     def mul_labels(self, l1, l2):
-        n = l1[1] + l2[1]
         prod = self.ambient.mul(self.vector_of(l1), self.vector_of(l2))
-        coords = self.coordinates(n, prod)
-        return Vect(self.ring, [(l, c) for l, c in zip(self.basis(n), coords)
-                                if c])
+        return Vect(self.ring, self.coordinates(l1[1] + l2[1], prod))
 
     def mul(self, u, v):
         return bilinear(self.ring, u, v, self.mul_labels)
 
     def expand(self, vect):
         """Synthetic coordinates back to ambient words."""
-        out = Vect(self.ring)
-        for label, c in vect.items():
-            out = out + self.vector_of(label).scale(c)
-        return out
+        return vect.map_terms(self.vector_of)
 
     def to_chain_complex(self, top=None, name=""):
         from .chain import ChainComplex

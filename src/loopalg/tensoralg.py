@@ -45,8 +45,9 @@ class FreeAlgebra:
         return sum(self.weights[l] for l in word[1:])
 
     def words(self, n, max_weight=None):
-        """All words of degree n (with total weight <= max_weight if given).
-        Requires a weight bound when the alphabet has degree-0 letters."""
+        """All words of degree n (with total weight <= max_weight if given),
+        in label_key order.  Requires a weight bound when the alphabet has
+        degree-0 letters."""
         if max_weight is None and not self.finite_type:
             raise ValueError(
                 "alphabet of %s has degree-0 letters; enumeration needs "
@@ -71,7 +72,10 @@ class FreeAlgebra:
                 prefix.pop()
 
         rec([], n, max_weight)
-        out.sort(key=label_key)
+        # the walk takes letters in label_key order, so the words of each
+        # length come out in label_key order; label_key puts shorter words
+        # first, and the sort by length is stable
+        out.sort(key=len)
         self._word_cache[key] = out
         return out
 
@@ -140,8 +144,6 @@ class FreeAlgebra:
     def to_chain_complex(self, max_weight=None, top=None, name=""):
         from .chain import ChainComplex
         top = self.cutoff if top is None else top
-        bases = {0: [UNIT_WORD] + [w for w in self.words(0, max_weight) if w != UNIT_WORD]}
-        for n in range(1, top + 1):
-            bases[n] = self.words(n, max_weight)
+        bases = {n: self.words(n, max_weight) for n in range(top + 1)}
         return ChainComplex(self.ring, bases, self.d_word, self.cutoff,
                             name=name or self.name)

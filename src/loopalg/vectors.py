@@ -10,7 +10,9 @@ Labels are strings or nested tuples whose first entry is a constructor tag:
     ("t", l1, ..., lk)         element of a tensor product of modules
     ("br", (v...), w)          iterated-bracket generator of the formal model
     ("k", n, [w,] i)           synthetic basis vector of a cofixed subalgebra
-A canonical total order on labels makes every matrix deterministic.
+label_key is the canonical total order on labels.  The builders establish
+it (word enumeration emits it, the other bases sort by it) and a
+ChainComplex keeps the order it is given, so every matrix is deterministic.
 """
 
 
@@ -94,9 +96,6 @@ class Vect:
     def items(self):
         return self.terms.items()
 
-    def sorted_items(self):
-        return sorted(self.terms.items(), key=lambda kv: label_key(kv[0]))
-
     def __add__(self, other):
         out = Vect(self.ring, dict(self.terms))
         for label, c in other.terms.items():
@@ -137,7 +136,8 @@ class Vect:
         if not self.terms:
             return "0"
         bits = []
-        for label, c in self.sorted_items():
+        for label, c in sorted(self.terms.items(),
+                               key=lambda kv: label_key(kv[0])):
             bits.append("%s*%s" % (c, label_str(label)))
         return " + ".join(bits)
 

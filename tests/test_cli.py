@@ -7,10 +7,26 @@ import sys
 
 import pytest
 
+import loopalg
+from loopalg.chain import ChainComplex
 from loopalg.cli import main
+from loopalg.vectors import label_key
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SAMPLES = os.path.join(HERE, "sample_inputs")
+
+
+DOCUMENTS = [os.path.join(d, name) for d in
+             (SAMPLES, os.path.join(HERE, "tests", "golden", "inputs"))
+             for name in sorted(os.listdir(d))]
+
+
+def child_env():
+    """The environment for a child interpreter, with the package under
+    test first on its path, installed or not."""
+    src = os.path.dirname(os.path.dirname(loopalg.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def sample(name):
@@ -168,7 +184,7 @@ def test_installed_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "loopalg.cli", "cobar",
          sample("sphere3.json"), "--cutoff", "6", "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["betti"] == [1, 0, 1, 0, 1, 0]
 
@@ -185,7 +201,7 @@ def test_integer_report_does_not_load_sympy():
             "print('sympy' in sys.modules)\n"
             % (sample("sphere3.json"), sample("sphere3.json")))
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "False"
 
@@ -258,7 +274,7 @@ def test_benchmark_tracer_reaches_the_layers():
             "print(json.dumps(tracer.metrics()))\n"
             % (os.path.join(HERE, "loopbench"), sample("sphere3.json")))
     proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     metrics = json.loads(proc.stdout.strip().splitlines()[-1])
     # the last four are inherited or overridden by subclasses, where a
@@ -282,3 +298,33 @@ def test_library_error_exits_3_on_one_line(capsys):
     assert err.startswith("internal error: differential of ")
     assert "leaves the stored basis" in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("cobar", []), ("cotor", []), ("cotor", ["--hopf", "self"]),
+    ("path-loop", []), ("double-loop", []), ("fiber", []),
+    ("fiber", ["--map", "identity"]), ("formal-dl", ["--ring", "F2"])],
+    ids=["cobar", "cotor", "cotor-self", "path-loop", "double-loop",
+         "fiber", "fiber-identity", "formal-dl"])
+def test_built_bases_are_in_label_key_order(monkeypatch, capsys, command,
+                                            flags):
+    """ChainComplex keeps the order it is given, so every basis that a
+    command builds on the sample and golden documents must come from its
+    builder in label_key order."""
+    built = []
+    init = ChainComplex.__init__
+
+    def recording(self, ring, bases, *args, **kwargs):
+        bases = {n: list(labels) for n, labels in bases.items()}
+        built.append((doc, bases))
+        init(self, ring, bases, *args, **kwargs)
+
+    monkeypatch.setattr(ChainComplex, "__init__", recording)
+    for doc in DOCUMENTS:
+        docs = [doc, doc] if command == "fiber" else [doc]
+        main([command] + docs + flags + ["--cutoff", "5", "--format", "json"])
+    capsys.readouterr()
+    assert len(built) >= 5
+    for doc, bases in built:
+        for n, labels in bases.items():
+            assert labels == sorted(labels, key=label_key), (doc, n)

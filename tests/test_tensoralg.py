@@ -2,10 +2,10 @@
 algebra maps."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from loopalg.rings import ZZ
-from loopalg.vectors import Vect
+from loopalg.vectors import Vect, label_key
 from loopalg.tensoralg import FreeAlgebra, UNIT_WORD, concat
 
 
@@ -100,3 +100,29 @@ def test_concat_associative_words(l1, l2):
     w1 = ("w",) + tuple(l1)
     w2 = ("w",) + tuple(l2)
     assert concat(w1, w2)[1:] == tuple(l1) + tuple(l2)
+
+
+# letters of every shape a word algebra meets: generators, cobar letters
+# of barred generators, and integer labels
+LETTERS = st.one_of(
+    st.text("abxy", min_size=1, max_size=2),
+    st.integers(0, 12),
+    st.tuples(st.just("s"), st.text("abx", min_size=1, max_size=2)),
+    st.tuples(st.just("s"), st.tuples(st.just("bar"),
+                                      st.text("ab", min_size=1, max_size=2))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(LETTERS,
+                       st.tuples(st.integers(0, 3), st.integers(1, 3)),
+                       min_size=1, max_size=4),
+       st.integers(0, 5), st.one_of(st.none(), st.integers(0, 5)))
+def test_words_come_in_label_key_order(alphabet, n, max_weight):
+    """words() emits label_key order itself: ChainComplex keeps the order
+    it is given, and every matrix and pivot follows from it."""
+    alg = FreeAlgebra(ZZ, 6, {l: d for l, (d, _) in alphabet.items()},
+                      weights={l: w for l, (_, w) in alphabet.items()})
+    if max_weight is None and not alg.finite_type:
+        max_weight = 5
+    words = alg.words(n, max_weight)
+    assert words == sorted(set(words), key=label_key)
