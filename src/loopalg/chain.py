@@ -18,6 +18,7 @@ class_of argument.  Both are built once per degree, when a summary's
 representatives or class_of are first used.
 """
 
+import functools
 from collections import namedtuple
 
 from .vectors import Vect, label_str
@@ -72,11 +73,17 @@ class ChainComplex:
         return self._matrices[n]
 
     def verify_differential(self):
-        """Check d(d(g)) = 0 for every stored basis label.  Returns
-        (ok, counterexample_label, residue)."""
+        """Check d(d(g)) = 0 for every stored basis label, taking each
+        label's differential once per call.  Returns (ok,
+        counterexample_label, residue)."""
+        d = functools.cache(lambda label: self.diff(label).terms)
         for n in self.degrees():
             for label in self.basis(n):
-                residue = self.diff(label).map_terms(self.diff)
+                acc = {}
+                for l, c in d(label).items():
+                    for l2, c2 in d(l).items():
+                        acc[l2] = acc.get(l2, 0) + c * c2
+                residue = Vect(self.ring, acc)
                 if not residue.is_zero():
                     return False, label, residue
         return True, None, None
@@ -141,8 +148,6 @@ class ChainComplex:
         k = self.rank(n)
         if not mat:
             # no basis one degree down: everything is a cycle
-            if self.ring.kind == "Z":
-                return [[1 if i == j else 0 for i in range(k)] for j in range(k)]
             return [[self.ring.one if i == j else self.ring.zero for i in range(k)]
                     for j in range(k)]
         if self.ring.kind == "Z":
@@ -175,9 +180,7 @@ class ChainComplex:
             u = linalg.identity(k)
         diag = [abs(d[i][i]) if i < min(k, ncols) else 0 for i in range(k)]
         uinv = linalg.integer_inverse(u)
-        torsion = []
-        torsion_reps = []
-        free_reps = []
+        torsion, torsion_reps, free_reps = [], [], []
         for i in range(k):
             if diag[i] == 1:
                 continue
@@ -217,10 +220,6 @@ class HomologySummary:
         self.free_rank = free_rank
         self.torsion = list(torsion)
         self._presentation = None
-
-    @property
-    def rank(self):
-        return self.free_rank
 
     def _present(self):
         if self._presentation is None:

@@ -5,7 +5,7 @@ The label "1" is reserved for the implicit unit wherever a formula needs it
 (full comultiplications, coactions); it never appears in a stored basis.
 """
 
-from .vectors import Vect, label_key, tensor_apply
+from .vectors import Vect, tensor_apply
 
 
 UNIT = "1"
@@ -36,19 +36,11 @@ class DGCoalgebra:
                     self.weights[l] = w
         self.d_map = {l: v for l, v in (d or {}).items() if l in self.gens}
         self.delta_map = {l: v for l, v in (delta or {}).items() if l in self.gens}
-        self._basis = {}
-        for label, deg in self.gens.items():
-            self._basis.setdefault(deg, []).append(label)
-        for deg in self._basis:
-            self._basis[deg].sort(key=label_key)
 
     def degree(self, label):
         if label == UNIT:
             return 0
         return self.gens[label]
-
-    def basis(self, n):
-        return self._basis.get(n, [])
 
     def d_of(self, label):
         if label == UNIT:

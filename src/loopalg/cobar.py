@@ -225,10 +225,7 @@ def coalgebra_of_hopf(H, cutoff):
     basis, through the given degree, so that its cobar algebra can be
     formed.  H must provide ring, basis(n), degree, d_of, delta_red,
     and optionally weight."""
-    gens = {}
-    weights = {}
-    d = {}
-    delta = {}
+    gens, weights, d, delta = {}, {}, {}, {}
     for n in range(1, cutoff + 1):
         for h in H.basis(n):
             gens[h] = n
@@ -357,13 +354,6 @@ class AlgebraOnHomology:
         if n not in self._h:
             self._h[n] = self.complex.homology(n)
         return self._h[n]
-
-    def rank(self, n):
-        return self.homology(n).rank
-
-    def betti(self, lo=0, hi=None):
-        hi = self.top if hi is None else hi
-        return [self.rank(n) for n in range(lo, hi + 1)]
 
     def product_class(self, n1, i1, n2, i2):
         """Coordinates of [rep_{i1} in H_{n1}] . [rep_{i2} in H_{n2}] in

@@ -185,7 +185,8 @@ def kernel(cols, ring):
     as (free, vectors), each vector a dict column index -> nonzero entry.
     Each column that _eliminate clears gives its transform, which is 1 at
     that column and 0 at every other free column (only pivot columns are
-    added into a column): these are the first len(free) vectors.  Over Z
+    added into a column): these are the first len(free) vectors, copied
+    because the log's dicts keep the room of entries that cancelled.  Over Z
     a kernel_saturated basis of the core's kernel follows, carried back
     through the core's transforms; as these are unimodular, the whole
     basis is saturated."""
@@ -193,7 +194,7 @@ def kernel(cols, ring):
     pivots, core = _eliminate(cols, ring, log)
     done = set(pivots).union(core)
     free = [j for j in range(len(cols)) if j not in done]
-    vecs = [log.get(j, {j: ring.one}) for j in free]
+    vecs = [dict(log.get(j, {j: ring.one})) for j in free]
     if core:
         order = list(core)
         rows = dict.fromkeys(i for j in order for i in core[j])

@@ -14,18 +14,23 @@ model.  Both coactions are maps of chain algebras, built prefix by prefix
 as products of letter values: a letter's comultiplication with its second
 slot projected or pushed once, never the full comultiplication of a word.
 
-A cofixed subalgebra is stored per (degree, weight) block as a kernel
-basis over ambient words, from linalg.kernel on the coaction columns.
-Each entry of the model's differential and product is read off at the
-free words; only the vectors of a leftover Z core (none in the measured
-blocks) go through a linalg.Solver.
+A cofixed subalgebra works on word indices: each (degree, weight) block
+keeps its ambient words and linalg.kernel's vectors on their indices.  The
+differential takes each ambient word's d_word once per degree, sums a
+basis vector's columns and reads the sum off at the free words; only the
+vectors of a leftover Z core go through a linalg.Solver.  Vects over
+ambient words are built for the product alone.
 """
+
+from bisect import bisect_right
+from itertools import accumulate
 
 from .vectors import Vect, label_key, label_str, bilinear
 from .coalg import UNIT, DGCoalgebra, tensor_coalgebra
 from .tensoralg import UNIT_WORD
 from .cobar import CobarAlgebra, s_letter
-from .shfamily import SHFamily, AWCoalgebra, InducedHopf, TensorSquare
+from .shfamily import (SHFamily, AWCoalgebra, InducedHopf, TensorSquare,
+                       aw_coproduct)
 from . import linalg
 
 
@@ -49,10 +54,7 @@ def path_object(C, name=""):
             raise ValueError("path object cannot be iterated: generator "
                              "%s is already barred" % (label_str(g),))
     ring = C.ring
-    gens = {}
-    weights = {}
-    d = {}
-    delta = {}
+    gens, weights, d, delta = {}, {}, {}, {}
     for g, deg in C.gens.items():
         gens[g] = deg
         gens[bar(g)] = deg - 1
@@ -154,7 +156,8 @@ class _Coaction:
 
     def nu_bar(self, word):
         """The reduced coaction: nu(word) - word (x) 1."""
-        out = Vect(self.ring, dict(self.nu(word).terms))
+        out = Vect(self.ring)
+        out.terms = dict(self.nu(word).terms)
         out.iadd_term(-1, ("t", word, UNIT_WORD))
         return out
 
@@ -194,12 +197,9 @@ class PathLoop(_Coaction):
     def kappa(self, vect):
         """The degree -1 derivation of Omega C into the path-loop algebra
         with kappa(s[c]) = -s[bar c]."""
-        values = {}
-        for letter in self.omega_base.letters:
-            values[letter] = Vect.basis(self.ring,
-                                        ("w", s_letter(bar(letter[1]))), -1)
-        fn = self.omega_base.derivation(values, -1)
-        return vect.map_terms(fn)
+        values = {l: Vect.basis(self.ring, ("w", s_letter(bar(l[1]))), -1)
+                  for l in self.omega_base.letters}
+        return vect.map_terms(self.omega_base.derivation(values, -1))
 
     def to_chain_complex(self, max_weight=None, top=None, name=""):
         return self.omega.to_chain_complex(max_weight, top, name or self.name)
@@ -211,14 +211,16 @@ class CofixedSubalgebra:
 
     ambient: a free word algebra (a FreeAlgebra such as a CobarAlgebra);
     coaction_bar: word -> Vect over ('t', word, hword).
-    When the ambient alphabet has degree-0 letters the computation is run
-    per weight block (the coaction and differential must preserve the
-    weight for the blocks to be exact; this holds in the primitive
-    situations that produce degree-0 letters).
+    With a weight cap, which an ambient alphabet with degree-0 letters
+    needs, the computation is run per weight block (the coaction and
+    differential must preserve the weight for the blocks to be exact; this
+    holds in the primitive situations that produce degree-0 letters).
 
-    Each block keeps its kernel basis, which basis() labels, its free
-    words and a linalg.Solver on its core vectors, which together give
-    the coordinates."""
+    A degree's words are split by weight block once and indexed across
+    the blocks, in block order.  Each block keeps its words and its
+    kernel basis, which basis() labels, as linalg.kernel's dicts word
+    index -> coefficient, plus a linalg.Solver on its core vectors if it
+    has any: together they give the coordinates."""
 
     def __init__(self, ambient, coaction_bar, cutoff, max_weight=None,
                  name=""):
@@ -227,98 +229,149 @@ class CofixedSubalgebra:
         self.coaction_bar = coaction_bar
         self.cutoff = cutoff
         self.max_weight = max_weight
-        self.blocked = not ambient.finite_type
-        if self.blocked and max_weight is None:
+        self.blocked = max_weight is not None
+        if not (self.blocked or ambient.finite_type):
             raise ValueError("degree-0 letters in the ambient algebra: a "
                              "weight bound is required")
         self.name = name or ("cofixed(%s)" % getattr(ambient, "name", ""))
+        self._layouts = {}
         self._kernels = {}
         self._bases = {}
         self._readers = {}
+        # the d_word columns of one degree, and its vectors still to do
+        self._columns = [None, {}, 0]
 
-    def _words(self, n, w=None):
-        if w is None:
-            return self.ambient.words(n, self.max_weight)
-        return [u for u in self.ambient.words(n, w)
-                if self.ambient.weight(u) == w]
+    def _layout(self, n):
+        """(word list per block, word -> index over their concatenation,
+        each block's first index and then the total) in degree n."""
+        if n not in self._layouts:
+            lists = [self.ambient.words(n, self.max_weight)]
+            if self.blocked:
+                lists = [[] for _ in self.blocks(n)]
+                for u in self.ambient.words(n, self.max_weight):
+                    lists[self.ambient.weight(u)].append(u)
+            index = {u: g for g, u in enumerate(u for ws in lists for u in ws)}
+            starts = [0, *accumulate(map(len, lists))]
+            self._layouts[n] = (lists, index, starts)
+        return self._layouts[n]
 
     def _kernel(self, n, w=None):
         """Kernel vectors of the reduced coaction on the (degree, weight)
-        block, as Vects over ambient words: the unit vectors in the order
-        of their free words, then the core vectors."""
+        block, as dicts word index -> coefficient: the unit vectors in the
+        order of their free words, then the core vectors."""
         key = (n, w)
         if key not in self._kernels:
-            words = self._words(n, w)
+            words = self._layout(n)[0][w or 0]
             images = [self.coaction_bar(u).terms for u in words]
+            memo = {}
             rows = {l: i for i, l in enumerate(sorted(
-                {l for img in images for l in img}, key=label_key))}
+                {l for img in images for l in img},
+                key=lambda l: label_key(l, memo)))}
             free, vecs = linalg.kernel(
                 [dict(sorted((rows[l], c) for l, c in img.items()))
                  for img in images], self.ring)
-            vecs = [Vect(self.ring, {words[j]: c for j, c in v.items()})
-                    for v in vecs]
+            core = vecs[len(free):]
             self._kernels[key] = (words, vecs)
             self._readers[key] = (
-                {words[j]: i for i, j in enumerate(free)},
-                linalg.Solver([v.terms for v in vecs[len(free):]], words,
-                              self.ring, "cofixed block"))
+                {j: i for i, j in enumerate(free)},
+                linalg.Solver(core, range(len(words)), self.ring,
+                              "cofixed block") if core else None)
         return self._kernels[key]
 
     def blocks(self, n):
-        if not self.blocked:
-            return [None]
-        return list(range(0, self.max_weight + 1))
+        return list(range(self.max_weight + 1)) if self.blocked else [None]
 
     def basis(self, n):
         """Synthetic labels ('k', n, i) or ('k', n, w, i) per block."""
-        if n in self._bases:
-            return self._bases[n]
-        out = []
-        for w in self.blocks(n):
-            _, vecs = self._kernel(n, w)
-            for i in range(len(vecs)):
-                out.append(("k", n, i) if w is None else ("k", n, w, i))
-        self._bases[n] = out
-        return out
+        if n not in self._bases:
+            self._bases[n] = [("k", n, i) if w is None else ("k", n, w, i)
+                              for w in self.blocks(n)
+                              for i in range(len(self._kernel(n, w)[1]))]
+        return self._bases[n]
 
     def vector_of(self, label):
         n, w, i = (label[1], None, label[2]) if len(label) == 3 else label[1:]
-        return self._kernel(n, w)[1][i]
+        words, vecs = self._kernel(n, w)
+        return Vect(self.ring, {words[j]: c for j, c in vecs[i].items()})
 
     def rank(self, n):
         return len(self.basis(n))
 
-    def coordinates(self, n, vect):
-        """Express a Vect over ambient words (lying in the cofixed part of
-        degree n) in the synthetic basis, block by block, as a dict
-        label -> nonzero coefficient: its coefficients at the free words,
-        then the core Solver's coordinates of what the unit vectors leave,
-        which refuses a remainder."""
-        if self.blocked:
-            parts = {}
-            for u, c in vect.items():
-                parts.setdefault(self.ambient.weight(u), {})[u] = c
-        else:
-            parts = {None: vect.terms}
+    def _read(self, n, acc):
+        """Coordinates, as a dict label -> nonzero coefficient, of the
+        vector of degree n with the unreduced sums acc (word index -> c),
+        block by block: its coefficients at the free words, then the core
+        Solver's coordinates of what the unit vectors leave (or a refusal
+        of a remainder)."""
+        starts = self._layout(n)[2]
+        p = self.ring.p if self.ring.kind == "Fp" else None
+        parts = {}
+        for g, c in acc.items():
+            if p:
+                c %= p
+            if c:
+                k = bisect_right(starts, g) - 1
+                parts.setdefault(k, {})[g - starts[k]] = c
         out = {}
-        for w in (w for w in self.blocks(n) if w in parts):
+        for k, left in sorted(parts.items()):
+            w = self.blocks(n)[k]
             _, vecs = self._kernel(n, w)
             free, core = self._readers[(n, w)]
             head = ("k", n) if w is None else ("k", n, w)
-            left = dict(parts[w])
-            for i, c in sorted((free[u], c) for u, c in parts[w].items()
-                               if u in free):
-                out[head + (i,)] = c
-                linalg.add_multiple(left, vecs[i].terms, -c, self.ring)
-            for i, c in enumerate(core.coordinates(left), len(free)):
-                if c:
-                    out[head + (i,)] = c
+            for j, c in [(j, c) for j, c in left.items() if j in free]:
+                out[head + (free[j],)] = c
+                linalg.add_multiple(left, vecs[free[j]], -c, self.ring)
+            if core:
+                for i, c in enumerate(core.coordinates(left), len(free)):
+                    if c:
+                        out[head + (i,)] = c
+            elif left:
+                raise ValueError("vector outside the cofixed block")
         return out
 
+    def coordinates(self, n, vect):
+        """Express a Vect over ambient words (lying in the cofixed part of
+        degree n) in the synthetic basis (see _read).  Terms above the
+        weight cap are dropped, other words off the blocks refused."""
+        index = self._layout(n)[1]
+        acc = {}
+        for u, c in vect.items():
+            if u in index:
+                acc[index[u]] = c
+            elif not self.blocked or self.ambient.weight(u) <= self.max_weight:
+                raise ValueError("vector leaves the stored block")
+        return self._read(n, acc)
+
     def diff(self, label):
-        """Differential in synthetic coordinates."""
-        dv = self.ambient.d_vect(self.vector_of(label))
-        return Vect(self.ring, self.coordinates(label[1] - 1, dv))
+        """Differential in synthetic coordinates: the sum of the columns
+        of the basis vector's words, read off one degree down.  A word's
+        column is its d_word over the word indices there (terms above the
+        weight cap dropped), kept until every basis vector of the degree
+        has had its differential."""
+        n, w, i = (label[1], None, label[2]) if len(label) == 3 else label[1:]
+        words, vecs = self._kernel(n, w)
+        memo = self._columns
+        if memo[0] != n:
+            memo[:] = n, {}, self.rank(n)
+        cols = memo[1]
+        index, base = self._layout(n - 1)[1], self._layout(n)[2][w or 0]
+        acc = {}
+        for j, c in vecs[i].items():
+            if base + j not in cols:
+                cols[base + j] = col = {}
+                for u, x in self.ambient.d_word(words[j]).items():
+                    if (g := index.get(u)) is not None:
+                        col[g] = x
+                    elif not self.blocked:
+                        raise ValueError("vector leaves the stored block")
+            for g, x in cols[base + j].items():
+                acc[g] = acc.get(g, 0) + c * x
+        memo[2] -= 1
+        if not memo[2]:
+            memo[:] = None, {}, 0
+        out = Vect(self.ring)
+        out.terms = self._read(n - 1, acc)
+        return out
 
     def mul_labels(self, l1, l2):
         prod = self.ambient.mul(self.vector_of(l1), self.vector_of(l2))
@@ -339,13 +392,6 @@ class CofixedSubalgebra:
                             name=name or self.name)
 
 
-def double_loop(A, max_weight=None):
-    """The cofixed part of the path-loop algebra under its coaction over
-    Omega C."""
-    pl = PathLoop(A)
-    return pl.cofixed(max_weight), pl
-
-
 class FiberCoaction(_Coaction):
     """Coaction for the homotopy-fiber model: on the cobar algebra of
     C' (+) P(C), push the second comultiplication slot through the map
@@ -359,7 +405,7 @@ class FiberCoaction(_Coaction):
         self.A = A
         self.family = omega_family
         self.name = name
-        self.aw_sum = _coproduct_with_path(Aprime, A)
+        self.aw_sum = aw_coproduct(Aprime, extend_psi(A))
         self.hopf = InducedHopf(self.aw_sum, name=name or "E")
         self.omega = self.hopf.omega
         self.omega_base = CobarAlgebra(A.C)
@@ -383,19 +429,6 @@ class FiberCoaction(_Coaction):
             for w2, c2 in self._push(v).items():
                 out.iadd_term(self.ring.mul(c, c2), ("t", u, w2))
         return out
-
-
-def _coproduct_with_path(Aprime, A):
-    from .shfamily import aw_coproduct
-    return aw_coproduct(Aprime, extend_psi(A))
-
-
-def loop_fiber(Aprime, A, omega_family, max_weight=None):
-    """Homotopy-fiber model of a map (C', Psi') -> (C, Psi) given by a
-    homotopy-coherent family: the cofixed part of Omega(C' (+) P(C))
-    under the pushed coaction."""
-    fc = FiberCoaction(Aprime, A, omega_family)
-    return fc.cofixed(max_weight), fc
 
 
 def identity_family(A):

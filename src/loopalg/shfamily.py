@@ -173,22 +173,6 @@ class TensorSquare:
             out.iadd_term(self.ring.mul(sign, c), ("t", w1, u))
         return out
 
-    def basis(self, n, max_weight=None):
-        out = []
-        for p in range(n + 1):
-            for wa in self.omA.words(p, max_weight):
-                for wb in self.omB.words(n - p, max_weight):
-                    out.append(("t", wa, wb))
-        out.sort(key=label_key)
-        return out
-
-    def to_chain_complex(self, max_weight=None, top=None, name=""):
-        from .chain import ChainComplex
-        top = self.cutoff if top is None else top
-        bases = {n: self.basis(n, max_weight) for n in range(top + 1)}
-        return ChainComplex(self.ring, bases, self.diff, self.cutoff,
-                            name=name or self.name)
-
 
 def letterwise_split(omega_tensor, tsq):
     """The multiplicative quotient Omega(A (x) B) -> Omega A (x) Omega B:
@@ -326,10 +310,6 @@ class InducedHopf:
             if not (lhs - rhs).is_zero():
                 defects.append((letter, lhs - rhs))
         return defects
-
-    @property
-    def coassociative(self):
-        return not self.coassociativity_defects()
 
     def chain_map_defects(self):
         """psi d - (d (x) 1 + 1 (x) d) psi on every letter."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from loopalg.rings import ZZ, QQ, F2
+from loopalg.rings import ZZ, QQ, F2, Ring
 from loopalg.vectors import Vect
 from loopalg.chain import ChainComplex
 
@@ -89,3 +89,53 @@ def test_field_class_of():
     assert h.free_rank == 1
     assert h.class_of(Vect.basis(QQ, "z1")) == [0]
     assert h.class_of(Vect.basis(QQ, "z2")) != [0]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_verify_differential_takes_each_differential_once(seed):
+    """Random complexes, some with d^2 != 0 and some with terms off the
+    stored basis: verify_differential gives the first failing label and
+    residue of the plain d(d(g)) sweep, calling diff once per label."""
+    import random
+    rng = random.Random(seed)
+    ring = [ZZ, QQ, F2, Ring("Fp", 3)][seed % 4]
+    bases = {n: ["g%d_%d" % (n, i) for i in range(rng.randint(1, 4))]
+             for n in range(4)}
+    table = {}
+    for n in range(1, 4):
+        for label in bases[n] + ["off%d" % n]:
+            terms = [(t, rng.randint(-2, 2)) for t in bases[n - 1]]
+            if rng.random() < 0.3:
+                terms.append(("off%d" % (n - 1), 1))
+            table[label] = Vect(ring, terms)
+    calls = []
+
+    def diff(label):
+        calls.append(label)
+        return table.get(label, Vect.zero(ring))
+
+    cx = ChainComplex(ring, bases, diff, cutoff=4)
+    got = cx.verify_differential()
+    assert len(calls) == len(set(calls))
+    want = (True, None, None)
+    for label in (l for n in range(4) for l in bases[n]):
+        residue = diff(label).map_terms(diff)
+        if not residue.is_zero():
+            want = (False, label, residue)
+            break
+    assert got == want
+
+
+def test_verify_differential_of_a_path_loop_takes_each_label_once():
+    from loopalg.coalg import sphere_model
+    from loopalg.shfamily import AWCoalgebra
+    from loopalg.pathloop import PathLoop
+    A = AWCoalgebra.strict(sphere_model(3, Ring("Fp", 3), 8))
+    cx = PathLoop(A).to_chain_complex()
+    calls = []
+    diff = cx.diff
+    cx.diff = lambda label: calls.append(label) or diff(label)
+    assert cx.verify_differential() == (True, None, None)
+    assert len(calls) > 80
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {l for n in cx.degrees() for l in cx.basis(n)}

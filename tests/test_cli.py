@@ -328,3 +328,88 @@ def test_built_bases_are_in_label_key_order(monkeypatch, capsys, command,
     for doc, bases in built:
         for n, labels in bases.items():
             assert labels == sorted(labels, key=label_key), (doc, n)
+
+
+CIRCLE = os.path.join(HERE, "tests", "golden", "inputs", "circle.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["cotor", CIRCLE], ["cotor", "--hopf", "self", CIRCLE],
+    ["path-loop", CIRCLE], ["double-loop", CIRCLE],
+    ["fiber", sample("sphere3.json"), CIRCLE]],
+    ids=["cotor", "cotor-self", "path-loop", "double-loop", "fiber-target"])
+def test_degree1_generator_is_refused_up_front(capsys, argv):
+    # the path object and the cobar letters of the induced Hopf algebra
+    # need generators in degree >= 2
+    code, out, err = run(capsys, *argv, "--cutoff", "5")
+    assert code == 1 and out == ""
+    assert err == ("error: %s needs generators in degree >= 2; e1 has "
+                   "degree 1\n" % argv[0])
+
+
+def test_degree1_generator_elsewhere_keeps_its_answer(capsys):
+    # cobar's report is the golden case cobar-circle-c5
+    code, rep, _ = run_json(capsys, "cobar", CIRCLE)
+    assert code == 0 and rep["construction"] == "cobar"
+    code, rep, err = run_json(capsys, "verify", CIRCLE)
+    assert code == 2 and err.endswith("verification failed: path-object\n")
+    code, rep, _ = run_json(capsys, "fiber", CIRCLE, sample("sphere3.json"),
+                            "--cutoff", "5")
+    assert code == 0 and rep["input"] == "circle -> sphere3"
+
+
+def test_one_process_runs_jobs_like_fresh_processes():
+    # main reuses one parser; a job that fails must not change the next
+    jobs = [["double-loop", sample("sphere3.json"), "--cutoff", "6"],
+            ["cobar", sample("sphere3.json"), "--ring", "F9"],
+            ["double-loop", sample("sphere3.json"), "--cutoff", "6"]]
+    jobs = [argv + ["--format", "json"] for argv in jobs]
+    code = ("import contextlib, io, json\n"
+            "from loopalg.cli import main\n"
+            "out = []\n"
+            "for argv in %r:\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        rc = main(argv)\n"
+            "    out.append([rc, buf.getvalue()])\n"
+            "print(json.dumps(out))\n" % jobs)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    together = json.loads(proc.stdout)
+    fresh = []
+    for argv in jobs:
+        proc = subprocess.run([sys.executable, "-m", "loopalg.cli"] + argv,
+                              capture_output=True, text=True, env=child_env())
+        fresh.append([proc.returncode, proc.stdout])
+    assert together == fresh
+    assert [rc for rc, _ in fresh] == [0, 1, 0]
+
+
+def test_verify_builds_one_induced_hopf_and_one_path_loop(monkeypatch,
+                                                           capsys):
+    from loopalg import cli
+    built = []
+    for name in ("InducedHopf", "PathLoop"):
+        cls = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda A, cls=cls, name=name:
+                            built.append(name) or cls(A))
+    code, rep, _ = run_json(capsys, "verify", sample("sphere3.json"),
+                            "--cutoff", "6")
+    assert code == 0
+    assert sorted(built) == ["InducedHopf", "PathLoop"]
+
+    def broken(A):
+        built.append("broken")
+        raise ValueError("no path loop here")
+
+    monkeypatch.setattr(cli, "PathLoop", broken)
+    del built[:]
+    code, rep, _ = run_json(capsys, "verify", sample("sphere3.json"),
+                            "--cutoff", "6")
+    assert code == 2
+    failed = {o["suite"]: o["detail"] for o in rep["verifications"]
+              if o["status"] == "fail"}
+    assert failed == dict.fromkeys(["path-loop-d2", "kappa", "cofreeness"],
+                                   "no path loop here")
+    assert built.count("broken") == 3

@@ -5,8 +5,9 @@ import pytest
 from loopalg.rings import ZZ, QQ, F2
 from loopalg.coalg import sphere_model
 from loopalg.shfamily import AWCoalgebra
-from loopalg.pathloop import double_loop
 from loopalg.formal import bracket_generators, FormalDoubleLoop
+
+from models import double_loop
 
 
 def test_rejects_integers_and_nonprimitive():

@@ -14,9 +14,11 @@ from loopalg.coalg import DGCoalgebra, sphere_model
 from loopalg.cobar import s_letter
 from loopalg.shfamily import AWCoalgebra, InducedHopf, TensorSquare
 from loopalg.pathloop import (bar, path_object, extend_psi, PathLoop,
-                              CofixedSubalgebra, double_loop, loop_fiber,
-                              FiberCoaction, identity_family, trivial_family)
+                              CofixedSubalgebra, FiberCoaction,
+                              identity_family, trivial_family)
 from loopalg.documents import coalgebra_from_document, load_json
+
+from models import double_loop, loop_fiber
 
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -401,3 +403,118 @@ def test_double_loop_builds_no_comultiplication_of_a_word(monkeypatch):
     assert not [w for h, w in psi_calls if h is pl.hopf]
     assert len(nu_words) > 100
     assert mul_calls[0] <= len(nu_words)
+
+
+def _index_diff_matches_label_route(sub, top):
+    """The index-space differential of every basis label through top is
+    the label route: the coordinates one degree down of d of its vector."""
+    checked = 0
+    for n in range(1, top + 1):
+        for label in sub.basis(n):
+            want = sub.coordinates(n - 1, sub.ambient.d_vect(
+                sub.vector_of(label)))
+            assert sub.diff(label).terms == want, label
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+@pytest.mark.parametrize("doc", sorted(COACTION_DOCUMENTS))
+def test_index_diff_is_the_label_route_on_double_loops(doc, ring):
+    _, A = coalgebra_from_document(load_json(COACTION_DOCUMENTS[doc]),
+                                   ring=ring, cutoff=7)
+    assert _index_diff_matches_label_route(PathLoop(A).cofixed(), 7) > 10
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+@pytest.mark.parametrize("family", ["trivial", "identity"])
+def test_index_diff_is_the_label_route_on_fibers(family, ring):
+    A3 = aw(3, ring, 8)
+    if family == "trivial":
+        A5 = aw(5, ring, 8)
+        fc = FiberCoaction(A5, A3, trivial_family(A5, A3))
+    else:
+        fc = FiberCoaction(A3, A3, identity_family(A3))
+    assert _index_diff_matches_label_route(fc.cofixed(), 8) > 10
+
+
+def test_index_diff_is_the_label_route_with_a_weight_cap():
+    dl, _ = double_loop(AWCoalgebra.strict(sphere_model(2, F2, 5)),
+                        max_weight=6)
+    assert dl.blocked
+    assert _index_diff_matches_label_route(dl, 4) > 10
+
+
+def _core_algebra(coaction, d):
+    """Letters a, b in degree 1 and c, e in degree 2 over Z with the given
+    differential; the reduced coaction takes a single letter l to
+    coaction[l] times a fixed tensor of its degree, and every other word
+    to 0."""
+    from loopalg.tensoralg import FreeAlgebra, UNIT_WORD
+    alg = FreeAlgebra(ZZ, 3, {"a": 1, "b": 1, "c": 2, "e": 2})
+    alg.set_differential({l: Vect(ZZ, [(("w", t), x) for t, x in v])
+                          for l, v in d.items()})
+
+    def coaction_bar(word):
+        c = coaction.get(word[1], 0) if len(word) == 2 else 0
+        return Vect(ZZ, [(("t", UNIT_WORD, ("w", "x%d" % len(word))), c)]
+                    if c else [])
+    return CofixedSubalgebra(alg, coaction_bar, 3)
+
+
+def test_index_diff_is_the_label_route_through_a_core():
+    """a -> 2t, b -> 3t and c -> 2t', e -> 3t' have no unit entry: the
+    blocks' cofixed lines 3a - 2b and 3c - 2e are cores of
+    linalg.kernel, and d(3c - 2e) = 3a - 2b is read off through the core
+    Solver."""
+    sub = _core_algebra({"a": 2, "b": 3, "c": 2, "e": 3},
+                        {"c": [("a", 1)], "e": [("b", 1)]})
+    assert _index_diff_matches_label_route(sub, 2) == 6
+    assert sub._readers[(1, None)][1] and sub._readers[(2, None)][1]
+    (line,) = [l for l in sub.basis(2) if len(sub.vector_of(l).terms) == 2]
+    assert sub.diff(line).terms == {sub.basis(1)[0]: 1}
+
+
+def test_index_diff_refuses_an_image_outside_the_block():
+    """d(c) = a: with a -> t, c is cofixed and a is not; with the cores
+    3a - 2b and 3c - 2e, d(3c - 2e) = 3a is outside the line 3a - 2b.
+    The remainder check of the differential refuses both."""
+    for coaction in ({"a": 1}, {"a": 2, "b": 3, "c": 2, "e": 3}):
+        sub = _core_algebra(coaction, {"c": [("a", 1)]})
+        label = next(l for l in sub.basis(2)
+                     if ("w", "c") in sub.vector_of(l).terms)
+        with pytest.raises(ValueError, match="outside the cofixed block"):
+            sub.diff(label)
+
+
+def test_homology_takes_each_d_word_once_and_no_vector(monkeypatch):
+    """The Z double loop of S3 at cutoff 11: its homology, which agrees
+    with the benchmark's oracle, takes d_word once for each ambient word
+    that a basis vector uses, and makes no Vect of a kernel vector."""
+    from loopalg.tensoralg import FreeAlgebra
+    dl, pl = double_loop(aw(3, ZZ, 11))
+    seen = []
+    d_word = FreeAlgebra.d_word
+
+    def counting(self, word):
+        if self is pl.omega:
+            seen.append(word)
+        return d_word(self, word)
+
+    def refused(self, label):
+        raise AssertionError("vector_of called")
+
+    monkeypatch.setattr(FreeAlgebra, "d_word", counting)
+    monkeypatch.setattr(CofixedSubalgebra, "vector_of", refused)
+    cx = dl.to_chain_complex(top=11)
+    report = {"homology": {str(n): {"rank": h.free_rank, "torsion": h.torsion}
+                           for n in range(11) for h in [cx.homology(n)]}}
+    monkeypatch.syspath_prepend(LOOPBENCH)
+    from oracle import homology_mismatches
+    job = {"command": "double-loop", "args": [], "ring": "Z", "cutoff": 11,
+           "spaces": [{"family": "sphere", "dims": [3]}]}
+    assert homology_mismatches(job, report) == []
+    used = {words[j] for words, vecs in dl._kernels.values()
+            for v in vecs for j in v}
+    assert len(seen) == len(set(seen)) == len(used) > 300
+    assert set(seen) == used

@@ -17,6 +17,8 @@ from loopalg.shfamily import (SHFamily, TensorSquare, letterwise_split,
 from loopalg.pathloop import extend_psi
 from loopalg.documents import coalgebra_from_document, load_json
 
+from models import tensor_square_complex
+
 RINGS = [ZZ, F2, Ring("Fp", 3)]
 RING_IDS = ["Z", "F2", "Fp3"]
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -82,14 +84,14 @@ def test_noncoassoc_document_fails_coassociativity_only():
     assert ok, problems
     H = InducedHopf(aw)
     assert not H.chain_map_defects()
-    assert not H.coassociative
+    assert H.coassociativity_defects()
 
 
 def test_tensor_square_d2_and_sign():
     omA = CobarAlgebra(sphere_model(2, ZZ, 6))
     omB = CobarAlgebra(sphere_model(2, ZZ, 6))
     tsq = TensorSquare(omA, omB)
-    cx = tsq.to_chain_complex()
+    cx = tensor_square_complex(tsq)
     ok, label, _ = cx.verify_differential()
     assert ok, label
     # interchange sign: (1 (x) b)(a (x) 1) = (-1)^{|b||a|} a (x) b,
@@ -117,7 +119,7 @@ def test_letterwise_split_chain_map():
 
 def test_induced_hopf_sphere():
     H = InducedHopf(aw_sphere(3, ZZ, 8))
-    assert H.coassociative
+    assert not H.coassociativity_defects()
     assert not H.chain_map_defects()
     w = ("w", s_letter("x3"))
     # the letter is primitive
@@ -131,7 +133,7 @@ def test_induced_hopf_sphere():
 def test_induced_hopf_nonprimitive():
     _, aw = coalgebra_from_document(load_json(DOCUMENTS["nonprimitive"]))
     H = InducedHopf(aw)
-    assert H.coassociative
+    assert not H.coassociativity_defects()
     assert not H.chain_map_defects()
     # the degree-5 letter is not primitive for the induced structure
     assert not H.delta_red(("w", s_letter("v5"))).is_zero()
