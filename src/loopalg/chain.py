@@ -83,9 +83,9 @@ class ChainComplex:
                 for l, c in d(label).items():
                     for l2, c2 in d(l).items():
                         acc[l2] = acc.get(l2, 0) + c * c2
-                residue = Vect(self.ring, acc)
-                if not residue.is_zero():
-                    return False, label, residue
+                residue = self.ring.reduce(acc)
+                if residue:
+                    return False, label, Vect(self.ring, residue)
         return True, None, None
 
     def homology(self, n):

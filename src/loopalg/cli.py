@@ -9,6 +9,7 @@ ValueError that escaped a command, reported on one line of stderr).
 
 import argparse
 import functools
+import gc
 import sys
 import time
 
@@ -458,6 +459,9 @@ COMMANDS = {
 def main(argv=None):
     t0 = time.time()
     args = build_parser().parse_args(argv)
+    # the cyclic collector would only rescan a command's large, acyclic data
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         COMMANDS[args.command](args, t0)
     except DocumentError as e:
@@ -469,6 +473,9 @@ def main(argv=None):
     except ValueError as e:
         print("internal error: %s" % e, file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()
     return 0
 
 

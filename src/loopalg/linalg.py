@@ -224,13 +224,12 @@ def add_multiple(dst, src, f, ring):
 
 def product_is_zero(a_cols, b_cols, ring):
     """Whether A * B = 0 for matrices given by sparse columns."""
-    p = ring.p if ring.kind == "Fp" else None
     for col in b_cols:
         acc = {}
         for t, y in col.items():
             for i, x in a_cols[t].items():
                 acc[i] = acc.get(i, 0) + x * y
-        if any((v % p if p else v) for v in acc.values()):
+        if ring.reduce(acc):
             return False
     return True
 

@@ -15,7 +15,8 @@ as products of letter values: a letter's comultiplication with its second
 slot projected or pushed once, never the full comultiplication of a word.
 
 A cofixed subalgebra works on word indices: each (degree, weight) block
-keeps its ambient words and linalg.kernel's vectors on their indices.  The
+keeps its ambient words and linalg.kernel's vectors on their indices, with
+the coaction's rows numbered as they first appear, not sorted.  The
 differential takes each ambient word's d_word once per degree, sums a
 basis vector's columns and reads the sum off at the free words; only the
 vectors of a leftover Z core go through a linalg.Solver.  Vects over
@@ -25,7 +26,7 @@ ambient words are built for the product alone.
 from bisect import bisect_right
 from itertools import accumulate
 
-from .vectors import Vect, label_key, label_str, bilinear
+from .vectors import Vect, label_str, bilinear
 from .coalg import UNIT, DGCoalgebra, tensor_coalgebra
 from .tensoralg import UNIT_WORD
 from .cobar import CobarAlgebra, s_letter
@@ -258,18 +259,16 @@ class CofixedSubalgebra:
     def _kernel(self, n, w=None):
         """Kernel vectors of the reduced coaction on the (degree, weight)
         block, as dicts word index -> coefficient: the unit vectors in the
-        order of their free words, then the core vectors."""
+        order of their free words, then the core vectors.  Rows are
+        numbered as they first appear: the pivots rest on dict order."""
         key = (n, w)
         if key not in self._kernels:
             words = self._layout(n)[0][w or 0]
-            images = [self.coaction_bar(u).terms for u in words]
-            memo = {}
-            rows = {l: i for i, l in enumerate(sorted(
-                {l for img in images for l in img},
-                key=lambda l: label_key(l, memo)))}
+            rows = {}
             free, vecs = linalg.kernel(
-                [dict(sorted((rows[l], c) for l, c in img.items()))
-                 for img in images], self.ring)
+                [{rows.setdefault(l, len(rows)): c
+                  for l, c in self.coaction_bar(u).items()} for u in words],
+                self.ring)
             core = vecs[len(free):]
             self._kernels[key] = (words, vecs)
             self._readers[key] = (
@@ -304,14 +303,10 @@ class CofixedSubalgebra:
         Solver's coordinates of what the unit vectors leave (or a refusal
         of a remainder)."""
         starts = self._layout(n)[2]
-        p = self.ring.p if self.ring.kind == "Fp" else None
         parts = {}
-        for g, c in acc.items():
-            if p:
-                c %= p
-            if c:
-                k = bisect_right(starts, g) - 1
-                parts.setdefault(k, {})[g - starts[k]] = c
+        for g, c in self.ring.reduce(acc).items():
+            k = bisect_right(starts, g) - 1
+            parts.setdefault(k, {})[g - starts[k]] = c
         out = {}
         for k, left in sorted(parts.items()):
             w = self.blocks(n)[k]

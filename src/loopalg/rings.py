@@ -60,6 +60,12 @@ class Ring:
             return (num * pow(den, -1, self.p)) % self.p
         return int(c) % self.p
 
+    def reduce(self, sums):
+        """The nonzero normal forms in a dict of unreduced sums."""
+        if self.kind == "Fp":
+            return {k: c % self.p for k, c in sums.items() if c % self.p}
+        return {k: c for k, c in sums.items() if c}
+
     def is_zero(self, c):
         return c == 0 if self.kind != "Fp" else c % self.p == 0
 

@@ -151,7 +151,7 @@ class TensorSquare:
 
     def mul(self, u, v):
         """(a1 (x) a2)(b1 (x) b2) = (-1)^{|a2||b1|} a1 b1 (x) a2 b2, with one
-        parity per factor term and one normalization per result term."""
+        parity per factor term and one reduction of the summed terms."""
         right = [(b1, b2[1:], cb, self.omA.degree(b1) % 2)
                  for (_, b1, b2), cb in v.terms.items()]
         terms = {}
@@ -161,7 +161,9 @@ class TensorSquare:
                 label = ("t", a1 + b1[1:], a2 + b2)
                 c = ca * cb
                 terms[label] = terms.get(label, 0) + (-c if odd and b_odd else c)
-        return Vect(self.ring, terms)
+        out = Vect(self.ring)
+        out.terms = self.ring.reduce(terms)
+        return out
 
     def diff(self, label):
         (_, w1, w2) = label

@@ -52,32 +52,27 @@ class FreeAlgebra:
             raise ValueError(
                 "alphabet of %s has degree-0 letters; enumeration needs "
                 "a weight bound" % (self.name or "free algebra"))
+        return self._words(n, max_weight)
+
+    def _words(self, n, max_weight):
+        """words() on the cache: each list is built once, from the cached
+        lists of its suffixes."""
         key = (n, max_weight)
-        if key in self._word_cache:
-            return self._word_cache[key]
-        out = []
-
-        def rec(prefix, deg_left, weight_left):
-            if deg_left == 0:
-                out.append(("w",) + tuple(prefix))
+        if key not in self._word_cache:
+            out = [UNIT_WORD] if n == 0 else []
             for l in self._ordered:
-                d = self.letters[l]
-                w = self.weights[l]
-                if d > deg_left:
-                    continue
-                if weight_left is not None and w > weight_left:
-                    continue
-                prefix.append(l)
-                rec(prefix, deg_left - d, None if weight_left is None else weight_left - w)
-                prefix.pop()
-
-        rec([], n, max_weight)
-        # the walk takes letters in label_key order, so the words of each
-        # length come out in label_key order; label_key puts shorter words
-        # first, and the sort by length is stable
-        out.sort(key=len)
-        self._word_cache[key] = out
-        return out
+                d, left = self.letters[l], max_weight
+                if left is not None:
+                    left -= self.weights[l]
+                if d <= n and (left is None or left >= 0):
+                    head = ("w", l)
+                    out += [head + u[1:] for u in self._words(n - d, left)]
+            # letters in label_key order, each on suffixes in label_key
+            # order, give each length in label_key order; label_key puts
+            # shorter words first, and the sort by length is stable
+            out.sort(key=len)
+            self._word_cache[key] = out
+        return self._word_cache[key]
 
     def mul(self, u, v):
         """Bilinear product of two Vects of words."""

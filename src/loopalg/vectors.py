@@ -16,18 +16,13 @@ ChainComplex keeps the order it is given, so every matrix is deterministic.
 """
 
 
-def label_key(label, memo=None):
-    """The sort key of a label.  Sorting many labels that share parts may
-    pass a dict as memo, which then keeps the key of every sub-label."""
+def label_key(label):
+    """The sort key of a label."""
     if isinstance(label, str):
         return (0, label)
     if isinstance(label, int):
         return (2, label)
-    if memo is None:
-        return (1, len(label), tuple(label_key(x) for x in label))
-    if label not in memo:
-        memo[label] = (1, len(label), tuple(label_key(x, memo) for x in label))
-    return memo[label]
+    return (1, len(label), tuple(label_key(x) for x in label))
 
 
 def label_str(label):

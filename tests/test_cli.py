@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import gc
 import json
 import os
 import subprocess
@@ -413,3 +414,101 @@ def test_verify_builds_one_induced_hopf_and_one_path_loop(monkeypatch,
     assert failed == dict.fromkeys(["path-loop-d2", "kappa", "cofreeness"],
                                    "no path loop here")
     assert built.count("broken") == 3
+
+
+GOLDEN_INPUTS = os.path.join(HERE, "tests", "golden", "inputs")
+
+
+def test_models_are_the_same_under_every_hash_seed():
+    """The cofixed kernels number the coaction's rows as they first
+    appear, so their pivots rest on dict insertion order alone: a set
+    iterated on the way would make the kernels, the boundary columns or
+    the report depend on the string hash seed."""
+    jobs = [["double-loop", sample("nonprimitive.json")],
+            ["double-loop", os.path.join(GOLDEN_INPUTS, "product3-5.json")],
+            ["double-loop", os.path.join(GOLDEN_INPUTS, "wedge3-5.json")],
+            ["fiber", sample("sphere5.json"), sample("sphere3.json")]]
+    jobs = [argv + ["--cutoff", "8", "--format", "json"] for argv in jobs]
+    code = ("import contextlib, hashlib, io, json\n"
+            "from loopalg import cli, pathloop\n"
+            "built = []\n"
+            "to_cx = pathloop.CofixedSubalgebra.to_chain_complex\n"
+            "def recording(sub, *args, **kwargs):\n"
+            "    cx = to_cx(sub, *args, **kwargs)\n"
+            "    built.append((sub, cx))\n"
+            "    return cx\n"
+            "pathloop.CofixedSubalgebra.to_chain_complex = recording\n"
+            "for argv in %r:\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        rc = cli.main(argv)\n"
+            "    sub, cx = built.pop()\n"
+            "    print(json.dumps([rc, buf.getvalue()] + [\n"
+            "        hashlib.sha256(repr(list(d.items())).encode()).hexdigest()\n"
+            "        for d in (sub._kernels, cx._columns)]))\n" % jobs)
+    outs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True,
+                              env=dict(child_env(), PYTHONHASHSEED=seed))
+        assert proc.returncode == 0, proc.stderr
+        outs.append([json.loads(line) for line in proc.stdout.splitlines()])
+    assert len(outs[0]) == len(jobs)
+    for argv, (rc, report, kernels, columns), other in zip(jobs, *outs):
+        assert rc == 0 and json.loads(report)["betti"][0] == 1, argv
+        assert other == [rc, report, kernels, columns], argv
+
+
+@pytest.fixture
+def gc_state():
+    """Restores the collector's state after a test that switches it."""
+    before = gc.isenabled()
+    yield
+    if before:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("collecting", [True, False],
+                         ids=["enabled", "disabled"])
+@pytest.mark.parametrize("argv,code", [
+    (["double-loop", sample("sphere3.json"), "--cutoff", "6"], 0),
+    (["cobar", sample("sphere3.json"), "--ring", "F9"], 1),
+    (["verify", sample("noncoassoc.json")], 2),
+    (["path-loop", os.path.join(GOLDEN_INPUTS, "product2-3.json"),
+      "--ring", "F2", "--cutoff", "6"], 3)],
+    ids=["exit0", "exit1", "exit2", "exit3"])
+def test_main_leaves_the_collector_as_it_found_it(monkeypatch, capsys,
+                                                  gc_state, argv, code,
+                                                  collecting):
+    from loopalg import cli
+    seen = []
+    command = cli.COMMANDS[argv[0]]
+
+    def watched(args, t0):
+        seen.append(gc.isenabled())
+        command(args, t0)
+
+    monkeypatch.setitem(cli.COMMANDS, argv[0], watched)
+    (gc.enable if collecting else gc.disable)()
+    assert run(capsys, *argv)[0] == code
+    assert gc.isenabled() is collecting
+    assert seen == [False]
+
+
+@pytest.mark.parametrize("collecting", [True, False],
+                         ids=["enabled", "disabled"])
+def test_main_restores_the_collector_when_a_command_raises(monkeypatch,
+                                                           gc_state,
+                                                           collecting):
+    from loopalg import cli
+
+    def broken(args, t0):
+        raise RuntimeError("broken command")
+
+    monkeypatch.setitem(cli.COMMANDS, "cobar", broken)
+    (gc.enable if collecting else gc.disable)()
+    with pytest.raises(RuntimeError, match="broken command"):
+        main(["cobar", sample("sphere3.json")])
+    assert gc.isenabled() is collecting

@@ -1,6 +1,9 @@
 """Free algebras on graded alphabets: word enumeration, derivations,
 algebra maps."""
 
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -112,17 +115,85 @@ LETTERS = st.one_of(
                                       st.text("ab", min_size=1, max_size=2))))
 
 
+# alphabets of letter -> (degree, weight), degree-0 letters included
+ALPHABETS = st.dictionaries(LETTERS,
+                            st.tuples(st.integers(0, 3), st.integers(1, 3)),
+                            min_size=1, max_size=4)
+
+
+def free_algebra(alphabet):
+    return FreeAlgebra(ZZ, 6, {l: d for l, (d, _) in alphabet.items()},
+                       weights={l: w for l, (_, w) in alphabet.items()})
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.dictionaries(LETTERS,
-                       st.tuples(st.integers(0, 3), st.integers(1, 3)),
-                       min_size=1, max_size=4),
-       st.integers(0, 5), st.one_of(st.none(), st.integers(0, 5)))
+@given(ALPHABETS, st.integers(0, 5), st.one_of(st.none(), st.integers(0, 5)))
 def test_words_come_in_label_key_order(alphabet, n, max_weight):
     """words() emits label_key order itself: ChainComplex keeps the order
     it is given, and every matrix and pivot follows from it."""
-    alg = FreeAlgebra(ZZ, 6, {l: d for l, (d, _) in alphabet.items()},
-                      weights={l: w for l, (_, w) in alphabet.items()})
+    alg = free_algebra(alphabet)
     if max_weight is None and not alg.finite_type:
         max_weight = 5
     words = alg.words(n, max_weight)
     assert words == sorted(set(words), key=label_key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ALPHABETS, st.integers(0, 5), st.one_of(st.none(), st.integers(0, 5)))
+def test_words_are_the_letter_sequences_of_the_degree(alphabet, n,
+                                                      max_weight):
+    """Oracle: filter every letter sequence short enough to qualify (each
+    letter has degree >= 1 or weight >= 1)."""
+    alg = free_algebra(alphabet)
+    if max_weight is None and not alg.finite_type:
+        max_weight = 5
+    longest = min(([n] if alg.finite_type else [])
+                  + ([] if max_weight is None else [max_weight]))
+    expected = [w for k in range(longest + 1)
+                for w in (("w",) + seq for seq in product(alg.letters,
+                                                          repeat=k))
+                if alg.degree(w) == n
+                and (max_weight is None or alg.weight(w) <= max_weight)]
+    assert alg.words(n, max_weight) == sorted(expected, key=label_key)
+
+
+class CountingCache(dict):
+    """A word cache that counts how often each key is stored."""
+
+    def __init__(self):
+        super().__init__()
+        self.stores = Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+@pytest.mark.parametrize("letters,weights,max_weight", [
+    ({"a": 1, "b": 2, "c": 3}, None, None),
+    ({"a": 1, "b": 2, "c": 3}, {"b": 2}, 5),
+    ({"a": 0, "b": 1, "c": 2}, {"c": 2}, 4)],
+    ids=["unbounded", "bounded", "degree-0"])
+def test_each_word_list_is_built_once(letters, weights, max_weight):
+    alg = FreeAlgebra(ZZ, 9, letters, weights=weights)
+    alg._word_cache = cache = CountingCache()
+    first = [alg.words(n, max_weight) for n in range(10)]
+    again = [alg.words(n, max_weight) for n in range(10)]
+    assert all(a is b for a, b in zip(first, again))
+    assert set(cache.stores.values()) == {1}
+    assert all(cache.stores[(n, max_weight)] == 1 for n in range(10))
+
+
+def test_words_is_entered_only_by_its_callers(monkeypatch):
+    """Shorter words come from the cache, not from the public words(),
+    whose call count the benchmark's layer metrics read."""
+    calls = []
+    words = FreeAlgebra.words
+    monkeypatch.setattr(FreeAlgebra, "words", lambda self, *args:
+                        calls.append(args) or words(self, *args))
+    for letters, max_weight in [({"a": 1, "b": 2}, None),
+                                ({"a": 0, "b": 1, "c": 3}, 6)]:
+        alg = FreeAlgebra(ZZ, 8, letters)
+        for n in range(9):
+            alg.words(n, max_weight)
+    assert len(calls) == 18
