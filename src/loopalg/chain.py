@@ -9,16 +9,19 @@ The rank of H_n is dim C_n - rank d_n - rank d_{n+1}, and its torsion is
 the invariant factors of d_{n+1} other than 0 and 1.  Each boundary
 matrix is built as sparse columns straight from the differential and
 eliminated once (see linalg.rank_and_torsion); the result is shared by
-the two degrees it borders.  Representative cycles and class coordinates
-need an explicit cycle basis (a saturated kernel over Z, an echelon
-kernel over a field, both on the dense matrix) and a linalg.Solver on
-it.  The solver gives the coordinates of the boundaries (then put in
-Smith normal form over Z, or row reduced over a field) and of every
-class_of argument.  Both are built once per degree, when a summary's
-representatives or class_of are first used.
+the two degrees it borders.  d^2 = 0 is checked on the same columns,
+one product d_{n-1} d_n at a time: verify_differential runs through every
+degree and homology checks the product it needs, so a label's
+differential is taken once however both are called.  A differential that
+leaves the stored basis is refused.  Representative cycles and class
+coordinates need an explicit cycle basis (a saturated kernel over Z, an
+echelon kernel over a field, both on the dense matrix) and a
+linalg.Solver on it.  The solver gives the coordinates of the
+boundaries (then put in Smith normal form over Z, or row reduced over a
+field) and of every class_of argument.  Both are built once per degree,
+when a summary's representatives or class_of are first used.
 """
 
-import functools
 from collections import namedtuple
 
 from .vectors import Vect, label_str
@@ -73,19 +76,18 @@ class ChainComplex:
         return self._matrices[n]
 
     def verify_differential(self):
-        """Check d(d(g)) = 0 for every stored basis label, taking each
-        label's differential once per call.  Returns (ok,
-        counterexample_label, residue)."""
-        d = functools.cache(lambda label: self.diff(label).terms)
+        """Check d_{n-1} d_n = 0 on the sparse columns, degree by degree
+        upwards.  Returns (ok, counterexample_label, residue): the first
+        basis label, in basis order, whose d(d(label)) is not zero, with
+        that residue over degree n - 2.  Raises ValueError if the
+        differential leaves the stored basis (see _sparse)."""
         for n in self.degrees():
-            for label in self.basis(n):
-                acc = {}
-                for l, c in d(label).items():
-                    for l2, c2 in d(l).items():
-                        acc[l2] = acc.get(l2, 0) + c * c2
-                residue = self.ring.reduce(acc)
-                if residue:
-                    return False, label, Vect(self.ring, residue)
+            defect = self._square_defect(n)
+            if defect:
+                j, residue = defect
+                lower = self.basis(n - 2)
+                return False, self.basis(n)[j], Vect(
+                    self.ring, {lower[i]: c for i, c in residue.items()})
         return True, None, None
 
     def homology(self, n):
@@ -94,12 +96,8 @@ class ChainComplex:
         if n > self.cutoff - 1:
             raise ValueError("homology in degree %d is above the reliable "
                              "range (cutoff %d)" % (n, self.cutoff))
-        if n not in self._square_zero:
-            if not linalg.product_is_zero(self._sparse(n), self._sparse(n + 1),
-                                          self.ring):
-                raise ValueError("d^2 != 0: d_%d d_%d is not zero"
-                                 % (n, n + 1))
-            self._square_zero.add(n)
+        if self._square_defect(n + 1):
+            raise ValueError("d^2 != 0: d_%d d_%d is not zero" % (n, n + 1))
         rank_in, _ = self._reduction(n)
         rank_out, torsion = self._reduction(n + 1)
         return HomologySummary(self, n, self.rank(n) - rank_in - rank_out,
@@ -123,6 +121,24 @@ class ChainComplex:
                 cols.append(dict(sorted(col.items())))
             self._columns[n] = cols
         return self._columns[n]
+
+    def _square_defect(self, n):
+        """None if d_{n-1} d_n = 0, which is remembered; else (j, residue)
+        for the first column j of d_n that d_{n-1} does not kill, the
+        residue a dict row index in degree n - 2 -> nonzero entry."""
+        if n in self._square_zero:
+            return None
+        lower = self._sparse(n - 1)
+        for j, col in enumerate(self._sparse(n)):
+            acc = {}
+            for t, y in col.items():
+                for i, x in lower[t].items():
+                    acc[i] = acc.get(i, 0) + x * y
+            residue = self.ring.reduce(acc)
+            if residue:
+                return j, residue
+        self._square_zero.add(n)
+        return None
 
     def _reduction(self, n):
         """(rank, torsion) of d_n, from one sparse elimination."""
@@ -257,7 +273,6 @@ class HomologySummary:
         rr, pivots, free_idx = pres.decomp
         for row, pc in zip(rr, pivots):
             f = coords[pc]
-            if not ring.is_zero(f):
-                coords = [ring.add(x, ring.neg(ring.mul(f, y)))
-                          for x, y in zip(coords, row)]
+            if f:
+                coords = [ring.norm(x - f * y) for x, y in zip(coords, row)]
         return [coords[j] for j in free_idx]

@@ -93,9 +93,9 @@ class DGCoalgebra:
             right = Vect(self.ring)
             for (_, a, b), c in self.delta_red(label).items():
                 for (_, a1, a2), c2 in self.delta_red(a).items():
-                    left.iadd_term(self.ring.mul(c, c2), ("t", a1, a2, b))
+                    left.iadd_term(c * c2, ("t", a1, a2, b))
                 for (_, b1, b2), c2 in self.delta_red(b).items():
-                    right.iadd_term(self.ring.mul(c, c2), ("t", a, b1, b2))
+                    right.iadd_term(c * c2, ("t", a, b1, b2))
             if not (left - right).is_zero():
                 problems.append(("coassociativity", label, left - right))
         return (not problems), problems
@@ -146,7 +146,7 @@ def tensor_coalgebra(C, Cp, name=""):
             dv.iadd_term(c, _pair(out, b))
         sign = -1 if C.degree(a) % 2 else 1
         for out, c in Cp.d_of(b).items():
-            dv.iadd_term(ring.mul(sign, c), _pair(a, out))
+            dv.iadd_term(sign * c, _pair(a, out))
         if not dv.is_zero():
             d[label] = dv
         # Delta(a@b) = sum (-1)^{|b1||a2|} (a1@b1) (x) (a2@b2), then reduced
@@ -158,7 +158,7 @@ def tensor_coalgebra(C, Cp, name=""):
                 if left == UNIT or right == UNIT:
                     continue
                 s = -1 if (Cp.degree(b1) * C.degree(a2)) % 2 else 1
-                dl.iadd_term(ring.mul(s, ring.mul(ca, cb)), ("t", left, right))
+                dl.iadd_term(s * ca * cb, ("t", left, right))
         if not dl.is_zero():
             delta[label] = dl
     return DGCoalgebra(ring, cutoff, gens, d, delta,

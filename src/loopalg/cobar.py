@@ -64,10 +64,10 @@ class CobarAlgebra(FreeAlgebra):
         g = letter[1]
         out = Vect(self.ring)
         for o, c in self.C.d_of(g).items():
-            out.iadd_term(self.ring.neg(c), ("w", s_letter(o)))
+            out.iadd_term(-c, ("w", s_letter(o)))
         for (_, a, b), c in self.C.delta_red(g).items():
             sign = -1 if self.C.degree(a) % 2 else 1
-            out.iadd_term(self.ring.mul(sign, c), ("w", s_letter(a), s_letter(b)))
+            out.iadd_term(sign * c, ("w", s_letter(a), s_letter(b)))
         return out
 
 
@@ -191,11 +191,11 @@ class OneSidedCobar:
                 out.iadd_term(c, self.label(o, word))
             sign = -1 if mdeg % 2 else 1
             for w2, c in self.omega.d_word(word).items():
-                out.iadd_term(ring.mul(sign, c), self.label(m, w2))
+                out.iadd_term(sign * c, self.label(m, w2))
             for (_, mi, ci), c in self.M.coaction(m).items():
                 s = _twist_sign(TWIST_RIGHT, self.M.degree(mi),
                                 self.C.degree(ci))
-                out.iadd_term(ring.mul(s, c),
+                out.iadd_term(s * c,
                               self.label(mi, ("w", s_letter(ci)) + word[1:]))
         else:
             # d(w (x) x) = dw (x) x + (-1)^{|w|} w (x) dx
@@ -204,11 +204,11 @@ class OneSidedCobar:
                 out.iadd_term(c, self.label(m, w2))
             sign = -1 if wdeg % 2 else 1
             for o, c in self.M.d_of(m).items():
-                out.iadd_term(ring.mul(sign, c), self.label(o, word))
+                out.iadd_term(sign * c, self.label(o, word))
             for (_, ci, mi), c in self.M.coaction(m).items():
                 s = _twist_sign(TWIST_LEFT, self.C.degree(ci),
                                 self.M.degree(mi))
-                out.iadd_term(ring.mul(sign * s, c),
+                out.iadd_term(sign * s * c,
                               self.label(mi, word + (s_letter(ci),)))
         return out
 
@@ -278,7 +278,7 @@ class TwistedHopfTensor(OneSidedCobar):
         for (_, h, bp), coef in self.M.coaction(b).items():
             s2 = _prod_sign3(PROD_TWIST, da, db, self.M.degree(bp))
             for y, coef2 in self.H.mul(h, a).items():
-                out.iadd_term(ring.mul(ring.mul(s2, coef), coef2),
+                out.iadd_term(s2 * coef * coef2,
                               ("t", ("w", s_letter(y)), bp))
         return out
 
@@ -297,7 +297,7 @@ class TwistedHopfTensor(OneSidedCobar):
         out = Vect(ring)
         for (_, w1, e), coef in self._one_letter_rule(b, a).items():
             for (_, w2, y), coef2 in self._unit_times(e, rest, x).items():
-                out.iadd_term(ring.mul(coef, coef2), ("t", concat(w1, w2), y))
+                out.iadd_term(coef * coef2, ("t", concat(w1, w2), y))
         return out
 
     def mul_labels(self, l1, l2):
@@ -323,8 +323,9 @@ class TwistedHopfTensor(OneSidedCobar):
         return out
 
     def section_defect(self, bvect):
-        """d(1 (x) b) - 1 (x) db; a chain homotopy datum, equal to
-        - s[h] (x) b' over the non-primitive coaction components."""
+        """d(1 (x) b) - 1 (x) db; a chain homotopy datum.  On a basis
+        element b of positive degree it is s[b] (x) 1 plus c s[h] (x) b'
+        for each term c h (x) b' of the reduced comultiplication of b."""
         out = self.section(bvect).map_terms(self.diff)
         for b, c in bvect.items():
             out = out - self.section(self.M.d_of(b)).scale(c)

@@ -21,7 +21,7 @@ import json
 from .rings import ring_from_name
 from .vectors import Vect
 from .coalg import UNIT, DGCoalgebra, tensor_coalgebra
-from .shfamily import SHFamily, AWCoalgebra
+from .shfamily import SHFamily, AWCoalgebra, psi_one
 
 
 class DocumentError(ValueError):
@@ -120,13 +120,7 @@ def coalgebra_from_document(doc, ring=None, cutoff=None):
     psi_doc = doc.get("psi") or {}
     if not psi_doc:
         return C, AWCoalgebra.strict(C)
-    T = tensor_coalgebra(C, C)
-    comps = {}
-    for g in C.gens:
-        v = Vect(ring)
-        for (_, a, b), c in C.delta_full(g).items():
-            v.iadd_term(c, ("t", ("tp", a, b)))
-        comps.setdefault(1, {})[g] = v
+    comps = {1: psi_one(C)}
     for kstr, table in psi_doc.items():
         try:
             k = int(kstr)
@@ -164,7 +158,7 @@ def coalgebra_from_document(doc, ring=None, cutoff=None):
                 v.iadd_term(c, ("t",) + tuple(parts))
             if not v.is_zero():
                 comps.setdefault(k, {})[g] = v
-    fam = SHFamily(C, T, comps, name="Psi")
+    fam = SHFamily(C, tensor_coalgebra(C, C), comps, name="Psi")
     return C, AWCoalgebra(C, fam, name=name)
 
 

@@ -222,18 +222,6 @@ def add_multiple(dst, src, f, ring):
             dst.pop(k, None)
 
 
-def product_is_zero(a_cols, b_cols, ring):
-    """Whether A * B = 0 for matrices given by sparse columns."""
-    for col in b_cols:
-        acc = {}
-        for t, y in col.items():
-            for i, x in a_cols[t].items():
-                acc[i] = acc.get(i, 0) + x * y
-        if ring.reduce(acc):
-            return False
-    return True
-
-
 def _eliminate(cols, ring, log=None):
     """Sparse elimination on a copy of the columns.  Over Z only entries
     +-1 are pivots; over a field every nonzero entry is.  Each pivot
@@ -445,20 +433,16 @@ def rref(mat, ring):
     pivots = []
     r = 0
     for col in range(n):
-        piv = None
-        for i in range(r, m):
-            if not ring.is_zero(rows[i][col]):
-                piv = i
-                break
+        piv = next((i for i in range(r, m) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = ring.inv(rows[r][col])
-        rows[r] = [ring.mul(inv, x) for x in rows[r]]
+        rows[r] = [ring.norm(inv * x) for x in rows[r]]
         for i in range(m):
-            if i != r and not ring.is_zero(rows[i][col]):
-                f = rows[i][col]
-                rows[i] = [ring.add(a, ring.neg(ring.mul(f, b)))
+            f = rows[i][col]
+            if i != r and f:
+                rows[i] = [ring.norm(a - f * b)
                            for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
@@ -483,7 +467,7 @@ def kernel_field(mat, ring):
         col = [ring.zero] * n
         col[j] = ring.one
         for i, pc in enumerate(pivots):
-            col[pc] = ring.neg(r[i][j])
+            col[pc] = ring.norm(-r[i][j])
         cols.append(col)
     return cols
 
@@ -555,7 +539,7 @@ class Solver:
             return
         for j, v in enumerate(vectors):
             left = dict(v)
-            back = {i: ring.neg(c) for i, c in self._clear(left).items()}
+            back = {i: ring.norm(-c) for i, c in self._clear(left).items()}
             if left:
                 back[j] = ring.one
                 self._add_row(max(left, key=self._index.__getitem__), left,
@@ -588,7 +572,7 @@ class Solver:
                     raise ValueError("coordinates are not integral: vector "
                                      "outside the %s" % self.span)
             else:
-                y = ring.mul(x, ring.inv(e[pivot]))
+                y = ring.norm(x * ring.inv(e[pivot]))
             for u, c in e.items():
                 z = left.get(u, 0) - y * c
                 if p:

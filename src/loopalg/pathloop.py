@@ -64,7 +64,7 @@ def path_object(C, name=""):
         dv = Vect(ring, dict(C.d_of(g).terms))
         dv.iadd_term(-1, bar(g))
         d[g] = dv
-        dbar = Vect(ring, [(bar(o), ring.neg(c)) for o, c in C.d_of(g).items()])
+        dbar = Vect(ring, [(bar(o), -c) for o, c in C.d_of(g).items()])
         if not dbar.is_zero():
             d[bar(g)] = dbar
         dl = C.delta_red(g)
@@ -74,7 +74,7 @@ def path_object(C, name=""):
             for (_, a, b), c in dl.items():
                 dlbar.iadd_term(c, ("t", bar(a), b))
                 s = -1 if C.degree(a) % 2 else 1
-                dlbar.iadd_term(ring.mul(s, c), ("t", a, bar(b)))
+                dlbar.iadd_term(s * c, ("t", a, bar(b)))
             delta[bar(g)] = dlbar
     return DGCoalgebra(ring, C.cutoff, gens, d, delta,
                        name=name or ("P(%s)" % C.name), weights=weights)
@@ -127,7 +127,7 @@ def extend_psi(A, name=""):
                             elif t == j + 1:
                                 b = bar(b)
                             parts.append(("tp", a, b))
-                        out.iadd_term(ring.mul(sign, coef), ("t",) + tuple(parts))
+                        out.iadd_term(sign * coef, ("t",) + tuple(parts))
                     pre += A.C.degree(e) if e != UNIT else 0
             if not out.is_zero():
                 comps[k][bar(g)] = out
@@ -422,7 +422,7 @@ class FiberCoaction(_Coaction):
         out = Vect(self.ring)
         for (_, u, v), c in self.hopf.psi_letter(letter).items():
             for w2, c2 in self._push(v).items():
-                out.iadd_term(self.ring.mul(c, c2), ("t", u, w2))
+                out.iadd_term(c * c2, ("t", u, w2))
         return out
 
 

@@ -1,8 +1,11 @@
 """Exact coefficient rings: integers, rationals, and prime fields.
 
-Coefficients are plain Python values (int for Z and F_p, Fraction for Q);
-a Ring object supplies normalization and arithmetic so that sparse vectors
-can stay ring-agnostic.
+Coefficients are plain Python values in one normal form per ring: int for
+Z, Fraction for Q, and int in [0, p) for F_p, so a normal value is zero
+exactly when it is falsy.  Arithmetic is Python's own: callers add and
+multiply normal values and bring the result back to normal form once,
+with norm for one value or reduce for a dict of sums.  inv gives the
+inverse of a unit.
 """
 
 from fractions import Fraction
@@ -44,7 +47,9 @@ class Ring:
         return Fraction(1) if self.kind == "Q" else 1
 
     def norm(self, c):
-        """Coerce an int/Fraction into normal form for this ring."""
+        """The normal form of an int or Fraction, such as a sum or product
+        of normal values.  Raises ValueError on a non-integral Fraction
+        over Z."""
         if type(c) is int and self.kind != "Q":
             return c if self.kind == "Z" else c % self.p
         if self.kind == "Z":
@@ -65,20 +70,6 @@ class Ring:
         if self.kind == "Fp":
             return {k: c % self.p for k, c in sums.items() if c % self.p}
         return {k: c for k, c in sums.items() if c}
-
-    def is_zero(self, c):
-        return c == 0 if self.kind != "Fp" else c % self.p == 0
-
-    def add(self, a, b):
-        c = a + b
-        return c % self.p if self.kind == "Fp" else c
-
-    def neg(self, a):
-        return (-a) % self.p if self.kind == "Fp" else -a
-
-    def mul(self, a, b):
-        c = a * b
-        return c % self.p if self.kind == "Fp" else c
 
     def inv(self, a):
         if self.kind == "Q":

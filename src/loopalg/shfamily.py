@@ -125,7 +125,7 @@ class SHFamily:
                 degs = [self.target.degree(p) for p in parts]
                 exp = sum(degs[i] * (k - 1 - i) for i in range(k))
                 sign = -1 if exp % 2 else 1
-                out.iadd_term(ring.mul(sign, coef),
+                out.iadd_term(sign * coef,
                               ("w",) + tuple(s_letter(p) for p in parts))
         return out
 
@@ -161,9 +161,7 @@ class TensorSquare:
                 label = ("t", a1 + b1[1:], a2 + b2)
                 c = ca * cb
                 terms[label] = terms.get(label, 0) + (-c if odd and b_odd else c)
-        out = Vect(self.ring)
-        out.terms = self.ring.reduce(terms)
-        return out
+        return Vect.from_sums(self.ring, terms)
 
     def diff(self, label):
         (_, w1, w2) = label
@@ -172,7 +170,7 @@ class TensorSquare:
             out.iadd_term(c, ("t", u, w2))
         sign = -1 if self.omA.degree(w1) % 2 else 1
         for u, c in self.omB.d_word(w2).items():
-            out.iadd_term(self.ring.mul(sign, c), ("t", w1, u))
+            out.iadd_term(sign * c, ("t", w1, u))
         return out
 
 
@@ -193,6 +191,15 @@ def letterwise_split(omega_tensor, tsq):
     return omega_tensor.algebra_map(letter_value, tsq.mul, tsq.unit)
 
 
+def psi_one(C):
+    """Level 1 of every homotopy diagonal on C: the full comultiplication
+    of each generator, as a dict generator -> Vect over ('t', ('tp', a,
+    b))."""
+    return {g: Vect(C.ring, [(("t", ("tp", a, b)), c)
+                             for (_, a, b), c in C.delta_full(g).items()])
+            for g in C.gens}
+
+
 class AWCoalgebra:
     """A coalgebra together with a homotopy diagonal Psi: an SHFamily from
     C to C (x) C with Psi_1 the full comultiplication."""
@@ -209,26 +216,16 @@ class AWCoalgebra:
     def strict(cls, C, name=""):
         """The homotopy diagonal of a coassociative coalgebra: Psi_1 is the
         comultiplication and all higher components vanish."""
-        T = tensor_coalgebra(C, C)
-        comp = {}
-        for g in C.gens:
-            v = Vect(C.ring)
-            for (_, a, b), c in C.delta_full(g).items():
-                v.iadd_term(c, ("t", ("tp", a, b)))
-            comp[g] = v
-        fam = SHFamily(C, T, {1: comp}, name="Delta")
+        fam = SHFamily(C, tensor_coalgebra(C, C), {1: psi_one(C)},
+                       name="Delta")
         return cls(C, fam, name=name or C.name)
 
     def verify(self):
         """Psi_1 must be the full comultiplication and the family must be
         coherent."""
-        problems = []
-        for g in self.C.gens:
-            want = Vect(self.ring)
-            for (_, a, b), c in self.C.delta_full(g).items():
-                want.iadd_term(c, ("t", ("tp", a, b)))
-            if self.psi.component(1, g) != want:
-                problems.append(("psi1", g))
+        want = psi_one(self.C)
+        problems = [("psi1", g) for g in self.C.gens
+                    if self.psi.component(1, g) != want[g]]
         ok, more = self.psi.verify()
         return (not problems) and ok, problems + more
 
@@ -306,9 +303,9 @@ class InducedHopf:
             rhs = Vect(self.ring)
             for (_, u, v), c in self.psi(("w", letter)).items():
                 for (_, a, b), c2 in self.psi(u).items():
-                    lhs.iadd_term(self.ring.mul(c, c2), ("t", a, b, v))
+                    lhs.iadd_term(c * c2, ("t", a, b, v))
                 for (_, a, b), c2 in self.psi(v).items():
-                    rhs.iadd_term(self.ring.mul(c, c2), ("t", u, a, b))
+                    rhs.iadd_term(c * c2, ("t", u, a, b))
             if not (lhs - rhs).is_zero():
                 defects.append((letter, lhs - rhs))
         return defects

@@ -79,17 +79,15 @@ class FreeAlgebra:
         out = Vect(self.ring)
         for w1, c1 in u.terms.items():
             for w2, c2 in v.terms.items():
-                out.iadd_term(self.ring.mul(c1, c2), concat(w1, w2))
+                out.iadd_term(c1 * c2, concat(w1, w2))
         return out
 
     def unit(self):
         return Vect.basis(self.ring, UNIT_WORD)
 
-    def derivation(self, gen_values, shift, relabel=None):
+    def derivation(self, gen_values, shift):
         """Extend letter values (letter -> Vect of words) to a derivation of
-        the given degree shift.  If relabel is given, letters left untouched
-        by the derivation are mapped through it (an (f,f)-derivation into
-        another word algebra).  Each letter value is taken once."""
+        the given degree shift.  Each letter value is taken once."""
         values = {}
 
         def apply_word(word):
@@ -103,15 +101,9 @@ class FreeAlgebra:
                 val = values[lj]
                 if not val.is_zero():
                     sign = -1 if (shift % 2) and (total % 2) else 1
-                    if relabel is None:
-                        pre = letters[:j]
-                        post = letters[j + 1:]
-                    else:
-                        pre = tuple(relabel(x) for x in letters[:j])
-                        post = tuple(relabel(x) for x in letters[j + 1:])
+                    pre, post = ("w",) + letters[:j], letters[j + 1:]
                     for w, c in val.terms.items():
-                        new = ("w",) + pre + w[1:] + post
-                        out.iadd_term(self.ring.mul(sign, c), new)
+                        out.iadd_term(sign * c, pre + w[1:] + post)
                 total += self.letters[lj]
             return out
         return apply_word

@@ -13,6 +13,11 @@ Labels are strings or nested tuples whose first entry is a constructor tag:
 label_key is the canonical total order on labels.  The builders establish
 it (word enumeration emits it, the other bases sort by it) and a
 ChainComplex keeps the order it is given, so every matrix is deterministic.
+
+A Vect keeps its coefficients in the ring's normal form (see rings):
+iadd_term normalizes each new sum, and sums, scalings, linear and
+bilinear extensions add raw products of normal values into a dict that
+Ring.reduce brings to normal form once.
 """
 
 
@@ -55,7 +60,8 @@ def label_str(label):
 
 
 class Vect:
-    """A sparse linear combination of labels with coefficients in a Ring."""
+    """A sparse linear combination of labels with coefficients in a Ring,
+    stored as a dict label -> nonzero normal coefficient."""
 
     __slots__ = ("ring", "terms")
 
@@ -66,19 +72,21 @@ class Vect:
             for label, c in terms.items() if isinstance(terms, dict) else terms:
                 self.iadd_term(c, label)
 
+    @classmethod
+    def from_sums(cls, ring, sums):
+        """The Vect of a dict label -> sum of products of normal values,
+        brought to normal form once."""
+        out = cls(ring)
+        out.terms = ring.reduce(sums)
+        return out
+
     def iadd_term(self, c, label):
-        c = self.ring.norm(c)
-        if self.ring.is_zero(c):
-            return self
-        cur = self.terms.get(label)
-        if cur is None:
+        """Add c, an int or Fraction, at label, normalizing the new sum."""
+        c = self.ring.norm(self.terms.get(label, 0) + c)
+        if c:
             self.terms[label] = c
         else:
-            new = self.ring.add(cur, c)
-            if self.ring.is_zero(new):
-                del self.terms[label]
-            else:
-                self.terms[label] = new
+            self.terms.pop(label, None)
         return self
 
     @classmethod
@@ -97,38 +105,30 @@ class Vect:
     def items(self):
         return self.terms.items()
 
-    def __add__(self, other):
-        out = Vect(self.ring, dict(self.terms))
+    def _plus(self, other, f):
+        sums = dict(self.terms)
         for label, c in other.terms.items():
-            out.iadd_term(c, label)
-        return out
+            sums[label] = sums.get(label, 0) + f * c
+        return Vect.from_sums(self.ring, sums)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __sub__(self, other):
-        out = Vect(self.ring, dict(self.terms))
-        for label, c in other.terms.items():
-            out.iadd_term(self.ring.neg(c), label)
-        return out
-
-    def __neg__(self):
-        return self.scale(-1)
+        return self._plus(other, -1)
 
     def scale(self, c):
         c = self.ring.norm(c)
-        out = Vect(self.ring)
-        if self.ring.is_zero(c):
-            return out
-        for label, a in self.terms.items():
-            out.iadd_term(self.ring.mul(c, a), label)
-        return out
+        return Vect.from_sums(self.ring,
+                              {label: c * a for label, a in self.terms.items()})
 
     def map_terms(self, fn):
         """Linear extension of fn: label -> Vect."""
-        out = Vect(self.ring)
+        sums = {}
         for label, c in self.terms.items():
-            img = fn(label)
-            for label2, c2 in img.terms.items():
-                out.iadd_term(self.ring.mul(c, c2), label2)
-        return out
+            for label2, c2 in fn(label).terms.items():
+                sums[label2] = sums.get(label2, 0) + c * c2
+        return Vect.from_sums(self.ring, sums)
 
     def __eq__(self, other):
         return isinstance(other, Vect) and self.ring == other.ring and self.terms == other.terms
@@ -145,14 +145,13 @@ class Vect:
 
 def bilinear(ring, u, v, pair_fn):
     """Bilinear extension of pair_fn: (label, label) -> Vect."""
-    out = Vect(ring)
+    sums = {}
     for la, ca in u.terms.items():
         for lb, cb in v.terms.items():
-            img = pair_fn(la, lb)
-            c = ring.mul(ca, cb)
-            for label, c2 in img.terms.items():
-                out.iadd_term(ring.mul(c, c2), label)
-    return out
+            c = ca * cb
+            for label, c2 in pair_fn(la, lb).terms.items():
+                sums[label] = sums.get(label, 0) + c * c2
+    return Vect.from_sums(ring, sums)
 
 
 def tensor_label(parts):
@@ -181,7 +180,7 @@ def tensor_apply(ring, fs, shifts, degs, tlabel):
             result.iadd_term(acc_coeff, tensor_label(acc_label))
             return
         for label, c in outs[j].terms.items():
-            rec(j + 1, acc_label + [label], ring.mul(acc_coeff, c))
+            rec(j + 1, acc_label + [label], acc_coeff * c)
 
-    rec(0, [], ring.norm(sign))
+    rec(0, [], sign)
     return result

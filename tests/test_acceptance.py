@@ -87,10 +87,10 @@ def coaction_chain_map_letters(om, om_base, nu, what=""):
         rhs = Vect(ring)
         for (_, u, v), c in nu(("w", letter)).items():
             for u2, c2 in om.d_word(u).items():
-                rhs.iadd_term(ring.mul(c, c2), ("t", u2, v))
+                rhs.iadd_term(c * c2, ("t", u2, v))
             s = -1 if om.degree(u) % 2 else 1
             for v2, c2 in om_base.d_word(v).items():
-                rhs.iadd_term(ring.mul(ring.mul(s, c), c2), ("t", u, v2))
+                rhs.iadd_term(s * c * c2, ("t", u, v2))
         assert (lhs - rhs).is_zero(), (what, letter)
 
 
@@ -211,7 +211,7 @@ def test_criterion_04_kappa_identities():
                 right = Vect(ring)
                 for (_, a, b), c in pl.base_hopf.psi(w).items():
                     for u2, c2 in pl.kappa(Vect.basis(ring, a)).items():
-                        right.iadd_term(ring.mul(c, c2), ("t", u2, b))
+                        right.iadd_term(c * c2, ("t", u2, b))
                 assert (left - right).is_zero(), (name, w)
                 # (2) psi~ kappa = (kappa (x) incl + incl (x) kappa) psi
                 left2 = Vect(ring)
@@ -222,11 +222,10 @@ def test_criterion_04_kappa_identities():
                 for (_, a, b), c in pl.base_hopf.psi(w).items():
                     da = ob.degree(a)
                     for u2, c2 in pl.kappa(Vect.basis(ring, a)).items():
-                        right2.iadd_term(ring.mul(c, c2), ("t", u2, b))
+                        right2.iadd_term(c * c2, ("t", u2, b))
                     s = -1 if da % 2 else 1
                     for u2, c2 in pl.kappa(Vect.basis(ring, b)).items():
-                        right2.iadd_term(ring.mul(ring.mul(s, c), c2),
-                                         ("t", a, u2))
+                        right2.iadd_term(s * c * c2, ("t", a, u2))
                 assert (left2 - right2).is_zero(), (name, w)
 
 

@@ -94,8 +94,10 @@ def test_field_class_of():
 @pytest.mark.parametrize("seed", range(40))
 def test_verify_differential_takes_each_differential_once(seed):
     """Random complexes, some with d^2 != 0 and some with terms off the
-    stored basis: verify_differential gives the first failing label and
-    residue of the plain d(d(g)) sweep, calling diff once per label."""
+    stored basis, calling diff once per label.  Degree by degree upwards,
+    verify_differential refuses a degree whose differential leaves the
+    basis, and otherwise gives the first label of the plain d(d(g))
+    sweep whose residue is not zero, with that residue."""
     import random
     rng = random.Random(seed)
     ring = [ZZ, QQ, F2, Ring("Fp", 3)][seed % 4]
@@ -114,16 +116,51 @@ def test_verify_differential_takes_each_differential_once(seed):
         calls.append(label)
         return table.get(label, Vect.zero(ring))
 
-    cx = ChainComplex(ring, bases, diff, cutoff=4)
-    got = cx.verify_differential()
-    assert len(calls) == len(set(calls))
     want = (True, None, None)
-    for label in (l for n in range(4) for l in bases[n]):
-        residue = diff(label).map_terms(diff)
-        if not residue.is_zero():
-            want = (False, label, residue)
+    for n in range(4):
+        labels = bases[n]
+        if any(l not in bases.get(n - 1, []) for g in labels
+               for l in table.get(g, Vect.zero(ring)).terms):
+            want = ValueError
             break
-    assert got == want
+        failing = [(g, r) for g in labels
+                   if not (r := table.get(g, Vect.zero(ring)).map_terms(
+                       lambda l: table.get(l, Vect.zero(ring)))).is_zero()]
+        if failing:
+            want = (False,) + failing[0]
+            break
+    cx = ChainComplex(ring, bases, diff, cutoff=4)
+    if want is ValueError:
+        with pytest.raises(ValueError, match="leaves the stored basis"):
+            cx.verify_differential()
+    else:
+        assert cx.verify_differential() == want
+    assert len(calls) == len(set(calls))
+
+
+def test_verify_differential_and_homology_share_the_columns():
+    """d^2 = 0 is checked once per degree, on the columns that homology
+    then eliminates: each label's differential is taken once in all, and
+    homology refuses a nonzero d_n d_{n+1} with its own message."""
+    bases = {0: ["a"], 1: ["b", "c"], 2: ["e"]}
+    table = {"b": Vect.basis(ZZ, "a"), "c": Vect.basis(ZZ, "a"),
+             "e": Vect(ZZ, [("b", 1), ("c", -1)])}
+    calls = []
+
+    def diff(label):
+        calls.append(label)
+        return table.get(label, Vect.zero(ZZ))
+
+    cx = ChainComplex(ZZ, bases, diff, cutoff=3)
+    assert cx.verify_differential() == (True, None, None)
+    assert cx.betti() == [0, 0, 0]
+    assert sorted(calls) == ["a", "b", "c", "e"]
+    table["e"] = Vect.basis(ZZ, "b")
+    cx = ChainComplex(ZZ, bases, diff, cutoff=3)
+    assert cx.verify_differential() == (False, "e", Vect.basis(ZZ, "a"))
+    with pytest.raises(ValueError, match=r"d\^2 != 0: d_1 d_2 is not zero"):
+        cx.homology(1)
+    assert cx.homology(0).free_rank == 0
 
 
 def test_verify_differential_of_a_path_loop_takes_each_label_once():

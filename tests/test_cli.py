@@ -299,6 +299,54 @@ def test_library_error_exits_3_on_one_line(capsys):
     assert err.startswith("internal error: differential of ")
     assert "leaves the stored basis" in err
     assert len(err.splitlines()) == 1
+    # the d^2 check reads the same columns, so it refuses them too
+    assert run(capsys, "path-loop", doc, "--ring", "F2", "--cutoff", "6",
+               "--verify-all") == (code, out, err)
+
+
+@pytest.mark.parametrize("cutoff,status", [(4, "pass"), (5, "fail"),
+                                           (6, "fail")])
+def test_verify_refuses_a_differential_that_leaves_the_basis(capsys, cutoff,
+                                                             status):
+    # from cutoff 5 on, the weight-capped path-loop basis of S2xS3 over F2
+    # is not closed under the differential, and path-loop exits 3
+    doc = os.path.join(HERE, "tests", "golden", "inputs", "product2-3.json")
+    code, rep, _ = run_json(capsys, "verify", doc, "--ring", "F2",
+                            "--cutoff", str(cutoff))
+    suites = {o["suite"]: o for o in rep["verifications"]}
+    assert suites["path-loop-d2"]["status"] == status
+    assert code == (0 if status == "pass" else 2)
+    if status == "fail":
+        _, _, err = run(capsys, "path-loop", doc, "--ring", "F2",
+                        "--cutoff", str(cutoff))
+        assert "leaves the stored basis" in suites["path-loop-d2"]["detail"]
+        assert err == "internal error: %s\n" % suites["path-loop-d2"]["detail"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["path-loop", sample("sphere3.json")],
+    ["double-loop", sample("nonprimitive.json"), "--cutoff", "6"],
+    ["cotor", "--hopf", "self", sample("sphere3.json"), "--cutoff", "6"]],
+    ids=["path-loop", "double-loop", "cotor-self"])
+def test_verify_all_takes_each_differential_once(monkeypatch, capsys, argv):
+    """--verify-all checks d^2 = 0 on the columns that the homology then
+    eliminates: over both, each label's differential is taken once."""
+    calls = []
+    init = ChainComplex.__init__
+
+    def spying(self, ring, bases, diff, *args, **kwargs):
+        init(self, ring, bases,
+             lambda label: calls.append(label) or diff(label),
+             *args, **kwargs)
+
+    monkeypatch.setattr(ChainComplex, "__init__", spying)
+    code, plain, _ = run_json(capsys, *argv)
+    assert code == 0
+    del calls[:]
+    code, checked, _ = run_json(capsys, *argv, "--verify-all")
+    assert code == 0 and checked == plain
+    assert len(calls) > 30
+    assert len(calls) == len(set(calls))
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -346,6 +394,35 @@ def test_degree1_generator_is_refused_up_front(capsys, argv):
     assert code == 1 and out == ""
     assert err == ("error: %s needs generators in degree >= 2; e1 has "
                    "degree 1\n" % argv[0])
+
+
+def test_section_defect_needs_degree2_generators(capsys):
+    code, rep, _ = run_json(capsys, "verify", CIRCLE)
+    suites = {o["suite"]: o for o in rep["verifications"]}
+    assert code == 2
+    assert suites["section-defect"] == {
+        "suite": "section-defect", "status": "fail",
+        "detail": "section-defect needs generators in degree >= 2; e1 has "
+                  "degree 1"}
+
+
+@pytest.mark.parametrize("doc", ["sphere3.json", "nonprimitive.json"])
+def test_section_defect_suite_sees_a_wrong_twisting_sign(monkeypatch, capsys,
+                                                          doc):
+    """The suite compares d(1 (x) b) - 1 (x) db with its closed form from
+    the reduced comultiplication, so it fails once the left twisting term
+    changes sign."""
+    from loopalg import cobar
+    code, rep, _ = run_json(capsys, "verify", sample(doc), "--cutoff", "5")
+    suites = {o["suite"]: o["status"] for o in rep["verifications"]}
+    assert suites["section-defect"] == "pass"
+    a, b, ab, const = cobar.TWIST_LEFT
+    monkeypatch.setattr(cobar, "TWIST_LEFT", (a, b, ab, 1 - const))
+    code, rep, _ = run_json(capsys, "verify", sample(doc), "--cutoff", "5")
+    suites = {o["suite"]: o for o in rep["verifications"]}
+    assert code == 2
+    assert suites["section-defect"]["status"] == "fail"
+    assert suites["section-defect"]["detail"].startswith("element ")
 
 
 def test_degree1_generator_elsewhere_keeps_its_answer(capsys):

@@ -109,18 +109,26 @@ def test_twisted_hopf_tensor_leibniz_and_associative():
 
 
 def test_section_and_defect_identities():
-    H = hopf(3)
-    tw = TwistedHopfTensor(H, 8)
-    ring = tw.ring
-    for n in range(0, 7):
-        for b in H.basis(n):
-            v = Vect.basis(ring, b)
-            # D(s(b)) = s(db) + h(b), proj s = id, proj h = 0
-            lhs = tw.section(v).map_terms(tw.diff)
-            rhs = tw.section(H.d_of(b)) + tw.section_defect(v)
-            assert (lhs - rhs).is_zero(), b
-            assert (tw.projection(tw.section(v)) - v).is_zero(), b
-            assert tw.projection(tw.section_defect(v)).is_zero(), b
+    _, A = coalgebra_from_document(load_json(NONPRIMITIVE), cutoff=6)
+    for H, top in ((hopf(3), 8), (InducedHopf(A), 6)):
+        tw = TwistedHopfTensor(H, top)
+        ring = tw.ring
+        for n in range(0, 7):
+            for b in H.basis(n):
+                v = Vect.basis(ring, b)
+                # h(b) = d(s(b)) - s(db) is s[b] (x) 1 plus s[h] (x) b' over
+                # the reduced comultiplication (zero on the unit);
+                # proj s = id, proj h = 0
+                want = Vect(ring)
+                if n:
+                    want.iadd_term(1, ("t", ("w", s_letter(b)), ("w",)))
+                    for (_, h, bp), c in H.delta_red(b).items():
+                        want.iadd_term(c, ("t", ("w", s_letter(h)), bp))
+                assert tw.section_defect(v) == want, b
+                assert tw.section(v).map_terms(tw.diff) == \
+                    tw.section(H.d_of(b)) + want, b
+                assert (tw.projection(tw.section(v)) - v).is_zero(), b
+                assert tw.projection(tw.section_defect(v)).is_zero(), b
 
 
 def test_product_exceeding_cutoff_raises():

@@ -1,4 +1,4 @@
-"""Coefficient ring arithmetic and name parsing."""
+"""Coefficient rings: normal forms, inverses and name parsing."""
 
 from fractions import Fraction
 
@@ -48,16 +48,26 @@ def test_inverse():
     assert ZZ.inv(-1) == -1
     with pytest.raises(ValueError):
         ZZ.inv(2)
-    assert QQ.mul(QQ.inv(Fraction(2, 3)), Fraction(2, 3)) == 1
+    assert QQ.inv(Fraction(2, 3)) * Fraction(2, 3) == 1
     p7 = Ring("Fp", 7)
     for a in range(1, 7):
-        assert p7.mul(p7.inv(a), a) == 1
+        assert p7.norm(p7.inv(a) * a) == 1
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
 def test_ring_axioms_f5(a, b, c):
+    # sums and products of normal values, normalized once, are the ring
+    # operations of F5: norm is a ring map from Z
     r = Ring("Fp", 5)
-    a, b, c = r.norm(a), r.norm(b), r.norm(c)
-    assert r.add(a, b) == r.add(b, a)
-    assert r.mul(a, r.add(b, c)) == r.add(r.mul(a, b), r.mul(a, c))
-    assert r.is_zero(r.add(a, r.neg(a)))
+    x, y, z = r.norm(a), r.norm(b), r.norm(c)
+    assert r.norm(x + y) == r.norm(a + b) == r.norm(y + x)
+    assert r.norm(x * (y + z)) == r.norm(a * (b + c)) == r.norm(x * y + x * z)
+    assert r.norm(x - x) == 0 and r.norm(-x) == r.norm(-a)
+    assert 0 <= r.norm(x * y - z) < 5
+
+
+def test_reduce_drops_zero_sums():
+    assert Ring("Fp", 3).reduce({"a": 3, "b": -1, "c": 7}) == {"b": 2, "c": 1}
+    assert ZZ.reduce({"a": 0, "b": -2}) == {"b": -2}
+    assert QQ.reduce({"a": Fraction(0), "b": Fraction(1, 2)}) == \
+        {"b": Fraction(1, 2)}

@@ -172,7 +172,7 @@ def test_tensor_square_mul_is_the_interchange_product():
             for (_, a1, a2), ca in u.items():
                 for (_, b1, b2), cb in v.items():
                     sign = -1 if omB.degree(a2) * omA.degree(b1) % 2 else 1
-                    want.iadd_term(ring.mul(sign, ring.mul(ca, cb)),
+                    want.iadd_term(sign * ca * cb,
                                    ("t", concat(a1, b1), concat(a2, b2)))
             assert tsq.mul(u, v) == want
 

@@ -1,8 +1,11 @@
 """Sparse vectors, label ordering, and the Koszul tensor calculus."""
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, strategies as st
 
-from loopalg.rings import ZZ, F2
+from loopalg.rings import ZZ, F2, Ring
 from loopalg.vectors import (Vect, label_key, label_str, bilinear,
                              tensor_apply)
 
@@ -12,7 +15,7 @@ def test_basic_algebra():
     w = Vect(ZZ, [("b", 1), ("c", 3)])
     assert (v + w).terms == {"a": 2, "c": 3}
     assert (v - v).is_zero()
-    assert (-v).terms == {"a": -2, "b": 1}
+    assert v.scale(-1).terms == {"a": -2, "b": 1}
     assert v.scale(0).is_zero()
     assert Vect.basis(ZZ, "x", 0).is_zero()
 
@@ -20,6 +23,55 @@ def test_basic_algebra():
 def test_mod2_cancellation():
     v = Vect(F2, [("a", 1), ("a", 1)])
     assert v.is_zero()
+
+
+F3 = Ring("Fp", 3)
+
+
+def test_coefficients_in_normal_form():
+    # a Fraction over F_p is its residue; over Z it must be integral
+    v = Vect(F3, [("a", Fraction(1, 2)), ("b", -1), ("c", Fraction(4, 2))])
+    assert v.terms == {"a": 2, "b": 2, "c": 2}
+    assert all(type(c) is int for c in v.terms.values())
+    assert v.scale(Fraction(1, 2)).terms == {"a": 1, "b": 1, "c": 1}
+    assert Vect(ZZ, [("a", Fraction(4, 2))]).terms == {"a": 2}
+    with pytest.raises(ValueError, match="non-integral"):
+        Vect(ZZ, [("a", Fraction(1, 2))])
+    with pytest.raises(ValueError, match="non-integral"):
+        Vect.basis(ZZ, "a").scale(Fraction(1, 3))
+
+
+def test_cancelled_terms_are_dropped():
+    v = Vect(F3, [("a", 1), ("b", 1)])
+    w = Vect(F3, [("a", 2), ("b", 1)])
+    assert (v + w).terms == {"b": 2}
+    assert (v - v.scale(4)).terms == {}
+    assert Vect(ZZ, [("a", 2), ("a", -2), ("b", 1)]).terms == {"b": 1}
+    assert Vect.basis(F3, "a").iadd_term(2, "a").terms == {}
+    assert v.scale(3).terms == {}
+    img = v.map_terms(lambda l: Vect.basis(F3, "c", 2 if l == "a" else 1))
+    assert img.terms == {}
+
+
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.integers(-9, 9)),
+                max_size=6),
+       st.lists(st.tuples(st.sampled_from("abc"), st.integers(-9, 9)),
+                max_size=6),
+       st.sampled_from([2, 3, 5]))
+def test_map_terms_and_bilinear_stay_reduced(us, vs, p):
+    ring = Ring("Fp", p)
+    u, v = Vect(ring, us), Vect(ring, vs)
+    img = u.map_terms(lambda l: Vect(ring, [(l + "x", 7), ("y", -5)]))
+    out = bilinear(ring, u, v, lambda x, y: Vect(ring, [(x + y, -4), ("z", 9)]))
+    for w in (img, out):
+        assert all(type(c) is int and 0 < c < p for c in w.terms.values())
+    # against sums of plain integers reduced at the end
+    want = {}
+    for la, ca in u.items():
+        for lb, cb in v.items():
+            for label, c in ((la + lb, -4), ("z", 9)):
+                want[label] = want.get(label, 0) + ca * cb * c
+    assert out.terms == {k: c % p for k, c in want.items() if c % p}
 
 
 def test_label_order_total():
