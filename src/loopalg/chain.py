@@ -1,19 +1,20 @@
 """Chain complexes on named graded bases, with homology ranks and torsion
 from sparse elimination, and representatives built on demand.
 
-A complex stores one ordered label list per degree (through a cutoff) and a
-differential callback label -> Vect.  Homology is reported only through
-cutoff - 1: at the cutoff the incoming boundary is not fully known.
+A complex stores one ordered label list per degree (through a cutoff) and
+a column callback: n -> the sparse columns of d_n on row indices, which
+its builder makes (word algebras from their d_columns, the cofixed models
+from their read-off, a label rule through from_labels, which refuses a
+term off the stored basis).  Homology is reported only through cutoff - 1:
+at the cutoff the incoming boundary is not fully known.
 
 The rank of H_n is dim C_n - rank d_n - rank d_{n+1}, and its torsion is
-the invariant factors of d_{n+1} other than 0 and 1.  Each boundary
-matrix is built as sparse columns straight from the differential and
-eliminated once (see linalg.rank_and_torsion); the result is shared by
-the two degrees it borders.  d^2 = 0 is checked on the same columns,
-one product d_{n-1} d_n at a time: verify_differential runs through every
-degree and homology checks the product it needs, so a label's
-differential is taken once however both are called.  A differential that
-leaves the stored basis is refused.  Representative cycles and class
+the invariant factors of d_{n+1} other than 0 and 1.  Each degree's
+columns are taken once and eliminated once (see linalg.rank_and_torsion);
+the result is shared by the two degrees it borders.  d^2 = 0 is checked
+on the same columns, one product d_{n-1} d_n at a time:
+verify_differential runs through every degree and homology checks the
+product it needs.  Representative cycles and class
 coordinates need an explicit cycle basis (a saturated kernel over Z, an
 echelon kernel over a field, both on the dense matrix) and a
 linalg.Solver on it.  The solver gives the coordinates of the
@@ -33,26 +34,48 @@ CyclePresentation = namedtuple(
 
 
 class ChainComplex:
-    def __init__(self, ring, bases, diff, cutoff, name=""):
+    def __init__(self, ring, bases, columns, cutoff, name=""):
         """bases: dict degree -> iterable of labels, kept in the order
         given (the builders hand over label_key order, which fixes every
-        matrix and pivot); diff: callable label -> Vect of degree one
-        lower."""
+        matrix and pivot); columns: callable n -> the columns of d_n, one
+        dict row index -> nonzero entry per label of degree n."""
         self.ring = ring
         self.cutoff = cutoff
         self.name = name
         self.bases = {}
+        self._index = {}
         for n, labels in bases.items():
-            ordered = list(labels)
-            if len(set(ordered)) != len(ordered):
+            self.bases[n] = ordered = list(labels)
+            self._index[n] = {l: i for i, l in enumerate(ordered)}
+            if len(self._index[n]) != len(ordered):
                 raise ValueError("duplicate labels in degree %d" % n)
-            self.bases[n] = ordered
-        self._index = {n: {l: i for i, l in enumerate(b)} for n, b in self.bases.items()}
-        self.diff = diff
+        self._build = columns
         self._matrices = {}
         self._columns = {}
         self._reduced = {}
         self._square_zero = set()
+
+    @classmethod
+    def from_labels(cls, ring, bases, diff, cutoff, name=""):
+        """The complex of a label rule diff: label -> Vect of degree one
+        lower.  A term off the stored basis is refused."""
+        def columns(n):
+            rows = cx._index.get(n - 1, {})
+            cols = []
+            for label in cx.basis(n):
+                col = {}
+                for out_label, c in diff(label).items():
+                    i = rows.get(out_label)
+                    if i is None:
+                        raise ValueError(
+                            "differential of %s leaves the stored basis "
+                            "(term %s)" % (label_str(label),
+                                           label_str(out_label)))
+                    col[i] = c
+                cols.append(col)
+            return cols
+        cx = cls(ring, bases, columns, cutoff, name)
+        return cx
 
     def basis(self, n):
         return self.bases.get(n, [])
@@ -69,7 +92,7 @@ class ChainComplex:
         cycle presentations ask for it."""
         if n not in self._matrices:
             mat = linalg.zeros(self.rank(n - 1), self.rank(n))
-            for j, col in enumerate(self._sparse(n)):
+            for j, col in enumerate(self.columns(n)):
                 for i, c in col.items():
                     mat[i][j] = c
             self._matrices[n] = mat
@@ -80,7 +103,7 @@ class ChainComplex:
         upwards.  Returns (ok, counterexample_label, residue): the first
         basis label, in basis order, whose d(d(label)) is not zero, with
         that residue over degree n - 2.  Raises ValueError if the
-        differential leaves the stored basis (see _sparse)."""
+        differential leaves the stored basis."""
         for n in self.degrees():
             defect = self._square_defect(n)
             if defect:
@@ -103,23 +126,12 @@ class ChainComplex:
         return HomologySummary(self, n, self.rank(n) - rank_in - rank_out,
                                torsion)
 
-    def _sparse(self, n):
-        """The columns of d_n, dicts row index -> nonzero entry by row."""
+    def columns(self, n):
+        """The columns of d_n, asked of the builder once per degree and
+        sorted by row: the elimination breaks its ties in that order."""
         if n not in self._columns:
-            tgt_index = self._index.get(n - 1, {})
-            cols = []
-            for label in self.basis(n):
-                col = {}
-                for out_label, c in self.diff(label).items():
-                    i = tgt_index.get(out_label)
-                    if i is None:
-                        raise ValueError(
-                            "differential of %s leaves the stored basis "
-                            "(term %s)" % (label_str(label),
-                                           label_str(out_label)))
-                    col[i] = c
-                cols.append(dict(sorted(col.items())))
-            self._columns[n] = cols
+            self._columns[n] = [dict(sorted(c.items())) for c in
+                                (self._build(n) if n in self.bases else [])]
         return self._columns[n]
 
     def _square_defect(self, n):
@@ -128,8 +140,8 @@ class ChainComplex:
         residue a dict row index in degree n - 2 -> nonzero entry."""
         if n in self._square_zero:
             return None
-        lower = self._sparse(n - 1)
-        for j, col in enumerate(self._sparse(n)):
+        lower = self.columns(n - 1)
+        for j, col in enumerate(self.columns(n)):
             acc = {}
             for t, y in col.items():
                 for i, x in lower[t].items():
@@ -143,7 +155,7 @@ class ChainComplex:
     def _reduction(self, n):
         """(rank, torsion) of d_n, from one sparse elimination."""
         if n not in self._reduced:
-            self._reduced[n] = linalg.rank_and_torsion(self._sparse(n),
+            self._reduced[n] = linalg.rank_and_torsion(self.columns(n),
                                                        self.ring)
         return self._reduced[n]
 
@@ -153,11 +165,6 @@ class ChainComplex:
         if self.ring.kind == "Z":
             return self._homology_integer(n)
         return self._homology_field(n)
-
-    def betti(self, lo=0, hi=None):
-        if hi is None:
-            hi = self.cutoff - 1
-        return [self.homology(n).free_rank for n in range(lo, hi + 1)]
 
     def _kernel_cols(self, n):
         mat = self.matrix(n)
@@ -179,7 +186,7 @@ class ChainComplex:
             [{basis[i]: x for i, x in enumerate(col) if x} for col in kernel],
             basis, self.ring, "cycle space")
         ycols = [solver.coordinates({basis[i]: x for i, x in col.items()})
-                 for col in self._sparse(n + 1)] if kernel else []
+                 for col in self.columns(n + 1)] if kernel else []
         return kernel, solver, ycols
 
     def _homology_integer(self, n):

@@ -229,7 +229,7 @@ def cmd_cotor(args, t0):
 def cmd_path_loop(args, t0):
     C, A = load_input(args.document, args, simply_connected=True)
     pl = PathLoop(A)
-    cx, mw = complex_of(pl, C.cutoff, pl.omega)
+    cx, mw = complex_of(pl.omega, C.cutoff, pl.omega)
     emit_homology(args, C, "path-loop", cx, mw, t0)
 
 
@@ -351,12 +351,10 @@ def _verify_suites(C, A):
         for deg in range(small + 1):
             for w in pl.omega_base.words(deg, mw):
                 v = Vect.basis(C.ring, w)
-                if not (pl.kappa(pl.omega_base.d_vect(v))
-                        + pl.omega.d_vect(pl.kappa(v))).is_zero():
+                if not (pl.kappa(v.map_terms(pl.omega_base.d_word)) +
+                        pl.kappa(v).map_terms(pl.omega.d_word)).is_zero():
                     return "fail", "anticommutation at %s" % label_str(w)
-                left = Vect(C.ring)
-                for u, c in pl.kappa(v).items():
-                    left = left + pl.nu(u).scale(c)
+                left = pl.kappa(v).map_terms(pl.nu)
                 right = Vect(C.ring)
                 for (_, a, b), c in pl.base_hopf.psi(w).items():
                     for u2, c2 in pl.kappa(Vect.basis(C.ring, a)).items():
@@ -422,7 +420,7 @@ def _verify_suites(C, A):
          _suite_d2(lambda: OneSidedCobar(CobarAlgebra(C), side="left"),
                    lambda oc: oc.omega)),
         ("path-object", coalgebra(lambda: path_object(C))),
-        ("path-loop-d2", _suite_d2(path_loop, lambda pl: pl.omega)),
+        ("path-loop-d2", _suite_d2(lambda: path_loop().omega, lambda om: om)),
         ("section-defect", section_defect),
         ("kappa", kappa),
         ("cofreeness", cofreeness),

@@ -47,9 +47,6 @@ class DGCoalgebra:
             return Vect.zero(self.ring)
         return self.d_map.get(label, Vect.zero(self.ring))
 
-    def d_vect(self, vect):
-        return vect.map_terms(self.d_of)
-
     def delta_red(self, label):
         """Reduced comultiplication, a Vect over ('t', a, b) with a, b
         generators."""
@@ -80,7 +77,7 @@ class DGCoalgebra:
                 if self.degree(out[1]) + self.degree(out[2]) != self.degree(label):
                     problems.append(("delta-degree", label, out))
             # co-Leibniz (reduced form)
-            lhs = self.d_vect(Vect.basis(self.ring, label)).map_terms(self.delta_red)
+            lhs = self.d_of(label).map_terms(self.delta_red)
             rhs = self.delta_red(label).map_terms(
                 lambda t: tensor_apply(self.ring, [self.d_of, ident], [-1, 0],
                                        [self.degree(t[1]), self.degree(t[2])], t)
@@ -99,14 +96,6 @@ class DGCoalgebra:
             if not (left - right).is_zero():
                 problems.append(("coassociativity", label, left - right))
         return (not problems), problems
-
-
-def sphere_model(n, ring, cutoff, label=None):
-    """The coalgebra R + R.x_n of an n-sphere: one primitive generator."""
-    if n < 2:
-        raise ValueError("sphere model requires n >= 2 (simple connectivity)")
-    return DGCoalgebra(ring, cutoff, {label or ("x%d" % n): n},
-                       name="sphere%d" % n)
 
 
 def _pair(a, b):

@@ -216,8 +216,8 @@ class OneSidedCobar:
         from .chain import ChainComplex
         top = self.cutoff if top is None else top
         bases = {n: self.basis(n, max_weight) for n in range(top + 1)}
-        return ChainComplex(self.ring, bases, self.diff, self.cutoff,
-                            name=name or self.name)
+        return ChainComplex.from_labels(self.ring, bases, self.diff,
+                                        self.cutoff, name=name or self.name)
 
 
 def coalgebra_of_hopf(H, cutoff):
@@ -307,37 +307,29 @@ class TwistedHopfTensor(OneSidedCobar):
         if self.degree(l1) + self.degree(l2) > self.cutoff:
             raise ValueError("product in degree %d exceeds cutoff %d"
                              % (self.degree(l1) + self.degree(l2), self.cutoff))
-        out = Vect(self.ring)
-        for (_, w, y), coef in self._unit_times(c, vp, x).items():
-            out.iadd_term(coef, ("t", concat(v, w), y))
-        return out
+        return Vect(self.ring, [
+            (("t", concat(v, w), y), coef)
+            for (_, w, y), coef in self._unit_times(c, vp, x).items()])
 
     def mul(self, u, v):
         return bilinear(self.ring, u, v, self.mul_labels)
 
     def section(self, bvect):
         """The degree-0 splitting b -> 1 (x) b of the projection to H."""
-        out = Vect(self.ring)
-        for b, c in bvect.items():
-            out.iadd_term(c, ("t", UNIT_WORD, b))
-        return out
+        return Vect(self.ring, [(("t", UNIT_WORD, b), c)
+                                for b, c in bvect.items()])
 
     def section_defect(self, bvect):
         """d(1 (x) b) - 1 (x) db; a chain homotopy datum.  On a basis
         element b of positive degree it is s[b] (x) 1 plus c s[h] (x) b'
         for each term c h (x) b' of the reduced comultiplication of b."""
-        out = self.section(bvect).map_terms(self.diff)
-        for b, c in bvect.items():
-            out = out - self.section(self.M.d_of(b)).scale(c)
-        return out
+        return (self.section(bvect).map_terms(self.diff)
+                - self.section(bvect.map_terms(self.M.d_of)))
 
     def projection(self, vect):
         """The projection w (x) h -> counit(w) h onto H."""
-        out = Vect(self.ring)
-        for (_, word, h), c in vect.items():
-            if word == UNIT_WORD:
-                out.iadd_term(c, h)
-        return out
+        return Vect(self.ring, [(h, c) for (_, word, h), c in vect.items()
+                                if word == UNIT_WORD])
 
 
 class AlgebraOnHomology:

@@ -12,19 +12,15 @@ double-loop model; applied to the coproduct of a source coalgebra with
 P(C) along a map to C, the same construction yields the homotopy-fiber
 model.  Both coactions are maps of chain algebras, built prefix by prefix
 as products of letter values: a letter's comultiplication with its second
-slot projected or pushed once, never the full comultiplication of a word.
+slot projected or pushed, prepared once, never the whole word's.
 
 A cofixed subalgebra works on word indices: each (degree, weight) block
 keeps its ambient words and linalg.kernel's vectors on their indices, with
-the coaction's rows numbered as they first appear, not sorted.  The
-differential takes each ambient word's d_word once per degree, sums a
-basis vector's columns and reads the sum off at the free words; only the
-vectors of a leftover Z core go through a linalg.Solver.  Vects over
-ambient words are built for the product alone.
+the coaction's rows numbered as they first appear, not sorted.  Its
+columns sum the ambient d_columns over a basis vector and read the sum
+off at the free words; only the vectors of a leftover Z core go through a
+linalg.Solver.  Vects over ambient words are built for the product alone.
 """
-
-from bisect import bisect_right
-from itertools import accumulate
 
 from .vectors import Vect, label_str, bilinear
 from .coalg import UNIT, DGCoalgebra, tensor_coalgebra
@@ -61,9 +57,7 @@ def path_object(C, name=""):
         gens[bar(g)] = deg - 1
         weights[g] = C.weights.get(g, 1)
         weights[bar(g)] = C.weights.get(g, 1)
-        dv = Vect(ring, dict(C.d_of(g).terms))
-        dv.iadd_term(-1, bar(g))
-        d[g] = dv
+        d[g] = C.d_of(g) - Vect.basis(ring, bar(g))
         dbar = Vect(ring, [(bar(o), -c) for o, c in C.d_of(g).items()])
         if not dbar.is_zero():
             d[bar(g)] = dbar
@@ -141,28 +135,38 @@ class _Coaction:
     lands in, and _nu_letter, the coaction of one letter; the cofixed part
     of nu is the double-loop or homotopy-fiber model."""
 
+    _cap = None
+
     def nu(self, word):
         """The full coaction, over ('t', word, base word).  It is a map of
-        algebras, so it is nu of the prefix times nu of the last letter, in
-        tsq; no full comultiplication of a word is built."""
-        if word not in self._nu_cache:
+        algebras, so it is nu of the prefix times the prepared factor of
+        the last letter, in tsq; no full comultiplication of a word is
+        built.  Only prefixes are read again, so a word is kept only if
+        some letter extends it within the cutoff and cofixed()'s cap."""
+        val = self._nu_cache.get(word)
+        if val is None:
             if word == UNIT_WORD:
-                val = self.tsq.unit()
-            elif len(word) == 2:
-                val = self._nu_letter(word[1])
+                return self.tsq.unit()
+            l, om = word[-1], self.omega
+            if len(word) == 2:
+                val = self._nu_letter(l)
             else:
-                val = self.tsq.mul(self.nu(word[:-1]), self.nu(("w", word[-1])))
-            self._nu_cache[word] = val
-        return self._nu_cache[word]
+                if l not in self._factors:
+                    self._factors[l] = self.tsq.factor(self.nu(("w", l)))
+                val = self.tsq.times(self.nu(word[:-1]), self._factors[l])
+            room = self.cutoff - om.degree(word)
+            left = None if self._cap is None else self._cap - om.weight(word)
+            if any(d <= room and (left is None or om.weights[x] <= left)
+                   for x, d in om.letters.items()):
+                self._nu_cache[word] = val
+        return val
 
     def nu_bar(self, word):
         """The reduced coaction: nu(word) - word (x) 1."""
-        out = Vect(self.ring)
-        out.terms = dict(self.nu(word).terms)
-        out.iadd_term(-1, ("t", word, UNIT_WORD))
-        return out
+        return self.nu(word) - Vect.basis(self.ring, ("t", word, UNIT_WORD))
 
     def cofixed(self, max_weight=None):
+        self._cap = max_weight
         return CofixedSubalgebra(self.omega, self.nu_bar, self.cutoff,
                                  max_weight=max_weight)
 
@@ -183,17 +187,14 @@ class PathLoop(_Coaction):
         self.base_hopf = InducedHopf(A)
         self.omega_base = self.base_hopf.omega
         self.tsq = self.hopf.tsq
-        self._nu_cache = {}
+        self._nu_cache, self._factors = {}, {}
 
     def _nu_letter(self, letter):
         """(1 (x) Omega pi) psi~ of a letter, over ('t', path-loop word,
         base word): Omega pi erases every term with a barred letter in the
         second slot."""
-        out = Vect(self.ring)
-        for (_, u, v), c in self.hopf.psi_letter(letter).items():
-            if not any(_is_bar(l[1]) for l in v[1:]):
-                out.iadd_term(c, ("t", u, v))
-        return out
+        return Vect(self.ring, [(t, c) for t, c in self.hopf.psi_letter(
+            letter).items() if not any(_is_bar(l[1]) for l in t[2][1:])])
 
     def kappa(self, vect):
         """The degree -1 derivation of Omega C into the path-loop algebra
@@ -201,9 +202,6 @@ class PathLoop(_Coaction):
         values = {l: Vect.basis(self.ring, ("w", s_letter(bar(l[1]))), -1)
                   for l in self.omega_base.letters}
         return vect.map_terms(self.omega_base.derivation(values, -1))
-
-    def to_chain_complex(self, max_weight=None, top=None, name=""):
-        return self.omega.to_chain_complex(max_weight, top, name or self.name)
 
 
 class CofixedSubalgebra:
@@ -217,11 +215,11 @@ class CofixedSubalgebra:
     differential must preserve the weight for the blocks to be exact; this
     holds in the primitive situations that produce degree-0 letters).
 
-    A degree's words are split by weight block once and indexed across
-    the blocks, in block order.  Each block keeps its words and its
-    kernel basis, which basis() labels, as linalg.kernel's dicts word
-    index -> coefficient, plus a linalg.Solver on its core vectors if it
-    has any: together they give the coordinates."""
+    A degree's ambient words are split by weight block once.  Each block
+    keeps its words and its kernel basis, which basis() labels, as
+    linalg.kernel's dicts word index -> coefficient, plus a linalg.Solver
+    on its core vectors if it has any: together they give the
+    coordinates."""
 
     def __init__(self, ambient, coaction_bar, cutoff, max_weight=None,
                  name=""):
@@ -239,21 +237,18 @@ class CofixedSubalgebra:
         self._kernels = {}
         self._bases = {}
         self._readers = {}
-        # the d_word columns of one degree, and its vectors still to do
-        self._columns = [None, {}, 0]
 
     def _layout(self, n):
-        """(word list per block, word -> index over their concatenation,
-        each block's first index and then the total) in degree n."""
+        """(word list per block, the ambient index of each of their words,
+        and for each ambient word of degree n its block and index there)."""
         if n not in self._layouts:
-            lists = [self.ambient.words(n, self.max_weight)]
-            if self.blocked:
-                lists = [[] for _ in self.blocks(n)]
-                for u in self.ambient.words(n, self.max_weight):
-                    lists[self.ambient.weight(u)].append(u)
-            index = {u: g for g, u in enumerate(u for ws in lists for u in ws)}
-            starts = [0, *accumulate(map(len, lists))]
-            self._layouts[n] = (lists, index, starts)
+            words = self.ambient.words(n, self.max_weight)
+            ws = [self.ambient.weight(u) if self.blocked else 0 for u in words]
+            amb = [[a for a, w in enumerate(ws) if w == k]
+                   for k in range(len(self.blocks(n)))]
+            place = {a: (k, j) for k, ix in enumerate(amb)
+                     for j, a in enumerate(ix)}
+            self._layouts[n] = [[words[a] for a in ix] for ix in amb], amb, place
         return self._layouts[n]
 
     def _kernel(self, n, w=None):
@@ -297,75 +292,59 @@ class CofixedSubalgebra:
         return len(self.basis(n))
 
     def _read(self, n, acc):
-        """Coordinates, as a dict label -> nonzero coefficient, of the
-        vector of degree n with the unreduced sums acc (word index -> c),
-        block by block: its coefficients at the free words, then the core
-        Solver's coordinates of what the unit vectors leave (or a refusal
-        of a remainder)."""
-        starts = self._layout(n)[2]
+        """Coordinates, as a dict basis index -> nonzero coefficient, of
+        the vector of degree n with the unreduced sums acc (ambient word
+        index -> c), block by block: its coefficients at the free words,
+        then the core Solver's coordinates of what the unit vectors leave
+        (or a refusal of a remainder)."""
+        place = self._layout(n)[2]
         parts = {}
-        for g, c in self.ring.reduce(acc).items():
-            k = bisect_right(starts, g) - 1
-            parts.setdefault(k, {})[g - starts[k]] = c
-        out = {}
+        for a, c in self.ring.reduce(acc).items():
+            k, j = place[a]
+            parts.setdefault(k, {})[j] = c
+        out, blocks = {}, self.blocks(n)
         for k, left in sorted(parts.items()):
-            w = self.blocks(n)[k]
-            _, vecs = self._kernel(n, w)
-            free, core = self._readers[(n, w)]
-            head = ("k", n) if w is None else ("k", n, w)
+            vecs = self._kernel(n, blocks[k])[1]
+            free, core = self._readers[(n, blocks[k])]
+            start = sum(len(self._kernel(n, w)[1]) for w in blocks[:k])
             for j, c in [(j, c) for j, c in left.items() if j in free]:
-                out[head + (free[j],)] = c
+                out[start + free[j]] = c
                 linalg.add_multiple(left, vecs[free[j]], -c, self.ring)
             if core:
-                for i, c in enumerate(core.coordinates(left), len(free)):
+                for i, c in enumerate(core.coordinates(left),
+                                      start + len(free)):
                     if c:
-                        out[head + (i,)] = c
+                        out[i] = c
             elif left:
                 raise ValueError("vector outside the cofixed block")
         return out
 
     def coordinates(self, n, vect):
-        """Express a Vect over ambient words (lying in the cofixed part of
-        degree n) in the synthetic basis (see _read).  Terms above the
-        weight cap are dropped, other words off the blocks refused."""
-        index = self._layout(n)[1]
+        """A Vect over ambient words of degree n in the synthetic basis
+        (see _read); terms above the cap dropped, other strays refused."""
+        index = {u: a for a, u in enumerate(
+            self.ambient.words(n, self.max_weight))}
         acc = {}
         for u, c in vect.items():
             if u in index:
                 acc[index[u]] = c
             elif not self.blocked or self.ambient.weight(u) <= self.max_weight:
                 raise ValueError("vector leaves the stored block")
-        return self._read(n, acc)
+        basis = self.basis(n)
+        return {basis[i]: c for i, c in self._read(n, acc).items()}
 
-    def diff(self, label):
-        """Differential in synthetic coordinates: the sum of the columns
-        of the basis vector's words, read off one degree down.  A word's
-        column is its d_word over the word indices there (terms above the
-        weight cap dropped), kept until every basis vector of the degree
-        has had its differential."""
-        n, w, i = (label[1], None, label[2]) if len(label) == 3 else label[1:]
-        words, vecs = self._kernel(n, w)
-        memo = self._columns
-        if memo[0] != n:
-            memo[:] = n, {}, self.rank(n)
-        cols = memo[1]
-        index, base = self._layout(n - 1)[1], self._layout(n)[2][w or 0]
-        acc = {}
-        for j, c in vecs[i].items():
-            if base + j not in cols:
-                cols[base + j] = col = {}
-                for u, x in self.ambient.d_word(words[j]).items():
-                    if (g := index.get(u)) is not None:
-                        col[g] = x
-                    elif not self.blocked:
-                        raise ValueError("vector leaves the stored block")
-            for g, x in cols[base + j].items():
-                acc[g] = acc.get(g, 0) + c * x
-        memo[2] -= 1
-        if not memo[2]:
-            memo[:] = None, {}, 0
-        out = Vect(self.ring)
-        out.terms = self._read(n - 1, acc)
+    def columns(self, n):
+        """The columns of d_n: each basis vector's sum of the ambient
+        d_columns of its words, read off one degree down."""
+        d, amb = self.ambient.d_columns(n, self.max_weight), self._layout(n)[1]
+        out = []
+        for k, w in enumerate(self.blocks(n)):
+            for vec in self._kernel(n, w)[1]:
+                acc = {}
+                for j, c in vec.items():
+                    for r, x in d[amb[k][j]].items():
+                        acc[r] = acc.get(r, 0) + c * x
+                out.append(self._read(n - 1, acc) if acc else {})
         return out
 
     def mul_labels(self, l1, l2):
@@ -383,7 +362,7 @@ class CofixedSubalgebra:
         from .chain import ChainComplex
         top = self.cutoff if top is None else top
         bases = {n: self.basis(n) for n in range(top + 1)}
-        return ChainComplex(self.ring, bases, self.diff, self.cutoff,
+        return ChainComplex(self.ring, bases, self.columns, self.cutoff,
                             name=name or self.name)
 
 
@@ -407,7 +386,7 @@ class FiberCoaction(_Coaction):
         self._push = self.omega.algebra_map(
             self._push_letter, self.omega_base.mul, self.omega_base.unit)
         self.tsq = TensorSquare(self.omega, self.omega_base)
-        self._nu_cache = {}
+        self._nu_cache, self._factors = {}, {}
 
     def _push_letter(self, letter):
         tag, inner = letter[1]
@@ -419,11 +398,10 @@ class FiberCoaction(_Coaction):
 
     def _nu_letter(self, letter):
         """psi of a letter with its second slot pushed to Omega C."""
-        out = Vect(self.ring)
-        for (_, u, v), c in self.hopf.psi_letter(letter).items():
-            for w2, c2 in self._push(v).items():
-                out.iadd_term(c * c2, ("t", u, w2))
-        return out
+        return Vect(self.ring, [
+            (("t", u, w2), c * c2)
+            for (_, u, v), c in self.hopf.psi_letter(letter).items()
+            for w2, c2 in self._push(v).items()])
 
 
 def identity_family(A):

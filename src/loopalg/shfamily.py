@@ -81,24 +81,18 @@ class SHFamily:
         if not hasattr(self, "_defects"):
             self._defects = {}
         if gen not in self._defects:
-            ring = self.ring
             oms, omt = self._omegas()
             ind = self.induced_map(oms, omt)
             letter = ("w", s_letter(gen))
-            left = Vect(ring)
-            for w, c in ind(letter).items():
-                left = left + omt.d_word(w).scale(c)
-            self._defects[gen] = left - oms.d_word(letter).map_terms(ind)
+            self._defects[gen] = (ind(letter).map_terms(omt.d_word)
+                                  - oms.d_word(letter).map_terms(ind))
         return self._defects[gen]
 
     def coherence_residue(self, gen, k):
         """Length-k word component of the chain map defect; the level-k
         coherence obstruction of the family at gen."""
-        res = Vect(self.ring)
-        for w, c in self.chain_map_defect(gen).items():
-            if len(w) - 1 == k:
-                res.iadd_term(c, w)
-        return res
+        return Vect(self.ring, [t for t in self.chain_map_defect(gen).items()
+                                if len(t[0]) == k + 1])
 
     def verify(self, kmax=None):
         """Check degree bookkeeping and that the induced cobar map is a
@@ -145,33 +139,42 @@ class TensorSquare:
         self.ring = omA.ring
         self.cutoff = min(omA.cutoff, omB.cutoff)
         self.name = name or ("%s(x)%s" % (omA.name, omB.name))
+        self._odd = {}
 
     def unit(self):
         return Vect.basis(self.ring, ("t", UNIT_WORD, UNIT_WORD))
 
     def mul(self, u, v):
-        """(a1 (x) a2)(b1 (x) b2) = (-1)^{|a2||b1|} a1 b1 (x) a2 b2, with one
-        parity per factor term and one reduction of the summed terms."""
-        right = [(b1, b2[1:], cb, self.omA.degree(b1) % 2)
-                 for (_, b1, b2), cb in v.terms.items()]
+        return self.times(u, self.factor(v))
+
+    def factor(self, v):
+        """v prepared as a right factor: per term, the tails of its words,
+        its coefficient and the parity of its first word."""
+        return [(b1[1:], b2[1:], cb, self.omA.degree(b1) % 2)
+                for (_, b1, b2), cb in v.terms.items()]
+
+    def times(self, u, factor):
+        """u times a prepared factor: (a1 (x) a2)(b1 (x) b2) =
+        (-1)^{|a2||b1|} a1 b1 (x) a2 b2, each a2's parity taken once."""
+        odd_of = self._odd
         terms = {}
         for (_, a1, a2), ca in u.terms.items():
-            odd = self.omB.degree(a2) % 2
-            for b1, b2, cb, b_odd in right:
-                label = ("t", a1 + b1[1:], a2 + b2)
+            odd = odd_of.get(a2)
+            if odd is None:
+                odd = odd_of[a2] = self.omB.degree(a2) % 2
+            for b1, b2, cb, b_odd in factor:
+                label = ("t", a1 + b1, a2 + b2)
                 c = ca * cb
                 terms[label] = terms.get(label, 0) + (-c if odd and b_odd else c)
         return Vect.from_sums(self.ring, terms)
 
     def diff(self, label):
         (_, w1, w2) = label
-        out = Vect(self.ring)
-        for u, c in self.omA.d_word(w1).items():
-            out.iadd_term(c, ("t", u, w2))
         sign = -1 if self.omA.degree(w1) % 2 else 1
-        for u, c in self.omB.d_word(w2).items():
-            out.iadd_term(sign * c, ("t", w1, u))
-        return out
+        return Vect(self.ring, [(("t", u, w2), c) for u, c in
+                                self.omA.d_word(w1).items()] +
+                    [(("t", w1, u), sign * c) for u, c in
+                     self.omB.d_word(w2).items()])
 
 
 def letterwise_split(omega_tensor, tsq):
@@ -247,6 +250,7 @@ class InducedHopf:
         self._split = letterwise_split(self.omega_tensor, self.tsq)
         self._psi_letter_cache = {}
         self._psi_cache = {}
+        self._factors = {}
         self.unit_label = UNIT_WORD
 
     # -- algebra / complex interface -------------------------------------
@@ -275,22 +279,23 @@ class InducedHopf:
     def psi(self, word):
         """Full comultiplication of a word, over ('t', word, word).  It is
         an algebra map: psi of the prefix times psi_letter of the last
-        letter."""
+        letter, whose factor is prepared once."""
         if word not in self._psi_cache:
             if word == UNIT_WORD:
                 self._psi_cache[word] = self.tsq.unit()
             else:
-                self._psi_cache[word] = self.tsq.mul(
-                    self.psi(word[:-1]), self.psi_letter(word[-1]))
+                l = word[-1]
+                if l not in self._factors:
+                    self._factors[l] = self.tsq.factor(self.psi_letter(l))
+                self._psi_cache[word] = self.tsq.times(self.psi(word[:-1]),
+                                                       self._factors[l])
         return self._psi_cache[word]
 
     def delta_red(self, word):
         if word == UNIT_WORD:
             return Vect.zero(self.ring)
-        out = Vect(self.ring, dict(self.psi(word).terms))
-        out.iadd_term(-1, ("t", word, UNIT_WORD))
-        out.iadd_term(-1, ("t", UNIT_WORD, word))
-        return out
+        return self.psi(word) - Vect(self.ring, {("t", word, UNIT_WORD): 1,
+                                                 ("t", UNIT_WORD, word): 1})
 
     def coassociativity_defects(self):
         """(psi (x) 1)psi - (1 (x) psi)psi on every letter; both sides are

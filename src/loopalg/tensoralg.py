@@ -1,5 +1,6 @@
 """Free associative graded algebras on a finite alphabet: word bases,
-derivation extensions, and algebra-map extensions.
+derivation extensions, algebra-map extensions, and the differential on
+word indices (d_columns), from which the word complexes are built.
 
 Words are labels ("w", letter, ..., letter); ("w",) is the unit.  Letters may
 sit in degree 0 (this happens for cobar constructions on coalgebras that are
@@ -33,6 +34,7 @@ class FreeAlgebra:
                 self.weights[l] = w
         self._ordered = sorted(self.letters, key=label_key)
         self._word_cache = {}
+        self._columns = {}
 
     @property
     def finite_type(self):
@@ -52,35 +54,37 @@ class FreeAlgebra:
             raise ValueError(
                 "alphabet of %s has degree-0 letters; enumeration needs "
                 "a weight bound" % (self.name or "free algebra"))
-        return self._words(n, max_weight)
+        return self._words(n, max_weight)[0]
 
     def _words(self, n, max_weight):
-        """words() on the cache: each list is built once, from the cached
-        lists of its suffixes."""
+        """(words(), dict letter l -> (key of the suffix list of l, the
+        index of l.u for each u there)), built once from the cached lists
+        of its suffixes."""
         key = (n, max_weight)
         if key not in self._word_cache:
-            out = [UNIT_WORD] if n == 0 else []
+            out, starts = [UNIT_WORD] if n == 0 else [], {}
             for l in self._ordered:
                 d, left = self.letters[l], max_weight
                 if left is not None:
                     left -= self.weights[l]
                 if d <= n and (left is None or left >= 0):
-                    head = ("w", l)
-                    out += [head + u[1:] for u in self._words(n - d, left)]
+                    starts[l] = (n - d, left), len(out)
+                    out += [("w", l) + u[1:]
+                            for u in self._words(n - d, left)[0]]
             # letters in label_key order, each on suffixes in label_key
             # order, give each length in label_key order; label_key puts
             # shorter words first, and the sort by length is stable
-            out.sort(key=len)
-            self._word_cache[key] = out
+            order = sorted(range(len(out)), key=lambda i: len(out[i]))
+            place = sorted(range(len(out)), key=order.__getitem__)
+            self._word_cache[key] = [out[j] for j in order], {
+                l: (sub, place[s:s + len(self._words(*sub)[0])])
+                for l, (sub, s) in starts.items()}
         return self._word_cache[key]
 
     def mul(self, u, v):
         """Bilinear product of two Vects of words."""
-        out = Vect(self.ring)
-        for w1, c1 in u.terms.items():
-            for w2, c2 in v.terms.items():
-                out.iadd_term(c1 * c2, concat(w1, w2))
-        return out
+        return Vect(self.ring, [(concat(w1, w2), c1 * c2) for w1, c1 in
+                                u.terms.items() for w2, c2 in v.terms.items()])
 
     def unit(self):
         return Vect.basis(self.ring, UNIT_WORD)
@@ -116,8 +120,32 @@ class FreeAlgebra:
     def d_word(self, word):
         return self._diff(word)
 
-    def d_vect(self, vect):
-        return vect.map_terms(self._diff)
+    def d_columns(self, n, cap=None):
+        """d_n on word indices, built once per (n, cap): for each word of
+        words(n, cap), in order, a dict index in words(n - 1, cap) ->
+        nonzero coefficient, leaving out terms above the cap.  The column
+        of l.u is d(l).u plus (-1)^|l| l.(the column of u), carried over
+        by l's prefix map.  No two terms meet: their first letters differ."""
+        key = (n, cap)
+        if key not in self._columns:
+            words, prefix = self._words(n, cap)
+            rows, lifts = self._words(n - 1, cap)
+            index = {u: i for i, u in enumerate(rows)}
+            cols = [{}] * len(words)
+            minus = self.ring.p or 0
+            for l, (sub, place) in prefix.items():
+                below = self.d_columns(*sub)
+                heads = [(v[1:], c) for v, c in self.d_word(("w", l)).items()]
+                lift = lifts.get(l, (None, None))[1]
+                odd = self.letters[l] % 2
+                for i, u in enumerate(self._words(*sub)[0]):
+                    col = cols[place[i]] = {index.get(("w",) + v + u[1:]): c
+                                            for v, c in heads}
+                    col.pop(None, None)  # terms above the cap
+                    col.update({lift[r]: minus - x if odd else x
+                                for r, x in below[i].items()})
+            self._columns[key] = cols
+        return self._columns[key]
 
     def algebra_map(self, letter_fn, target_mul, target_unit):
         """Multiplicative extension of letter values into a target algebra."""
@@ -129,8 +157,15 @@ class FreeAlgebra:
         return apply_word
 
     def to_chain_complex(self, max_weight=None, top=None, name=""):
+        """The word complex on d_columns.  If d raises a letter's weight, a
+        capped one refuses, by the label route, what leaves the basis."""
         from .chain import ChainComplex
         top = self.cutoff if top is None else top
         bases = {n: self.words(n, max_weight) for n in range(top + 1)}
-        return ChainComplex(self.ring, bases, self.d_word, self.cutoff,
-                            name=name or self.name)
+        if max_weight is not None and any(
+                self.weight(v) > self.weights[l] for l in self.letters
+                for v in self.d_word(("w", l)).terms):
+            return ChainComplex.from_labels(self.ring, bases, self.d_word,
+                                            self.cutoff, name or self.name)
+        return ChainComplex(self.ring, bases, lambda n: self.d_columns(
+            n, max_weight), self.cutoff, name or self.name)

@@ -154,10 +154,6 @@ def bilinear(ring, u, v, pair_fn):
     return Vect.from_sums(ring, sums)
 
 
-def tensor_label(parts):
-    return ("t",) + tuple(parts)
-
-
 def tensor_apply(ring, fs, shifts, degs, tlabel):
     """Apply f_1 (x) ... (x) f_k to a tensor label with Koszul signs.
 
@@ -177,7 +173,7 @@ def tensor_apply(ring, fs, shifts, degs, tlabel):
 
     def rec(j, acc_label, acc_coeff):
         if j == k:
-            result.iadd_term(acc_coeff, tensor_label(acc_label))
+            result.iadd_term(acc_coeff, ("t",) + tuple(acc_label))
             return
         for label, c in outs[j].terms.items():
             rec(j + 1, acc_label + [label], acc_coeff * c)

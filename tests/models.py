@@ -1,10 +1,20 @@
-"""Model builders that only the tests use: the double-loop and fiber
-models together with their coactions, and the tensor square of two cobar
-algebras as a chain complex."""
+"""Model builders and readings that only the tests use: sphere
+coalgebras, the double-loop and fiber models together with their
+coactions, the tensor square of two cobar algebras as a chain complex,
+and a complex's Betti numbers."""
 
 from loopalg.chain import ChainComplex
+from loopalg.coalg import DGCoalgebra
 from loopalg.pathloop import PathLoop, FiberCoaction
 from loopalg.vectors import label_key
+
+
+def sphere_model(n, ring, cutoff, label=None):
+    """The coalgebra R + R.x_n of an n-sphere: one primitive generator."""
+    if n < 2:
+        raise ValueError("sphere model requires n >= 2 (simple connectivity)")
+    return DGCoalgebra(ring, cutoff, {label or ("x%d" % n): n},
+                       name="sphere%d" % n)
 
 
 def double_loop(A, max_weight=None):
@@ -29,4 +39,11 @@ def tensor_square_complex(tsq):
                         for wa in tsq.omA.words(p)
                         for wb in tsq.omB.words(n - p)), key=label_key)
              for n in range(tsq.cutoff + 1)}
-    return ChainComplex(tsq.ring, bases, tsq.diff, tsq.cutoff)
+    return ChainComplex.from_labels(tsq.ring, bases, tsq.diff, tsq.cutoff)
+
+
+def betti(cx, lo=0, hi=None):
+    """The free ranks of H_lo .. H_hi of a ChainComplex (hi defaults to
+    the last reliable degree, cutoff - 1)."""
+    hi = cx.cutoff - 1 if hi is None else hi
+    return [cx.homology(n).free_rank for n in range(lo, hi + 1)]

@@ -4,8 +4,9 @@ import pytest
 
 from loopalg.rings import ZZ
 from loopalg.vectors import Vect
-from loopalg.coalg import (UNIT, DGCoalgebra, sphere_model, tensor_coalgebra,
-                           direct_sum)
+from loopalg.coalg import UNIT, DGCoalgebra, tensor_coalgebra, direct_sum
+
+from models import sphere_model
 
 
 def test_sphere_model():

@@ -7,11 +7,12 @@ import pytest
 
 from loopalg.rings import ZZ, F2
 from loopalg.vectors import Vect
-from loopalg.coalg import sphere_model
 from loopalg.cobar import (CobarAlgebra, OneSidedCobar, TwistedHopfTensor,
                            AlgebraOnHomology, coalgebra_of_hopf, s_letter)
 from loopalg.shfamily import AWCoalgebra, InducedHopf
 from loopalg.documents import coalgebra_from_document, load_json
+
+from models import sphere_model, betti
 
 NONPRIMITIVE = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "sample_inputs", "nonprimitive.json")
@@ -61,7 +62,7 @@ def test_one_sided_cobar_acyclic_both_sides():
             cx = osc.to_chain_complex()
             ok, label, _ = cx.verify_differential()
             assert ok, (side, label)
-            assert cx.betti(0, 7) == [1, 0, 0, 0, 0, 0, 0, 0], side
+            assert betti(cx, 0, 7) == [1, 0, 0, 0, 0, 0, 0, 0], side
 
 
 def test_one_sided_cobar_blocked():
@@ -70,7 +71,7 @@ def test_one_sided_cobar_blocked():
     cx = osc.to_chain_complex(max_weight=6)
     ok, label, _ = cx.verify_differential()
     assert ok, label
-    assert cx.betti(0, 5) == [1, 0, 0, 0, 0, 0]
+    assert betti(cx, 0, 5) == [1, 0, 0, 0, 0, 0]
 
 
 def test_twisted_hopf_tensor_d2_and_acyclic():
@@ -79,7 +80,7 @@ def test_twisted_hopf_tensor_d2_and_acyclic():
     cx = tw.to_chain_complex()
     ok, label, _ = cx.verify_differential()
     assert ok, label
-    assert cx.betti(0, 7) == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert betti(cx, 0, 7) == [1, 0, 0, 0, 0, 0, 0, 0]
 
 
 def test_twisted_hopf_tensor_leibniz_and_associative():
@@ -151,7 +152,7 @@ def test_cotor_trivial_is_loop_homology():
 def test_cotor_regular_is_acyclic():
     tw = TwistedHopfTensor(hopf(3, cutoff=6), 6)
     a = AlgebraOnHomology(tw.to_chain_complex(), tw.mul)
-    assert a.complex.betti(0, 5) == [1, 0, 0, 0, 0, 0]
+    assert betti(a.complex, 0, 5) == [1, 0, 0, 0, 0, 0]
 
 
 def test_homology_product_tensor_algebra():
@@ -159,7 +160,7 @@ def test_homology_product_tensor_algebra():
     # generators of H_2 and H_4 are nonzero
     om = CobarAlgebra(sphere_model(3, ZZ, 8))
     a = AlgebraOnHomology(om.to_chain_complex(), om.mul)
-    assert a.complex.betti(0, 7) == [1, 0, 1, 0, 1, 0, 1, 0]
+    assert betti(a.complex, 0, 7) == [1, 0, 1, 0, 1, 0, 1, 0]
     assert a.product_class(2, 0, 2, 0) != [0]
     assert a.product_class(2, 0, 4, 0) != [0]
 

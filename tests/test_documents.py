@@ -6,10 +6,11 @@ import os
 import pytest
 
 from loopalg.rings import ZZ, F2
-from loopalg.coalg import sphere_model
 from loopalg.documents import (DocumentError, coalgebra_from_document,
                                shmap_from_document, render_report,
                                load_json)
+
+from models import sphere_model
 
 SAMPLES = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "sample_inputs")

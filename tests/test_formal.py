@@ -3,11 +3,10 @@
 import pytest
 
 from loopalg.rings import ZZ, QQ, F2
-from loopalg.coalg import sphere_model
 from loopalg.shfamily import AWCoalgebra
 from loopalg.formal import bracket_generators, FormalDoubleLoop
 
-from models import double_loop
+from models import double_loop, betti, sphere_model
 
 
 def test_rejects_integers_and_nonprimitive():
@@ -42,6 +41,6 @@ def test_matches_double_loop_betti():
         C = sphere_model(3, ring, 8)
         fm = FormalDoubleLoop(C)
         dl, _ = double_loop(AWCoalgebra.strict(C))
-        assert fm.to_chain_complex(top=8).betti(0, 7) == \
-            dl.to_chain_complex(top=8).betti(0, 7)
+        assert betti(fm.to_chain_complex(top=8), 0, 7) == \
+            betti(dl.to_chain_complex(top=8), 0, 7)
 

@@ -9,7 +9,7 @@ import pytest
 
 from loopalg.rings import ZZ, QQ, F2, Ring
 from loopalg.vectors import Vect
-from loopalg.coalg import DGCoalgebra, sphere_model, tensor_coalgebra
+from loopalg.coalg import DGCoalgebra, tensor_coalgebra
 from loopalg.cobar import CobarAlgebra, s_letter
 from loopalg.tensoralg import UNIT_WORD, concat
 from loopalg.shfamily import (SHFamily, TensorSquare, letterwise_split,
@@ -17,7 +17,7 @@ from loopalg.shfamily import (SHFamily, TensorSquare, letterwise_split,
 from loopalg.pathloop import extend_psi
 from loopalg.documents import coalgebra_from_document, load_json
 
-from models import tensor_square_complex
+from models import tensor_square_complex, sphere_model
 
 RINGS = [ZZ, F2, Ring("Fp", 3)]
 RING_IDS = ["Z", "F2", "Fp3"]
