@@ -61,9 +61,13 @@ CASES = [
     ("double-loop-nonprimitive-c5", "double-loop", ["sample:nonprimitive"],
      ["--cutoff", "5"]),
     ("verify-nonprimitive-c6", "verify", ["sample:nonprimitive"], ["--cutoff", "6"]),
+    ("verify-nonprimitive-f3-c6", "verify", ["sample:nonprimitive"],
+     ["--ring", "Fp:3", "--cutoff", "6"]),
     ("cotor-nonprimitive-c4", "cotor", ["sample:nonprimitive"], ["--cutoff", "4"]),
     ("cotor-self-nonprimitive-c4", "cotor", ["sample:nonprimitive"],
      ["--hopf", "self", "--cutoff", "4"]),
+    ("cotor-self-nonprimitive-f3-c6", "cotor", ["sample:nonprimitive"],
+     ["--hopf", "self", "--ring", "Fp:3", "--cutoff", "6"]),
     ("cobar-noncoassoc", "cobar", ["sample:noncoassoc"], []),
     ("verify-noncoassoc-c7", "verify", ["sample:noncoassoc"], ["--cutoff", "7"]),
     ("fiber-sphere5-sphere3", "fiber", ["sample:sphere5", "sample:sphere3"], []),
