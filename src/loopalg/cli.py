@@ -165,8 +165,11 @@ def base_report(args, C, construction):
 def emit(args, report, t0):
     text = render_report(report, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise DocumentError("cannot write %s: %s" % (args.out, e))
     else:
         sys.stdout.write(text)
     print("elapsed: %.2fs" % (time.time() - t0), file=sys.stderr)
@@ -331,7 +334,7 @@ def _verify_suites(C, A):
         hopf = induced()
         tw = TwistedHopfTensor(hopf, cutoff)
         for n in range(cutoff + 1):
-            for b in hopf.basis(n):
+            for b in hopf.omega.words(n):
                 v = Vect.basis(C.ring, b)
                 # the closed form, from the reduced comultiplication alone
                 want = Vect(C.ring)

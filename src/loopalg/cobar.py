@@ -3,12 +3,13 @@
 The cobar algebra of a connected coalgebra is the free algebra on
 desuspended generators with the differential
     d(s[c]) = -s[dc] + sum (-1)^{|c_i|} s[c_i] | s[c^i]
-over the reduced comultiplication.  A one-sided twisted tensor product
-M (x) Omega C or Omega C (x) N on a comodule carries the twisted
-differential whose twisting cochain is the desuspension (with s[1] = 0).
-TwistedHopfTensor is the left one, Omega H (x) H, on a Hopf algebra H as
-a comodule over itself; it is a chain algebra, whose product is
-determined by a three-term rule against single letters.
+over the reduced comultiplication.  The one-sided twisted tensor products
+C (x) Omega C and Omega C (x) C take the coalgebra C as a comodule over
+itself, the regular coefficients, and carry the twisted differential
+whose twisting cochain is the desuspension (with s[1] = 0); both are
+acyclic.  TwistedHopfTensor is the left one, Omega H (x) H, on the
+coalgebra of an induced Hopf algebra H; it is a chain algebra, whose
+product is determined by a three-term rule against single letters.
 """
 
 from .vectors import Vect, label_key, bilinear
@@ -71,81 +72,28 @@ class CobarAlgebra(FreeAlgebra):
         return out
 
 
-class Comodule:
-    """A differential comodule over a coalgebra: a graded basis with a
-    unit label in degree 0, a differential, and the coaction terms whose
-    coalgebra slot is positive, over ('t', c, m) for a left comodule and
-    ('t', m, c) for a right one."""
+class OneSidedCobar:
+    """C (x) Omega C (side 'right') or Omega C (x) C (side 'left'), with
+    C = omega.C a comodule over itself by its own comultiplication, and
+    the twisted differential.  Labels are ('t', m, word) resp. ('t', word,
+    m), with m a generator of C or unit, which stands for the unit of C
+    in degree 0 and weight 0."""
 
-    def __init__(self, ring, side, basis, d, coaction, name="", weights=None,
-                 unit_label=UNIT):
+    def __init__(self, omega, side, unit=UNIT, name=""):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
-        self.ring = ring
-        self.side = side
-        self.name = name
-        self.gens = dict(basis)
-        self.d_map = dict(d)
-        self.coaction_map = dict(coaction)
-        self.weights = dict(weights or {})
-        self.unit_label = unit_label
-        self._basis = {}
-        for label, deg in self.gens.items():
-            self._basis.setdefault(deg, []).append(label)
-        for deg in self._basis:
-            self._basis[deg].sort(key=label_key)
-
-    @classmethod
-    def regular(cls, C, side, unit_label=UNIT):
-        """The coalgebra as a comodule over itself via its own
-        comultiplication, with unit_label standing for the unit."""
-        coaction = {}
-        for g in C.gens:
-            pair = (g, unit_label) if side == "left" else (unit_label, g)
-            coaction[g] = Vect.basis(C.ring, ("t",) + pair) + C.delta_red(g)
-        return cls(C.ring, side, C.gens, C.d_map, coaction,
-                   name="%s as %s comodule" % (C.name, side),
-                   weights=C.weights, unit_label=unit_label)
-
-    def degree(self, label):
-        if label == self.unit_label:
-            return 0
-        return self.gens[label]
-
-    def weight(self, label):
-        if label == self.unit_label:
-            return 0
-        return self.weights.get(label, 0)
-
-    def basis(self, n):
-        if n == 0:
-            return [self.unit_label] + self._basis.get(0, [])
-        return self._basis.get(n, [])
-
-    def d_of(self, label):
-        return self.d_map.get(label, Vect.zero(self.ring))
-
-    def coaction(self, label):
-        return self.coaction_map.get(label, Vect.zero(self.ring))
-
-
-class OneSidedCobar:
-    """M (x) Omega C (side 'right') or Omega C (x) N (side 'left') with the
-    twisted differential.  Labels are ('t', m, word) resp. ('t', word, m)."""
-
-    def __init__(self, omega, M=None, side="right", name=""):
         self.omega = omega
         self.C = omega.C
         self.ring = omega.ring
         self.cutoff = omega.cutoff
         self.side = side
-        if M is None:
-            M = Comodule.regular(self.C, side)
-        if M.side != side:
-            raise ValueError("comodule side %r does not match %r" % (M.side, side))
-        self.M = M
+        self.unit = unit
         self.name = name or (
-            "%s(x)Omega" % M.name if side == "right" else "Omega(x)%s" % M.name)
+            "%s(x)Omega" % self.C.name if side == "right"
+            else "Omega(x)%s" % self.C.name)
+        self._coeffs = {0: [unit]}
+        for g, deg in self.C.gens.items():
+            self._coeffs.setdefault(deg, []).append(g)
 
     def label(self, m, word):
         if self.side == "right":
@@ -158,19 +106,33 @@ class OneSidedCobar:
             return label[1], label[2]
         return label[2], label[1]
 
+    def coeff_degree(self, m):
+        return self.C.gens.get(m, 0)
+
+    def coaction(self, m):
+        """The coaction terms of m whose coalgebra slot is positive, over
+        ('t', c, m') for side 'left' and ('t', m', c) for 'right': the
+        unit term, then the reduced comultiplication of C."""
+        if m == self.unit:
+            return []
+        pair = (m, self.unit) if self.side == "left" else (self.unit, m)
+        return [(("t",) + pair, 1)] + list(self.C.delta_red(m).items())
+
     def degree(self, label):
         m, word = self.split(label)
-        return self.M.degree(m) + self.omega.degree(word)
+        return self.coeff_degree(m) + self.omega.degree(word)
 
     def basis(self, n, max_weight=None):
-        """max_weight bounds the total weight across both tensor slots (the
-        weight grading is preserved by the twisted differential, so capped
-        blocks are honest subcomplexes)."""
+        """max_weight bounds the total weight across both tensor slots.
+        The twisted differential keeps that total only where d and the
+        reduced comultiplication of C preserve the weights, which
+        DGCoalgebra does not check; elsewhere the capped block is no
+        subcomplex, and from_labels refuses the term that leaves it."""
         out = []
         for p in range(n + 1):
-            for m in self.M.basis(p):
+            for m in self._coeffs.get(p, []):
                 room = None if max_weight is None \
-                    else max_weight - self.M.weight(m)
+                    else max_weight - self.C.weights.get(m, 0)
                 if room is not None and room < 0:
                     continue
                 for w in self.omega.words(n - p, room):
@@ -183,17 +145,17 @@ class OneSidedCobar:
         ring = self.ring
         out = Vect(ring)
         wdeg = self.omega.degree(word)
-        mdeg = self.M.degree(m)
+        mdeg = self.coeff_degree(m)
         if self.side == "right":
             # d(x (x) w) = dx (x) w + (-1)^{|x|} x (x) dw
             #              + (-1)^{|x_i|} x_i (x) s[c^i] | w
-            for o, c in self.M.d_of(m).items():
+            for o, c in self.C.d_of(m).items():
                 out.iadd_term(c, self.label(o, word))
             sign = -1 if mdeg % 2 else 1
             for w2, c in self.omega.d_word(word).items():
                 out.iadd_term(sign * c, self.label(m, w2))
-            for (_, mi, ci), c in self.M.coaction(m).items():
-                s = _twist_sign(TWIST_RIGHT, self.M.degree(mi),
+            for (_, mi, ci), c in self.coaction(m):
+                s = _twist_sign(TWIST_RIGHT, self.coeff_degree(mi),
                                 self.C.degree(ci))
                 out.iadd_term(s * c,
                               self.label(mi, ("w", s_letter(ci)) + word[1:]))
@@ -203,11 +165,11 @@ class OneSidedCobar:
             for w2, c in self.omega.d_word(word).items():
                 out.iadd_term(c, self.label(m, w2))
             sign = -1 if wdeg % 2 else 1
-            for o, c in self.M.d_of(m).items():
+            for o, c in self.C.d_of(m).items():
                 out.iadd_term(sign * c, self.label(o, word))
-            for (_, ci, mi), c in self.M.coaction(m).items():
+            for (_, ci, mi), c in self.coaction(m):
                 s = _twist_sign(TWIST_LEFT, self.C.degree(ci),
-                                self.M.degree(mi))
+                                self.coeff_degree(mi))
                 out.iadd_term(sign * s * c,
                               self.label(mi, word + (s_letter(ci),)))
         return out
@@ -221,45 +183,30 @@ class OneSidedCobar:
 
 
 def coalgebra_of_hopf(H, cutoff):
-    """Present the underlying coalgebra of a Hopf algebra on its graded
-    basis, through the given degree, so that its cobar algebra can be
-    formed.  H must provide ring, basis(n), degree, d_of, delta_red,
-    and optionally weight."""
-    gens, weights, d, delta = {}, {}, {}, {}
-    for n in range(1, cutoff + 1):
-        for h in H.basis(n):
-            gens[h] = n
-            if hasattr(H, "weight"):
-                weights[h] = H.weight(h)
-            dv = H.d_of(h)
-            if not dv.is_zero():
-                d[h] = dv
-            dl = H.delta_red(h)
-            if not dl.is_zero():
-                delta[h] = dl
-    return DGCoalgebra(H.ring, cutoff, gens, d, delta,
-                       name=getattr(H, "name", "H"), weights=weights)
+    """The underlying coalgebra of an InducedHopf H through the given
+    degree, on its words of positive degree, so that its cobar algebra
+    can be formed."""
+    om = H.omega
+    gens = {h: n for n in range(1, cutoff + 1) for h in om.words(n)}
+    return DGCoalgebra(H.ring, cutoff, gens,
+                       {h: om.d_word(h) for h in gens},
+                       {h: H.delta_red(h) for h in gens},
+                       name=H.name, weights={h: om.weight(h) for h in gens})
 
 
 class TwistedHopfTensor(OneSidedCobar):
-    """Omega H (x) H: the left one-sided cobar construction on a Hopf
-    algebra H as a comodule over itself (the model of its based-path
-    fibration), with its chain algebra structure.
+    """Omega H (x) H: the left one-sided cobar construction on an
+    InducedHopf H as a comodule over itself (the model of its based-path
+    fibration), with its chain algebra structure.  Labels here are ('t',
+    word, h) with word a word in letters s[h] and h a word of H.omega."""
 
-    H must provide: ring, name, basis(n), degree(h), d_of(h),
-    delta_red(h), mul(h1, h2) -> Vect (the unit included), unit_label,
-    and optionally weight(h).  Labels here are ('t', word, h) with word a
-    word in letters s[h]."""
-
-    def __init__(self, H, cutoff, name=""):
+    def __init__(self, H, cutoff):
         self.H = H
-        M = Comodule.regular(coalgebra_of_hopf(H, cutoff), "left",
-                             unit_label=H.unit_label)
         # letters of Omega H reach degree cutoff, i.e. H elements of
-        # degree cutoff + 1
-        omega = CobarAlgebra(coalgebra_of_hopf(H, cutoff + 1))
-        super().__init__(omega, M, side="left",
-                         name=name or "Omega(%s)(x)(%s)" % (H.name, H.name))
+        # degree cutoff + 1; basis() stops the coefficients at the cutoff
+        super().__init__(CobarAlgebra(coalgebra_of_hopf(H, cutoff + 1)),
+                         "left", unit=UNIT_WORD,
+                         name="Omega(%s)(x)(%s)" % (H.name, H.name))
         self.cutoff = cutoff  # omega's cutoff is one higher
 
     def _one_letter_rule(self, b, a):
@@ -270,28 +217,23 @@ class TwistedHopfTensor(OneSidedCobar):
         over the components h (x) b' of the coaction of b other than
         1 (x) b."""
         ring = self.ring
-        db = self.M.degree(b)
-        da = self.H.degree(a)
+        db = self.coeff_degree(b)
+        da = self.H.omega.degree(a)
         out = Vect(ring)
         s = _twist_sign(PROD_STRAIGHT, da, db)
         out.iadd_term(s, ("t", ("w", s_letter(a)), b))
-        for (_, h, bp), coef in self.M.coaction(b).items():
-            s2 = _prod_sign3(PROD_TWIST, da, db, self.M.degree(bp))
-            for y, coef2 in self.H.mul(h, a).items():
-                out.iadd_term(s2 * coef * coef2,
-                              ("t", ("w", s_letter(y)), bp))
+        for (_, h, bp), coef in self.coaction(b):
+            s2 = _prod_sign3(PROD_TWIST, da, db, self.coeff_degree(bp))
+            out.iadd_term(s2 * coef, ("t", ("w", s_letter(concat(h, a))), bp))
         return out
 
     def _unit_times(self, b, word, x):
         """(1 (x) b)(word (x) x) by peeling the first letter of word."""
         ring = self.ring
-        if b == self.M.unit_label:
+        if b == self.unit:
             return Vect.basis(ring, ("t", word, x))
         if word == UNIT_WORD:
-            out = Vect(ring)
-            for y, coef in self.H.mul(b, x).items():
-                out.iadd_term(coef, ("t", UNIT_WORD, y))
-            return out
+            return Vect.basis(ring, ("t", UNIT_WORD, concat(b, x)))
         a = word[1][1]
         rest = ("w",) + word[2:]
         out = Vect(ring)
@@ -324,7 +266,7 @@ class TwistedHopfTensor(OneSidedCobar):
         element b of positive degree it is s[b] (x) 1 plus c s[h] (x) b'
         for each term c h (x) b' of the reduced comultiplication of b."""
         return (self.section(bvect).map_terms(self.diff)
-                - self.section(bvect.map_terms(self.M.d_of)))
+                - self.section(bvect.map_terms(self.C.d_of)))
 
     def projection(self, vect):
         """The projection w (x) h -> counit(w) h onto H."""
@@ -336,11 +278,11 @@ class AlgebraOnHomology:
     """Homology of a chain complex together with the induced product on
     classes, reported as structure constants in the representative basis."""
 
-    def __init__(self, complex_, mul_vect, top=None):
+    def __init__(self, complex_, mul_vect):
         self.complex = complex_
         self.ring = complex_.ring
         self.mul_vect = mul_vect
-        self.top = complex_.cutoff - 1 if top is None else top
+        self.top = complex_.cutoff - 1
         self._h = {}
 
     def homology(self, n):
@@ -357,10 +299,10 @@ class AlgebraOnHomology:
         r2 = self.homology(n2).representatives[i2]
         return self.homology(n1 + n2).class_of(self.mul_vect(r1, r2))
 
-    def structure_constants(self, hi=None):
+    def structure_constants(self):
         """All pairwise products of representatives with total degree in
         range, as a deterministic nested dict."""
-        hi = self.top if hi is None else hi
+        hi = self.top
         out = {}
         for n1 in range(hi + 1):
             for n2 in range(hi + 1 - n1):

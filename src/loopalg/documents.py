@@ -43,6 +43,16 @@ def _require(cond, msg):
         raise DocumentError(msg)
 
 
+def _object(value, what):
+    _require(isinstance(value, dict), "%s must be an object" % what)
+    return value
+
+
+def _list(value, what):
+    _require(isinstance(value, list), "%s must be a list" % what)
+    return value
+
+
 def _coeff(c, where):
     _require(isinstance(c, int), "coefficient in %s must be an integer, "
              "got %r" % (where, c))
@@ -57,6 +67,7 @@ def coalgebra_from_document(doc, ring=None, cutoff=None):
     _require(isinstance(name, str), "'name' must be a string")
     if ring is None:
         _require("ring" in doc, "missing 'ring'")
+        _require(isinstance(doc["ring"], str), "'ring' must be a string")
         try:
             ring = ring_from_name(doc["ring"])
         except (ValueError, TypeError) as e:
@@ -81,16 +92,15 @@ def coalgebra_from_document(doc, ring=None, cutoff=None):
         gens[label] = deg
 
     def known(label, where):
-        _require(label in gens, "%s refers to unknown generator %r"
-                 % (where, label))
+        _require(isinstance(label, str) and label in gens,
+                 "%s refers to unknown generator %r" % (where, label))
         return label
 
     d = {}
-    for g, terms in (doc.get("d") or {}).items():
+    for g, terms in _object(doc.get("d") or {}, "'d'").items():
         known(g, "'d'")
         v = Vect(ring)
-        _require(isinstance(terms, list), "'d' of %s must be a list" % g)
-        for term in terms:
+        for term in _list(terms, "'d' of %s" % g):
             _require(isinstance(term, list) and len(term) == 2,
                      "'d' term of %s must be [coeff, label]" % g)
             c, out = term
@@ -100,11 +110,10 @@ def coalgebra_from_document(doc, ring=None, cutoff=None):
             v.iadd_term(_coeff(c, "'d' of %s" % g), out)
         d[g] = v
     delta = {}
-    for g, terms in (doc.get("delta") or {}).items():
+    for g, terms in _object(doc.get("delta") or {}, "'delta'").items():
         known(g, "'delta'")
         v = Vect(ring)
-        _require(isinstance(terms, list), "'delta' of %s must be a list" % g)
-        for term in terms:
+        for term in _list(terms, "'delta' of %s" % g):
             _require(isinstance(term, list) and len(term) == 3,
                      "'delta' term of %s must be [coeff, label, label]" % g)
             c, a, b = term
@@ -117,7 +126,7 @@ def coalgebra_from_document(doc, ring=None, cutoff=None):
         delta[g] = v
     C = DGCoalgebra(ring, cutoff, gens, d, delta, name=name)
 
-    psi_doc = doc.get("psi") or {}
+    psi_doc = _object(doc.get("psi") or {}, "'psi'")
     if not psi_doc:
         return C, AWCoalgebra.strict(C)
     comps = {1: psi_one(C)}
@@ -128,11 +137,10 @@ def coalgebra_from_document(doc, ring=None, cutoff=None):
             raise DocumentError("'psi' level %r is not an integer" % (kstr,))
         _require(k >= 2, "'psi' levels start at 2 (level 1 is the "
                  "comultiplication); got %d" % k)
-        _require(isinstance(table, dict), "'psi' level %d must be an object" % k)
-        for g, terms in table.items():
+        for g, terms in _object(table, "'psi' level %d" % k).items():
             known(g, "'psi' level %d" % k)
             v = Vect(ring)
-            for term in terms:
+            for term in _list(terms, "'psi' level %d of %s" % (k, g)):
                 _require(isinstance(term, list) and len(term) == k + 1,
                          "'psi' level %d term of %s must be "
                          "[coeff, pair, ..., pair]" % (k, g))
@@ -145,7 +153,7 @@ def coalgebra_from_document(doc, ring=None, cutoff=None):
                              "pairs (\"1\" for the unit)" % g)
                     a, b = pair
                     for l in (a, b):
-                        _require(l == UNIT or l in gens,
+                        _require(isinstance(l, str) and (l == UNIT or l in gens),
                                  "'psi' of %s refers to unknown generator %r"
                                  % (g, l))
                     _require(not (a == UNIT and b == UNIT),
@@ -175,11 +183,11 @@ def shmap_from_document(doc, source, target):
         except (ValueError, TypeError):
             raise DocumentError("component level %r is not an integer" % (kstr,))
         _require(k >= 1, "component levels start at 1")
-        for g, terms in table.items():
+        for g, terms in _object(table, "component level %d" % k).items():
             _require(g in source.gens, "map refers to unknown source "
                      "generator %r" % (g,))
             v = Vect(source.ring)
-            for term in terms:
+            for term in _list(terms, "level %d component of %s" % (k, g)):
                 _require(isinstance(term, list) and len(term) == 2
                          and isinstance(term[1], list) and len(term[1]) == k,
                          "level %d term of %s must be [coeff, [%d labels]]"
@@ -187,7 +195,8 @@ def shmap_from_document(doc, source, target):
                 c = _coeff(term[0], "map component of %s" % g)
                 total = 0
                 for l in term[1]:
-                    _require(l in target.gens, "map refers to unknown "
+                    _require(isinstance(l, str) and l in target.gens,
+                             "map refers to unknown "
                              "target generator %r" % (l,))
                     total += target.gens[l]
                 _require(total == source.gens[g] + k - 1,

@@ -201,7 +201,7 @@ class PathLoop(_Coaction):
         with kappa(s[c]) = -s[bar c]."""
         values = {l: Vect.basis(self.ring, ("w", s_letter(bar(l[1]))), -1)
                   for l in self.omega_base.letters}
-        return vect.map_terms(self.omega_base.derivation(values, -1))
+        return vect.map_terms(self.omega_base.derivation(values))
 
 
 class CofixedSubalgebra:

@@ -112,6 +112,6 @@ def ring_from_name(name):
         return QQ
     if name == "F2":
         return F2
-    if name.startswith("Fp:"):
+    if name.startswith("Fp:") and name[3:].isdecimal():
         return Ring("Fp", int(name[3:]))
     raise ValueError("cannot parse ring name %r" % (name,))

@@ -20,7 +20,7 @@ value on a word is that on its prefix times that on its last letter.
 
 from .vectors import Vect, label_key
 from .coalg import UNIT, tensor_coalgebra, direct_sum
-from .tensoralg import UNIT_WORD, concat
+from .tensoralg import UNIT_WORD
 from .cobar import CobarAlgebra, s_letter
 
 
@@ -94,14 +94,13 @@ class SHFamily:
         return Vect(self.ring, [t for t in self.chain_map_defect(gen).items()
                                 if len(t[0]) == k + 1])
 
-    def verify(self, kmax=None):
+    def verify(self):
         """Check degree bookkeeping and that the induced cobar map is a
-        chain map on every generator, reported level by level.  Returns
-        (ok, problems)."""
+        chain map on every generator, reported level by level through one
+        level above the family's top.  Returns (ok, problems)."""
         problems = [("degree", k, g, lbl) for (k, g, lbl) in self.degree_problems()]
-        kmax = self.max_level() + 1 if kmax is None else kmax
         for g in sorted(self.source.gens, key=label_key):
-            for k in range(1, kmax + 1):
+            for k in range(1, self.max_level() + 2):
                 res = self.coherence_residue(g, k)
                 if not res.is_zero():
                     problems.append(("coherence", k, g, res))
@@ -251,25 +250,7 @@ class InducedHopf:
         self._psi_letter_cache = {}
         self._psi_cache = {}
         self._factors = {}
-        self.unit_label = UNIT_WORD
 
-    # -- algebra / complex interface -------------------------------------
-    def basis(self, n, max_weight=None):
-        return self.omega.words(n, max_weight)
-
-    def degree(self, word):
-        return self.omega.degree(word)
-
-    def weight(self, word):
-        return self.omega.weight(word)
-
-    def d_of(self, word):
-        return self.omega.d_word(word)
-
-    def mul(self, w1, w2):
-        return Vect.basis(self.ring, concat(w1, w2))
-
-    # -- comultiplication ------------------------------------------------
     def psi_letter(self, letter):
         if letter not in self._psi_letter_cache:
             ind = self.aw.psi.induced_letter_value(letter)

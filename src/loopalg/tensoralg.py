@@ -89,9 +89,9 @@ class FreeAlgebra:
     def unit(self):
         return Vect.basis(self.ring, UNIT_WORD)
 
-    def derivation(self, gen_values, shift):
+    def derivation(self, gen_values):
         """Extend letter values (letter -> Vect of words) to a derivation of
-        the given degree shift.  Each letter value is taken once."""
+        degree -1.  Each letter value is taken once."""
         values = {}
 
         def apply_word(word):
@@ -104,7 +104,7 @@ class FreeAlgebra:
                         gen_values.get(lj, Vect.zero(self.ring))
                 val = values[lj]
                 if not val.is_zero():
-                    sign = -1 if (shift % 2) and (total % 2) else 1
+                    sign = -1 if total % 2 else 1
                     pre, post = ("w",) + letters[:j], letters[j + 1:]
                     for w, c in val.terms.items():
                         out.iadd_term(sign * c, pre + w[1:] + post)
@@ -115,7 +115,7 @@ class FreeAlgebra:
     def set_differential(self, gen_values):
         """Install d on letters (dict or callable); words get the derivation
         extension."""
-        self._diff = self.derivation(gen_values, -1)
+        self._diff = self.derivation(gen_values)
 
     def d_word(self, word):
         return self._diff(word)

@@ -68,6 +68,24 @@ def test_cotor_self_sphere3(capsys):
     assert rep["betti"] == [1] + [0] * 7
 
 
+def test_cotor_self_builds_the_coalgebra_of_h_once(capsys, monkeypatch):
+    # letters and coefficients of Omega H (x) H come from one build
+    from loopalg import cli, cobar
+    built = []
+
+    def counting(H, cutoff):
+        built.append(cutoff)
+        return coalgebra_of_hopf(H, cutoff)
+
+    coalgebra_of_hopf = cobar.coalgebra_of_hopf
+    monkeypatch.setattr(cobar, "coalgebra_of_hopf", counting)
+    monkeypatch.setattr(cli, "coalgebra_of_hopf", counting)
+    code, rep, _ = run_json(capsys, "cotor", "--hopf", "self",
+                            sample("sphere3.json"), "--cutoff", "6")
+    assert code == 0 and rep["betti"] == [1] + [0] * 5
+    assert built == [7]
+
+
 def test_verify_sphere3_all_pass(capsys):
     code, rep, _ = run_json(capsys, "verify", sample("sphere3.json"))
     assert code == 0
@@ -133,6 +151,38 @@ def test_parse_errors_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, "cobar", sample("sphere3.json"),
                          "--ring", "F9")
     assert code == 1
+
+
+SPHERE3 = {"name": "s3", "ring": "Z", "cutoff": 6,
+           "generators": [{"label": "x3", "degree": 3}]}
+
+
+@pytest.mark.parametrize("doc,map_doc,flags", [
+    (dict(SPHERE3, psi={"2": {"x3": 5}}), None, []),
+    (dict(SPHERE3, delta={"x3": [[1, ["x3"], "x3"]]}), None, []),
+    (dict(SPHERE3, d=[[1, "x3"]]), None, []),
+    (SPHERE3, {"components": {"1": [1]}}, []),
+    (SPHERE3, {"components": {"1": {"x3": 7}}}, []),
+    (SPHERE3, None, ["--out", "/nonexistent/x.json"]),
+    (SPHERE3, None, ["--ring", "Fp:x"]),
+], ids=["psi-terms", "delta-label", "d-list", "map-level", "map-terms",
+        "out-path", "ring-name"])
+def test_malformed_input_is_one_error_line(tmp_path, doc, map_doc, flags):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["cobar", str(path)]
+    if map_doc is not None:
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(map_doc))
+        argv = ["fiber", str(path), str(path), "--map", str(map_path)]
+    proc = subprocess.run([sys.executable, "-m", "loopalg.cli"] + argv + flags,
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+    if flags:
+        assert flags[1] in proc.stderr
 
 
 def test_formal_dl_needs_field(capsys):

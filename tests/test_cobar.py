@@ -65,6 +65,12 @@ def test_one_sided_cobar_acyclic_both_sides():
             assert betti(cx, 0, 7) == [1, 0, 0, 0, 0, 0, 0, 0], side
 
 
+def test_one_sided_cobar_needs_a_side():
+    om = CobarAlgebra(sphere_model(3, ZZ, 6))
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        OneSidedCobar(om, side="up")
+
+
 def test_one_sided_cobar_blocked():
     om = CobarAlgebra(sphere_model(2, ZZ, 6))
     osc = OneSidedCobar(om, side="right")
@@ -115,7 +121,7 @@ def test_section_and_defect_identities():
         tw = TwistedHopfTensor(H, top)
         ring = tw.ring
         for n in range(0, 7):
-            for b in H.basis(n):
+            for b in H.omega.words(n):
                 v = Vect.basis(ring, b)
                 # h(b) = d(s(b)) - s(db) is s[b] (x) 1 plus s[h] (x) b' over
                 # the reduced comultiplication (zero on the unit);
@@ -127,7 +133,7 @@ def test_section_and_defect_identities():
                         want.iadd_term(c, ("t", ("w", s_letter(h)), bp))
                 assert tw.section_defect(v) == want, b
                 assert tw.section(v).map_terms(tw.diff) == \
-                    tw.section(H.d_of(b)) + want, b
+                    tw.section(H.omega.d_word(b)) + want, b
                 assert (tw.projection(tw.section(v)) - v).is_zero(), b
                 assert tw.projection(tw.section_defect(v)).is_zero(), b
 

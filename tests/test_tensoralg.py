@@ -71,7 +71,7 @@ def test_mul_and_unit():
 def test_derivation_leibniz():
     alg = FreeAlgebra(ZZ, 8, {"a": 1, "b": 2})
     vals = {"b": Vect.basis(ZZ, ("w", "a", "a"))}
-    d = alg.derivation(vals, -1)
+    d = alg.derivation(vals)
     for w1 in alg.words(3):
         for w2 in alg.words(2):
             lhs = d(concat(w1, w2))
