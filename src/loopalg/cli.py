@@ -357,7 +357,7 @@ def _verify_suites(C, A):
                 if not (pl.kappa(v.map_terms(pl.omega_base.d_word)) +
                         pl.kappa(v).map_terms(pl.omega.d_word)).is_zero():
                     return "fail", "anticommutation at %s" % label_str(w)
-                left = pl.kappa(v).map_terms(pl.nu)
+                left = pl.kappa(v).map_terms(pl.coaction)
                 right = Vect(C.ring)
                 for (_, a, b), c in pl.base_hopf.psi(w).items():
                     for u2, c2 in pl.kappa(Vect.basis(C.ring, a)).items():

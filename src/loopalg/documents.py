@@ -54,7 +54,8 @@ def _list(value, what):
 
 
 def _coeff(c, where):
-    _require(isinstance(c, int), "coefficient in %s must be an integer, "
+    # type, not isinstance: JSON true/false load as bool, a subclass of int
+    _require(type(c) is int, "coefficient in %s must be an integer, "
              "got %r" % (where, c))
     return c
 
@@ -74,7 +75,7 @@ def coalgebra_from_document(doc, ring=None, cutoff=None):
             raise DocumentError("bad ring: %s" % e)
     if cutoff is None:
         cutoff = doc.get("cutoff")
-    _require(isinstance(cutoff, int) and cutoff >= 1,
+    _require(type(cutoff) is int and cutoff >= 1,
              "'cutoff' must be a positive integer")
     gens = {}
     _require(isinstance(doc.get("generators"), list),
@@ -86,7 +87,7 @@ def coalgebra_from_document(doc, ring=None, cutoff=None):
         deg = item["degree"]
         _require(isinstance(label, str) and label and label != UNIT,
                  "bad generator label %r" % (label,))
-        _require(isinstance(deg, int) and deg >= 1,
+        _require(type(deg) is int and deg >= 1,
                  "generator %s: degree must be a positive integer" % label)
         _require(label not in gens, "duplicate generator %s" % label)
         gens[label] = deg

@@ -10,24 +10,23 @@ comultiplication; it right-coacts on itself over Omega C by erasing bars in
 the second output slot.  The cofixed part of that coaction is the
 double-loop model; applied to the coproduct of a source coalgebra with
 P(C) along a map to C, the same construction yields the homotopy-fiber
-model.  Both coactions are maps of chain algebras, built prefix by prefix
-as products of letter values: a letter's comultiplication with its second
-slot projected or pushed, prepared once, never the whole word's.
+model.  Both coactions are maps of chain algebras, so nu is built prefix
+by prefix from letter values prepared once, on int codes: a letter is its
+index in label_key order, a word a tuple of codes, a term a pair of words.
 
 A cofixed subalgebra works on word indices: each (degree, weight) block
-keeps its ambient words and linalg.kernel's vectors on their indices, with
-the coaction's rows numbered as they first appear, not sorted.  Its
-columns sum the ambient d_columns over a basis vector and read the sum
-off at the free words; only the vectors of a leftover Z core go through a
+keeps its ambient words and linalg.kernel's vectors on their indices.  A
+word's kernel column is its reduced coaction, read off nu with no Vect,
+its rows numbered as they first appear, not sorted.  The boundary columns
+sum the ambient d_columns over a basis vector and read the sum off at the
+free words; only the vectors of a leftover Z core go through a
 linalg.Solver.  Vects over ambient words are built for the product alone.
 """
 
 from .vectors import Vect, label_str, bilinear
 from .coalg import UNIT, DGCoalgebra, tensor_coalgebra
-from .tensoralg import UNIT_WORD
 from .cobar import CobarAlgebra, s_letter
-from .shfamily import (SHFamily, AWCoalgebra, InducedHopf, TensorSquare,
-                       aw_coproduct)
+from .shfamily import SHFamily, AWCoalgebra, InducedHopf, aw_coproduct
 from . import linalg
 
 
@@ -130,44 +129,86 @@ def extend_psi(A, name=""):
 
 
 class _Coaction:
-    """What the path-loop and fiber coactions share.  A subclass provides
-    ring, cutoff, the word algebra omega, the algebra tsq that the coaction
-    lands in, and _nu_letter, the coaction of one letter; the cofixed part
-    of nu is the double-loop or homotopy-fiber model."""
+    """What the path-loop and fiber coactions share.  A subclass sets ring,
+    cutoff, the word algebras omega and omega_base, and _nu_letter, the
+    coaction of one letter over ('t', word, base word), then calls this
+    __init__.  nu runs on the codes of the module docstring."""
 
     _cap = None
 
+    def __init__(self):
+        A, B = self.omega, self.omega_base
+        self._codes = [{l: i for i, l in enumerate(om._ordered)}
+                       for om in (A, B)]
+        self._deg = [A.letters[l] for l in A._ordered]
+        self._wt = [A.weights[l] for l in A._ordered]
+        self._odd_b = [B.letters[l] % 2 for l in B._ordered]
+        self._shapes = set(zip(self._deg, self._wt))
+        self._dmin = min(self._deg, default=0)
+        self._nu_cache, self._factors, self._odd = {}, {}, {}
+
+    def _encode(self, word, slot=0):
+        return tuple(map(self._codes[slot].__getitem__, word[1:]))
+
     def nu(self, word):
-        """The full coaction, over ('t', word, base word).  It is a map of
-        algebras, so it is nu of the prefix times the prepared factor of
-        the last letter, in tsq; no full comultiplication of a word is
-        built.  Only prefixes are read again, so a word is kept only if
+        """The coaction of a code word: nu of the prefix times the factor
+        of the last letter, (a1 (x) a2)(b1 (x) b2) = (-1)^{|a2||b1|} a1 b1
+        (x) a2 b2.  Only prefixes are read again, so a word is kept only if
         some letter extends it within the cutoff and cofixed()'s cap."""
         val = self._nu_cache.get(word)
         if val is None:
-            if word == UNIT_WORD:
-                return self.tsq.unit()
-            l, om = word[-1], self.omega
-            if len(word) == 2:
-                val = self._nu_letter(l)
+            if not word:
+                return {((), ()): self.ring.one}
+            l, deg = word[-1], self._deg.__getitem__
+            if len(word) == 1:
+                val = {(self._encode(u), self._encode(v, 1)): c for (_, u, v),
+                       c in self._nu_letter(self.omega._ordered[l]).items()}
             else:
                 if l not in self._factors:
-                    self._factors[l] = self.tsq.factor(self.nu(("w", l)))
-                val = self.tsq.times(self.nu(word[:-1]), self._factors[l])
-            room = self.cutoff - om.degree(word)
-            left = None if self._cap is None else self._cap - om.weight(word)
-            if any(d <= room and (left is None or om.weights[x] <= left)
-                   for x, d in om.letters.items()):
+                    # the terms of nu(l), then those for an odd a2
+                    terms = self.nu((l,)).items()
+                    self._factors[l] = [[(b1, b2, c) for (b1, b2), c in terms],
+                                        [(b1, b2, -c if sum(map(deg, b1)) % 2
+                                          else c) for (b1, b2), c in terms]]
+                odd_of, factor, terms = self._odd, self._factors[l], {}
+                for (a1, a2), ca in self.nu(word[:-1]).items():
+                    odd = odd_of.get(a2)
+                    if odd is None:
+                        odd = odd_of[a2] = sum(map(self._odd_b.__getitem__,
+                                                   a2)) % 2
+                    for b1, b2, cb in factor[odd]:
+                        key = (a1 + b1, a2 + b2)
+                        terms[key] = terms.get(key, 0) + ca * cb
+                val = self.ring.reduce(terms)
+            room = self.cutoff - sum(map(deg, word))
+            left = None if self._cap is None else \
+                self._cap - sum(map(self._wt.__getitem__, word))
+            if room >= self._dmin and (left is None or any(
+                    d <= room and w <= left for d, w in self._shapes)):
                 self._nu_cache[word] = val
         return val
 
-    def nu_bar(self, word):
-        """The reduced coaction: nu(word) - word (x) 1."""
-        return self.nu(word) - Vect.basis(self.ring, ("t", word, UNIT_WORD))
+    def column(self, word):
+        """nu(word) - word (x) 1 on codes, for a label word."""
+        u = self._encode(word)
+        col, key = dict(self.nu(u)), (u, ())
+        if col.get(key) == 1:
+            del col[key]
+        else:
+            col[key] = self.ring.norm(col.get(key, 0) - 1)
+        return col
+
+    def coaction(self, word):
+        """nu of a label word, over ('t', word, base word)."""
+        A, B = self.omega._ordered, self.omega_base._ordered
+        return Vect(self.ring, [
+            (("t", ("w", *map(A.__getitem__, u)),
+              ("w", *map(B.__getitem__, v))), c)
+            for (u, v), c in self.nu(self._encode(word)).items()])
 
     def cofixed(self, max_weight=None):
         self._cap = max_weight
-        return CofixedSubalgebra(self.omega, self.nu_bar, self.cutoff,
+        return CofixedSubalgebra(self.omega, self.column, self.cutoff,
                                  max_weight=max_weight)
 
 
@@ -177,17 +218,14 @@ class PathLoop(_Coaction):
     letter coproducts with their barred second-slot terms dropped."""
 
     def __init__(self, A, name=""):
-        self.base = A
         self.ring = A.ring
         self.cutoff = A.cutoff
         self.name = name or ("PL(%s)" % A.name)
-        self.pc_aw = extend_psi(A)
-        self.hopf = InducedHopf(self.pc_aw, name=self.name)
+        self.hopf = InducedHopf(extend_psi(A), name=self.name)
         self.omega = self.hopf.omega
         self.base_hopf = InducedHopf(A)
         self.omega_base = self.base_hopf.omega
-        self.tsq = self.hopf.tsq
-        self._nu_cache, self._factors = {}, {}
+        super().__init__()
 
     def _nu_letter(self, letter):
         """(1 (x) Omega pi) psi~ of a letter, over ('t', path-loop word,
@@ -209,7 +247,8 @@ class CofixedSubalgebra:
     as a chain complex with a product.
 
     ambient: a free word algebra (a FreeAlgebra such as a CobarAlgebra);
-    coaction_bar: word -> Vect over ('t', word, hword).
+    column: word -> its reduced coaction, a dict row key -> nonzero
+    coefficient, such as _Coaction.column.
     With a weight cap, which an ambient alphabet with degree-0 letters
     needs, the computation is run per weight block (the coaction and
     differential must preserve the weight for the blocks to be exact; this
@@ -221,11 +260,10 @@ class CofixedSubalgebra:
     on its core vectors if it has any: together they give the
     coordinates."""
 
-    def __init__(self, ambient, coaction_bar, cutoff, max_weight=None,
-                 name=""):
+    def __init__(self, ambient, column, cutoff, max_weight=None, name=""):
         self.ambient = ambient
         self.ring = ambient.ring
-        self.coaction_bar = coaction_bar
+        self.column = column
         self.cutoff = cutoff
         self.max_weight = max_weight
         self.blocked = max_weight is not None
@@ -262,7 +300,7 @@ class CofixedSubalgebra:
             rows = {}
             free, vecs = linalg.kernel(
                 [{rows.setdefault(l, len(rows)): c
-                  for l, c in self.coaction_bar(u).items()} for u in words],
+                  for l, c in self.column(u).items()} for u in words],
                 self.ring)
             core = vecs[len(free):]
             self._kernels[key] = (words, vecs)
@@ -375,18 +413,15 @@ class FiberCoaction(_Coaction):
     def __init__(self, Aprime, A, omega_family, name=""):
         self.ring = A.ring
         self.cutoff = min(A.cutoff, Aprime.cutoff)
-        self.Aprime = Aprime
-        self.A = A
         self.family = omega_family
         self.name = name
-        self.aw_sum = aw_coproduct(Aprime, extend_psi(A))
-        self.hopf = InducedHopf(self.aw_sum, name=name or "E")
+        self.hopf = InducedHopf(aw_coproduct(Aprime, extend_psi(A)),
+                                name=name or "E")
         self.omega = self.hopf.omega
         self.omega_base = CobarAlgebra(A.C)
         self._push = self.omega.algebra_map(
             self._push_letter, self.omega_base.mul, self.omega_base.unit)
-        self.tsq = TensorSquare(self.omega, self.omega_base)
-        self._nu_cache, self._factors = {}, {}
+        super().__init__()
 
     def _push_letter(self, letter):
         tag, inner = letter[1]

@@ -11,16 +11,22 @@ inverse of a unit.
 from fractions import Fraction
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p):
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    """Miller-Rabin on the first 12 primes as bases, which decides every
+    p below 3.1e23; Ring refuses p >= 2^64."""
+    if p < 2 or any(p % b == 0 for b in _BASES):
+        return p in _BASES
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _BASES:
+        # b^d, b^2d, ..., b^(2^(s-1) d): a prime p gives 1 first or -1
+        seq = [pow(b, d << i, p) for i in range(s)]
+        if seq[0] != 1 and p - 1 not in seq:
             return False
-        d += 2
     return True
 
 
@@ -31,6 +37,8 @@ class Ring:
         if kind not in ("Z", "Q", "Fp"):
             raise ValueError("unknown ring kind %r" % (kind,))
         if kind == "Fp":
+            if p is not None and p >= 2 ** 64:
+                raise ValueError("Fp requires p below 2^64, got %d" % p)
             if p is None or not _is_prime(p):
                 raise ValueError("Fp requires a prime p, got %r" % (p,))
         elif p is not None:

@@ -10,6 +10,8 @@ carries a positive integer weight (default 1); weights add along words and
 give the finite blocks used for those computations.
 """
 
+from bisect import bisect_right
+
 from .vectors import Vect, label_key
 
 UNIT_WORD = ("w",)
@@ -62,23 +64,30 @@ class FreeAlgebra:
         of its suffixes."""
         key = (n, max_weight)
         if key not in self._word_cache:
-            out, starts = [UNIT_WORD] if n == 0 else [], {}
+            # label_key puts shorter words first, so each suffix list is a
+            # run of words per length; the words of one length are l.u for
+            # each letter l in order and that length's run of its suffixes
+            runs, prefix = {}, {}
             for l in self._ordered:
                 d, left = self.letters[l], max_weight
                 if left is not None:
                     left -= self.weights[l]
                 if d <= n and (left is None or left >= 0):
-                    starts[l] = (n - d, left), len(out)
-                    out += [("w", l) + u[1:]
-                            for u in self._words(n - d, left)[0]]
-            # letters in label_key order, each on suffixes in label_key
-            # order, give each length in label_key order; label_key puts
-            # shorter words first, and the sort by length is stable
-            order = sorted(range(len(out)), key=lambda i: len(out[i]))
-            place = sorted(range(len(out)), key=order.__getitem__)
-            self._word_cache[key] = [out[j] for j in order], {
-                l: (sub, place[s:s + len(self._words(*sub)[0])])
-                for l, (sub, s) in starts.items()}
+                    sub = self._words(n - d, left)[0]
+                    prefix[l] = (n - d, left), [0] * len(sub)
+                    lo = 0
+                    while lo < len(sub):
+                        hi = bisect_right(sub, len(sub[lo]), lo, key=len)
+                        runs.setdefault(len(sub[lo]), []).append(
+                            (l, sub, lo, hi))
+                        lo = hi
+            words = [UNIT_WORD] if n == 0 else []
+            for k in sorted(runs):
+                for l, sub, lo, hi in runs[k]:
+                    at = len(words)
+                    prefix[l][1][lo:hi] = range(at, at + hi - lo)
+                    words += [("w", l) + u[1:] for u in sub[lo:hi]]
+            self._word_cache[key] = words, prefix
         return self._word_cache[key]
 
     def mul(self, u, v):

@@ -1,12 +1,13 @@
 """Model builders and readings that only the tests use: sphere
 coalgebras, the double-loop and fiber models together with their
-coactions, the tensor square of two cobar algebras as a chain complex,
-and a complex's Betti numbers."""
+coactions and their reduced coactions over labels, the tensor square of
+two cobar algebras as a chain complex, and a complex's Betti numbers."""
 
 from loopalg.chain import ChainComplex
 from loopalg.coalg import DGCoalgebra
 from loopalg.pathloop import PathLoop, FiberCoaction
-from loopalg.vectors import label_key
+from loopalg.tensoralg import UNIT_WORD
+from loopalg.vectors import Vect, label_key
 
 
 def sphere_model(n, ring, cutoff, label=None):
@@ -30,6 +31,12 @@ def loop_fiber(Aprime, A, omega_family, max_weight=None):
     under the pushed coaction, and the coaction."""
     fc = FiberCoaction(Aprime, A, omega_family)
     return fc.cofixed(max_weight), fc
+
+
+def reduced_coaction(co):
+    """word -> coaction(word) - word (x) 1 of a path-loop or fiber
+    coaction, over ('t', word, base word)."""
+    return lambda u: co.coaction(u) - Vect.basis(co.ring, ("t", u, UNIT_WORD))
 
 
 def tensor_square_complex(tsq):

@@ -27,7 +27,7 @@ from loopalg.documents import coalgebra_from_document, load_json
 from loopalg.cli import main
 
 from models import (double_loop, loop_fiber, tensor_square_complex, betti,
-                    sphere_model)
+                    sphere_model, reduced_coaction)
 
 CUTOFF = 8
 SAMPLES = os.path.join(os.path.dirname(os.path.dirname(
@@ -123,7 +123,7 @@ def test_criterion_01_differential_integrity():
         # double loop: structural proof everywhere, plus a direct sweep
         # of the synthetic complex on the members where it is small
         letters_d2(pl.omega, ("path-loop letters", name))
-        coaction_chain_map_letters(pl.omega, pl.omega_base, pl.nu,
+        coaction_chain_map_letters(pl.omega, pl.omega_base, pl.coaction,
                                    ("double-loop closure", name))
         if name not in big_dl:
             dl, _ = double_loop(A, max_weight=mw)
@@ -138,7 +138,7 @@ def test_criterion_01_differential_integrity():
                 hf, fc = loop_fiber(A, A, identity_family(A),
                                     max_weight=CUTOFF)
             letters_d2(fc.omega, ("fiber ambient", name))
-            coaction_chain_map_letters(fc.omega, fc.omega_base, fc.nu,
+            coaction_chain_map_letters(fc.omega, fc.omega_base, fc.coaction,
                                        ("fiber closure", name))
         else:
             try:
@@ -210,7 +210,7 @@ def test_criterion_04_kappa_identities():
                 # (3) nu kappa = (kappa (x) 1) psi
                 left = Vect(ring)
                 for u, c in pl.kappa(v).items():
-                    left = left + pl.nu(u).scale(c)
+                    left = left + pl.coaction(u).scale(c)
                 right = Vect(ring)
                 for (_, a, b), c in pl.base_hopf.psi(w).items():
                     for u2, c2 in pl.kappa(Vect.basis(ring, a)).items():
@@ -240,9 +240,10 @@ def f2_block_kernel_rank(pl, n, w):
     rows = {}
     rank = 0
     pivots = {}
+    nu_bar = reduced_coaction(pl)
     for u in words:
         mask = 0
-        for label, c in pl.nu_bar(u).items():
+        for label, c in nu_bar(u).items():
             if int(c) % 2 == 0:
                 continue
             i = rows.setdefault(label, len(rows))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -183,6 +184,52 @@ def test_malformed_input_is_one_error_line(tmp_path, doc, map_doc, flags):
     assert proc.stderr.startswith("error: ")
     if flags:
         assert flags[1] in proc.stderr
+
+
+BOOLEAN_DOCUMENTS = {
+    "cutoff": (dict(SPHERE3, cutoff=True), None),
+    "degree": (dict(SPHERE3, generators=[{"label": "x3", "degree": True}]),
+               None),
+    "coefficient": (dict(SPHERE3, generators=[{"label": "x3", "degree": 3},
+                                              {"label": "y2", "degree": 2}],
+                         d={"x3": [[True, "y2"]]}), None),
+    "map-coefficient": (SPHERE3, {"components": {"1": {"x3": [[True,
+                                                               ["x3"]]]}}})}
+
+
+@pytest.mark.parametrize("what", sorted(BOOLEAN_DOCUMENTS))
+def test_json_booleans_are_not_integers(tmp_path, what):
+    """true passes isinstance(x, int) in Python; a document that puts it
+    where an integer belongs is refused, not read as 1."""
+    doc, map_doc = BOOLEAN_DOCUMENTS[what]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = ["cobar", str(path)]
+    if map_doc is not None:
+        map_path = tmp_path / "map.json"
+        map_path.write_text(json.dumps(map_doc))
+        argv = ["fiber", str(path), str(path), "--map", str(map_path)]
+    proc = subprocess.run([sys.executable, "-m", "loopalg.cli"] + argv,
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("p,code", [
+    (2 ** 61 - 1, 0), (1073741789 * (2 ** 31 - 1), 1), (2 ** 64 + 13, 1)],
+    ids=["prime-2^61-1", "composite-near-2^61", "prime-above-2^64"])
+def test_large_primes_are_decided_at_once(capsys, p, code):
+    """Fp:<p> with p near 2^61 is decided in well under a second, and a
+    prime p at or above 2^64 is refused by name of the bound."""
+    t0 = time.perf_counter()
+    got, out, err = run(capsys, "cobar", sample("sphere3.json"),
+                        "--ring", "Fp:%d" % p, "--cutoff", "4")
+    assert got == code and time.perf_counter() - t0 < 1
+    if code:
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert ("2^64" in err) == (p > 2 ** 64)
 
 
 def test_formal_dl_needs_field(capsys):
@@ -574,7 +621,9 @@ def test_models_are_the_same_under_every_hash_seed():
     jobs = [["double-loop", sample("nonprimitive.json")],
             ["double-loop", os.path.join(GOLDEN_INPUTS, "product3-5.json")],
             ["double-loop", os.path.join(GOLDEN_INPUTS, "wedge3-5.json")],
-            ["fiber", sample("sphere5.json"), sample("sphere3.json")]]
+            ["fiber", sample("sphere5.json"), sample("sphere3.json")],
+            ["fiber", sample("sphere3.json"), sample("sphere3.json"),
+             "--map", "identity"]]
     jobs = [argv + ["--cutoff", "8", "--format", "json"] for argv in jobs]
     code = ("import contextlib, hashlib, io, json\n"
             "from loopalg import cli, pathloop\n"

@@ -16,9 +16,12 @@ from loopalg.shfamily import AWCoalgebra, InducedHopf, TensorSquare
 from loopalg.pathloop import (bar, path_object, extend_psi, PathLoop,
                               CofixedSubalgebra, FiberCoaction,
                               identity_family, trivial_family)
-from loopalg.documents import coalgebra_from_document, load_json
+from loopalg.documents import (coalgebra_from_document, load_json,
+                                shmap_from_document)
+from loopalg import linalg
 
-from models import double_loop, loop_fiber, betti, sphere_model
+from models import (double_loop, loop_fiber, betti, sphere_model,
+                    reduced_coaction)
 
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -82,7 +85,7 @@ def test_kappa_anti_chain_map_small():
 
 def test_cofixed_closure_and_coordinates():
     dl, pl = double_loop(aw(3, ZZ, 6))
-    ring = dl.ring
+    ring, nu_bar = dl.ring, reduced_coaction(pl)
     for n in range(0, 6):
         basis = dl.basis(n)
         assert len(basis) == dl.rank(n)
@@ -91,7 +94,7 @@ def test_cofixed_closure_and_coordinates():
             # basis vectors are cofixed: the reduced coaction kills them
             acc = Vect(ring)
             for u, c in v.items():
-                acc = acc + pl.nu_bar(u).scale(c)
+                acc = acc + nu_bar(u).scale(c)
             assert acc.is_zero(), label
             # coordinates round trip
             assert dl.coordinates(n, v) == {label: 1}
@@ -201,20 +204,20 @@ def _check_coordinates(sub, coaction_bar, top, seed=0):
                          ids=["Z", "F2", "Fp3"])
 def test_double_loop_coordinates_round_trip(ring):
     dl, pl = double_loop(aw(3, ring, 9))
-    _check_coordinates(dl, pl.nu_bar, 9)
+    _check_coordinates(dl, reduced_coaction(pl), 9)
 
 
 def test_blocked_double_loop_coordinates_round_trip():
     dl, pl = double_loop(AWCoalgebra.strict(sphere_model(2, F2, 5)),
                          max_weight=6)
     assert dl.blocked
-    _check_coordinates(dl, pl.nu_bar, 4)
+    _check_coordinates(dl, reduced_coaction(pl), 4)
 
 
 def test_fiber_coordinates_round_trip_over_z():
     A5, A3 = aw(5, ZZ, 9), aw(3, ZZ, 9)
     hf, fc = loop_fiber(A5, A3, trivial_family(A5, A3))
-    _check_coordinates(hf, fc.nu_bar, 9)
+    _check_coordinates(hf, reduced_coaction(fc), 9)
 
 
 def test_integer_double_loop_runs_without_field_elimination(monkeypatch,
@@ -270,15 +273,15 @@ def test_cofixed_coordinates_with_a_non_unit_pivot(ring):
     Over Z, a -> 2t, b -> 3t has no unit entry.  The whole block is the
     core of linalg.kernel, whose saturated kernel is spanned by 3a - 2b,
     and coordinates go through the Solver on it."""
-    from loopalg.tensoralg import FreeAlgebra, UNIT_WORD
+    from loopalg.tensoralg import FreeAlgebra
     alg = FreeAlgebra(ring, 3, {"a": 1, "b": 1})
     a, b = ("w", "a"), ("w", "b")
 
     def cofixed(ca, cb):
-        def coaction_bar(word):
+        def column(word):
             c = {a: ca, b: cb}.get(word, 0)
-            return Vect(ring, [(("t", UNIT_WORD, a), c)])
-        sub = CofixedSubalgebra(alg, coaction_bar, 3)
+            return {"t": c} if c else {}
+        sub = CofixedSubalgebra(alg, column, 3)
         (v,) = [sub.vector_of(label) for label in sub.basis(1)]
         return sub, v
 
@@ -330,7 +333,7 @@ def _check_nu_is_projected_psi(pl, top, max_weight=None):
                 if not any(isinstance(l[1], tuple) and l[1][0] == "bar"
                            for l in v[1:]):
                     want.iadd_term(c, ("t", u, v))
-            assert pl.nu(w) == want, w
+            assert pl.coaction(w) == want, w
             checked += 1
     return checked
 
@@ -366,18 +369,51 @@ def test_fiber_nu_is_the_pushed_comultiplication(family, ring):
             for (_, u, v), c in fc.hopf.psi(w).items():
                 for w2, c2 in fc._push(v).items():
                     want.iadd_term(c * c2, ("t", u, w2))
-            assert fc.nu(w) == want, w
+            assert fc.coaction(w) == want, w
+
+
+# map documents on sphere models: the degree-2 self-map of S3, and the
+# quaternionic Hopf map S7 -> S4, a strongly homotopy map given by its
+# level-2 component alone
+MAPS = {"degree2": (3, 3, {"1": {"x3": [[2, ["x3"]]]}}),
+        "hopf": (7, 4, {"2": {"x7": [[1, ["x4", "x4"]]]}})}
+
+
+@pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
+@pytest.mark.parametrize("model", ["double-loop", "trivial", "identity"]
+                         + sorted(MAPS))
+def test_kernels_are_the_kernels_of_the_label_columns(model, ring):
+    """The kernels built on the coded coaction are linalg.kernel of the
+    label columns of the reduced coaction, with rows numbered as they
+    first appear: the same vectors, not only the same ranks."""
+    A3 = aw(3, ring, 10)
+    if model == "double-loop":
+        co = PathLoop(A3)
+    elif model == "trivial":
+        A5 = aw(5, ring, 10)
+        co = FiberCoaction(A5, A3, trivial_family(A5, A3))
+    elif model == "identity":
+        co = FiberCoaction(A3, A3, identity_family(A3))
+    else:
+        p, q, components = MAPS[model]
+        Ap, A = aw(p, ring, 10), aw(q, ring, 10)
+        co = FiberCoaction(Ap, A, shmap_from_document(
+            {"components": components}, Ap.C, A.C))
+    sub, nu_bar = co.cofixed(), reduced_coaction(co)
+    for n in range(11):
+        words, rows = co.omega.words(n), {}
+        cols = [{rows.setdefault(l, len(rows)): c
+                 for l, c in nu_bar(u).items()} for u in words]
+        assert sub._kernel(n) == (words, linalg.kernel(cols, ring)[1]), n
 
 
 def test_double_loop_builds_no_comultiplication_of_a_word(monkeypatch):
-    """nu comes from letter values: during a Z double loop of S3 at
-    cutoff 9, psi is never asked for a path-loop word, and the tensor
-    product runs on prepared letter factors, at most once per distinct
-    word that nu is asked for, though nu keeps only the words that a
-    letter can still extend."""
-    psi_calls = []
-    products = {"mul": 0, "times": 0}
-    nu_words = set()
+    """nu comes from letter values on codes: during a Z double loop of S3
+    at cutoff 9, psi is never asked for a path-loop word and no
+    TensorSquare product runs.  nu is asked for words of int codes, works
+    out each word once, and keeps fewer of them than it is asked for: only
+    the words that a letter can still extend."""
+    psi_calls, products, nu_calls, worked = [], [], [], []
     psi, mul, times, nu = (InducedHopf.psi, TensorSquare.mul,
                            TensorSquare.times, PathLoop.nu)
 
@@ -385,16 +421,16 @@ def test_double_loop_builds_no_comultiplication_of_a_word(monkeypatch):
         psi_calls.append((self, word))
         return psi(self, word)
 
-    def counting_mul(self, u, v):
-        products["mul"] += 1
-        return mul(self, u, v)
-
-    def counting_times(self, u, factor):
-        products["times"] += 1
-        return times(self, u, factor)
+    def counting(fn):
+        def product(self, *args):
+            products.append(fn)
+            return fn(self, *args)
+        return product
 
     def recording_nu(self, word):
-        nu_words.add(word)
+        nu_calls.append(word)
+        if word not in self._nu_cache:
+            worked.append(word)
         return nu(self, word)
 
     monkeypatch.setattr(InducedHopf, "psi", counting_psi)
@@ -404,16 +440,16 @@ def test_double_loop_builds_no_comultiplication_of_a_word(monkeypatch):
     # take them first, so that only products of words are counted
     for letter in pl.omega.letters:
         pl.hopf.psi_letter(letter)
-    monkeypatch.setattr(TensorSquare, "mul", counting_mul)
-    monkeypatch.setattr(TensorSquare, "times", counting_times)
+    monkeypatch.setattr(TensorSquare, "mul", counting(mul))
+    monkeypatch.setattr(TensorSquare, "times", counting(times))
     cx = dl.to_chain_complex(top=9)
     # rationally the double loop of S3 is a circle
     assert betti(cx, 0, 8) == [1, 1, 0, 0, 0, 0, 0, 0, 0]
     assert not [w for h, w in psi_calls if h is pl.hopf]
-    assert len(nu_words) > 100
-    assert products["mul"] == 0
-    assert 0 < products["times"] <= len(nu_words)
-    assert len(pl._nu_cache) < len(nu_words)
+    assert not products
+    assert all(type(x) is int for w in nu_calls for x in w)
+    assert len(worked) == len(set(worked)) == len(set(nu_calls)) > 100
+    assert set(pl._nu_cache) < set(worked) and len(worked) < len(nu_calls)
 
 
 def _index_diff_matches_label_route(sub, top):
@@ -463,16 +499,15 @@ def _core_algebra(coaction, d):
     differential; the reduced coaction takes a single letter l to
     coaction[l] times a fixed tensor of its degree, and every other word
     to 0."""
-    from loopalg.tensoralg import FreeAlgebra, UNIT_WORD
+    from loopalg.tensoralg import FreeAlgebra
     alg = FreeAlgebra(ZZ, 3, {"a": 1, "b": 1, "c": 2, "e": 2})
     alg.set_differential({l: Vect(ZZ, [(("w", t), x) for t, x in v])
                           for l, v in d.items()})
 
-    def coaction_bar(word):
+    def column(word):
         c = coaction.get(word[1], 0) if len(word) == 2 else 0
-        return Vect(ZZ, [(("t", UNIT_WORD, ("w", "x%d" % len(word))), c)]
-                    if c else [])
-    return CofixedSubalgebra(alg, coaction_bar, 3)
+        return {len(word): c} if c else {}
+    return CofixedSubalgebra(alg, column, 3)
 
 
 def test_index_diff_is_the_label_route_through_a_core():

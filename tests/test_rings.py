@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from loopalg.rings import Ring, ZZ, QQ, F2, ring_from_name
+from loopalg.rings import Ring, ZZ, QQ, F2, ring_from_name, _is_prime
 
 
 def test_kinds_and_fields():
@@ -22,6 +22,22 @@ def test_bad_constructions():
         Ring("Fp")
     with pytest.raises(ValueError):
         Ring("Z", 3)
+
+
+def test_primality_below_2_to_the_64():
+    """Miller-Rabin on the first 12 prime bases is exact below 2^64: it
+    takes Carmichael numbers and 3825123056546413051, a strong
+    pseudoprime to every prime base up to 23, for composites.  Ring
+    refuses p >= 2^64 and names the bound."""
+    small = [p for p in range(200) if all(p % d for d in range(2, p))]
+    assert [p for p in range(200) if _is_prime(p)] == small[2:]
+    for n in (561, 1105, 1729, 2047, 3215031751, 3825123056546413051,
+              1073741789 * (2 ** 31 - 1)):
+        assert not _is_prime(n), n
+    for p in (2 ** 31 - 1, 1073741789, 2 ** 61 - 1, 2 ** 64 - 59):
+        assert _is_prime(p), p
+    with pytest.raises(ValueError, match=r"below 2\^64"):
+        Ring("Fp", 2 ** 64 + 13)
 
 
 def test_parse_names():

@@ -19,8 +19,9 @@ from loopalg.documents import coalgebra_from_document, load_json
 
 from models import betti, sphere_model
 
-PRODUCT23 = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                         "golden", "inputs", "product2-3.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+INPUTS = os.path.join(HERE, "golden", "inputs")
+PRODUCT23 = os.path.join(INPUTS, "product2-3.json")
 
 
 def compositions(n, parts):
@@ -208,6 +209,44 @@ def test_words_is_entered_only_by_its_callers(monkeypatch):
         for n in range(9):
             alg.words(n, max_weight)
     assert len(calls) == 18
+
+
+def sorted_word_lists(alg, n, cap):
+    """Oracle: the word list and prefix maps of (n, cap) by sorts, from
+    the cached suffix lists: every l.u in letter order, the indices sorted
+    stably by length, and sorted again to invert that permutation."""
+    out, starts = [UNIT_WORD] if n == 0 else [], {}
+    for l in alg._ordered:
+        d, left = alg.letters[l], cap
+        if left is not None:
+            left -= alg.weights[l]
+        if d <= n and (left is None or left >= 0):
+            starts[l] = (n - d, left), len(out)
+            out += [("w", l) + u[1:] for u in alg._words(n - d, left)[0]]
+    order = sorted(range(len(out)), key=lambda i: len(out[i]))
+    place = sorted(range(len(out)), key=order.__getitem__)
+    return [out[j] for j in order], {
+        l: (sub, place[s:s + len(alg._words(*sub)[0])])
+        for l, (sub, s) in starts.items()}
+
+
+@pytest.mark.parametrize("path,caps,top", [
+    (os.path.join(os.path.dirname(HERE), "sample_inputs", "sphere3.json"),
+     [None], 12),
+    (os.path.join(INPUTS, "product3-5.json"), [None], 11),
+    (PRODUCT23, range(7), 6)], ids=["S3", "S3xS5", "S2xS3"])
+def test_word_lists_are_the_sort_by_length(path, caps, top):
+    """Runs of equal length, taken length by length, give the word lists
+    and prefix maps of the sort by length, for every (degree, cap) that a
+    path-loop alphabet builds, its suffix lists included."""
+    _, A = coalgebra_from_document(load_json(path), ring=F2, cutoff=top)
+    om = PathLoop(A).omega
+    for cap in caps:
+        for n in range(top + 1):
+            om.words(n, cap)
+    assert len(om._word_cache) > top
+    for (n, cap), built in om._word_cache.items():
+        assert built == sorted_word_lists(om, n, cap), (n, cap)
 
 
 @pytest.mark.parametrize("ring", [ZZ, F2, Ring("Fp", 3)],
