@@ -34,14 +34,13 @@ CyclePresentation = namedtuple(
 
 
 class ChainComplex:
-    def __init__(self, ring, bases, columns, cutoff, name=""):
+    def __init__(self, ring, bases, columns, cutoff):
         """bases: dict degree -> iterable of labels, kept in the order
         given (the builders hand over label_key order, which fixes every
         matrix and pivot); columns: callable n -> the columns of d_n, one
         dict row index -> nonzero entry per label of degree n."""
         self.ring = ring
         self.cutoff = cutoff
-        self.name = name
         self.bases = {}
         self._index = {}
         for n, labels in bases.items():
@@ -56,7 +55,7 @@ class ChainComplex:
         self._square_zero = set()
 
     @classmethod
-    def from_labels(cls, ring, bases, diff, cutoff, name=""):
+    def from_labels(cls, ring, bases, diff, cutoff):
         """The complex of a label rule diff: label -> Vect of degree one
         lower.  A term off the stored basis is refused."""
         def columns(n):
@@ -74,7 +73,7 @@ class ChainComplex:
                     col[i] = c
                 cols.append(col)
             return cols
-        cx = cls(ring, bases, columns, cutoff, name)
+        cx = cls(ring, bases, columns, cutoff)
         return cx
 
     def basis(self, n):

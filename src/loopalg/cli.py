@@ -55,8 +55,6 @@ def build_parser():
         sp.add_argument("--format", choices=("json", "table", "csv"),
                         default="table")
         sp.add_argument("--out", help="write the report here instead of stdout")
-        sp.add_argument("--verify-all", action="store_true",
-                        help="also check d^2 = 0 on the assembled complex")
 
     common(sub.add_parser("cobar", help="homology of the cobar algebra"))
     sp = sub.add_parser("cotor", help="Cotor of the induced Hopf algebra")
@@ -75,6 +73,9 @@ def build_parser():
                     help="'trivial', 'identity', or a map document path")
     common(sub.add_parser("formal-dl", help="homology of the bracket "
                           "presentation of the double-loop model"))
+    for sp in sub.choices.values():  # the compute commands, not verify
+        sp.add_argument("--verify-all", action="store_true",
+                        help="also check d^2 = 0 on the assembled complex")
     common(sub.add_parser("verify", help="run the invariant suites"))
     return p
 
@@ -135,20 +136,6 @@ def _problem_str(problem):
     return str(problem)
 
 
-def weight_cap(alg, cutoff):
-    """The total-weight cap for a word algebra: none when every letter
-    has positive degree, else the cutoff (degree-0 letters give
-    infinitely many words per degree)."""
-    return None if alg.finite_type else cutoff
-
-
-def complex_of(obj, cutoff, alg):
-    """Build the chain complex of obj, whose basis is made of words in
-    the free algebra alg, with the weight cap that alg needs."""
-    mw = weight_cap(alg, cutoff)
-    return obj.to_chain_complex(max_weight=mw, top=cutoff), mw
-
-
 def require_coassociative(hopf):
     defects = hopf.coassociativity_defects()
     if defects:
@@ -175,24 +162,27 @@ def emit(args, report, t0):
     print("elapsed: %.2fs" % (time.time() - t0), file=sys.stderr)
 
 
-def emit_homology(args, C, construction, cx, mw, t0, extra=dict):
-    """The compute commands' report: with --verify-all, first check
-    d^2 = 0 on cx; then the homology of cx below its cutoff and the
-    fields that extra() returns."""
+def emit_homology(args, C, construction, model, t0, extra=None):
+    """The compute commands' report on the complex of model: with
+    --verify-all, first check d^2 = 0 on it; then its cutoff, the model's
+    weight cap, the homology below the cutoff and the fields that
+    extra(complex) returns."""
+    cx = model.to_chain_complex()
     if args.verify_all:
         ok, label, residue = cx.verify_differential()
         if not ok:
             raise MathError("d^2 != 0 at %s (residue %s)"
                             % (label_str(label), residue))
     report = base_report(args, C, construction)
-    report["max_weight"] = mw
+    report["cutoff"], report["max_weight"] = cx.cutoff, model.cap
     report["betti"], report["homology"] = [], {}
     for n in range(cx.cutoff):
         h = cx.homology(n)
         report["betti"].append(h.free_rank)
         report["homology"][str(n)] = {"rank": h.free_rank,
                                       "torsion": list(h.torsion)}
-    report.update(extra())
+    if extra:
+        report.update(extra(cx))
     emit(args, report, t0)
 
 
@@ -200,9 +190,7 @@ def emit_homology(args, C, construction, cx, mw, t0, extra=dict):
 
 def cmd_cobar(args, t0):
     C, A = load_input(args.document, args)
-    om = CobarAlgebra(C)
-    cx, mw = complex_of(om, C.cutoff, om)
-    emit_homology(args, C, "cobar", cx, mw, t0)
+    emit_homology(args, C, "cobar", CobarAlgebra(C), t0)
 
 
 def cmd_cotor(args, t0):
@@ -211,37 +199,29 @@ def cmd_cotor(args, t0):
     require_coassociative(hopf)
     if args.hopf == "self":
         coeffs = TwistedHopfTensor(hopf, C.cutoff)
-        letters = coeffs.omega
     else:
-        coeffs = letters = CobarAlgebra(coalgebra_of_hopf(hopf, C.cutoff))
-    cx, mw = complex_of(coeffs, C.cutoff, letters)
-    alg = AlgebraOnHomology(cx, coeffs.mul)
+        coeffs = CobarAlgebra(coalgebra_of_hopf(hopf, C.cutoff))
 
-    def structure_constants():
+    def structure_constants(cx):
         sc = []
-        for (n1, i1, n2, i2), coords in sorted(
-                alg.structure_constants().items()):
+        for (n1, i1, n2, i2), coords in sorted(AlgebraOnHomology(
+                cx, coeffs.mul).structure_constants().items()):
             if any(coords):
                 sc.append({"left": [n1, i1], "right": [n2, i2],
                            "value": [str(c) for c in coords]})
         return {"structure_constants": sc}
-    emit_homology(args, C, "cotor-%s" % args.hopf, alg.complex, mw, t0,
+    emit_homology(args, C, "cotor-%s" % args.hopf, coeffs, t0,
                   structure_constants)
 
 
 def cmd_path_loop(args, t0):
     C, A = load_input(args.document, args, simply_connected=True)
-    pl = PathLoop(A)
-    cx, mw = complex_of(pl.omega, C.cutoff, pl.omega)
-    emit_homology(args, C, "path-loop", cx, mw, t0)
+    emit_homology(args, C, "path-loop", PathLoop(A).omega, t0)
 
 
 def cmd_double_loop(args, t0):
     C, A = load_input(args.document, args, simply_connected=True)
-    pl = PathLoop(A)
-    mw = weight_cap(pl.omega, C.cutoff)
-    cx = pl.cofixed(mw).to_chain_complex(top=C.cutoff)
-    emit_homology(args, C, "double-loop", cx, mw, t0)
+    emit_homology(args, C, "double-loop", PathLoop(A).cofixed(), t0)
 
 
 def cmd_fiber(args, t0):
@@ -263,11 +243,9 @@ def cmd_fiber(args, t0):
         if not ok:
             raise MathError("map %s fails coherence: %s"
                             % (args.map, _problem_str(problems[0])))
-    fc = FiberCoaction(Ap, A, family)
-    mw = weight_cap(fc.omega, fc.cutoff)
-    cx = fc.cofixed(mw).to_chain_complex(top=fc.cutoff)
-    emit_homology(args, C, "fiber", cx, mw, t0, lambda: {
-        "input": "%s -> %s" % (Cp.name, C.name), "map": args.map})
+    emit_homology(args, C, "fiber", FiberCoaction(Ap, A, family).cofixed(),
+                  t0, lambda cx: {"input": "%s -> %s" % (Cp.name, C.name),
+                                  "map": args.map})
 
 
 def cmd_formal_dl(args, t0):
@@ -276,19 +254,15 @@ def cmd_formal_dl(args, t0):
         fm = FormalDoubleLoop(C)
     except ValueError as e:
         raise DocumentError(str(e))
-    cx, mw = complex_of(fm, C.cutoff, fm)
-    emit_homology(args, C, "formal-dl", cx, mw, t0)
+    emit_homology(args, C, "formal-dl", fm, t0)
 
 
 # -- verification suites -------------------------------------------------
 
-def _suite_d2(builder, alphabet):
-    """A d^2 = 0 suite on builder(); alphabet(obj) is the word algebra
-    spanning its basis."""
+def _suite_d2(builder):
+    """A d^2 = 0 suite on the complex of builder()."""
     def run():
-        obj = builder()
-        cx, _ = complex_of(obj, obj.cutoff, alphabet(obj))
-        ok, label, residue = cx.verify_differential()
+        ok, label, residue = builder().to_chain_complex().verify_differential()
         if ok:
             return "pass", None
         return "fail", "d^2 != 0 at %s" % label_str(label)
@@ -350,9 +324,8 @@ def _verify_suites(C, A):
 
     def kappa():
         pl = path_loop()
-        mw = weight_cap(pl.omega_base, cutoff)
         for deg in range(small + 1):
-            for w in pl.omega_base.words(deg, mw):
+            for w in pl.omega_base.words(deg, pl.omega_base.cap):
                 v = Vect.basis(C.ring, w)
                 if not (pl.kappa(v.map_terms(pl.omega_base.d_word)) +
                         pl.kappa(v).map_terms(pl.omega.d_word)).is_zero():
@@ -368,15 +341,14 @@ def _verify_suites(C, A):
 
     def cofreeness():
         pl = path_loop()
-        blocked = not pl.omega.finite_type
-        dl = pl.cofixed(cutoff if blocked else None)
+        dl = pl.cofixed()
         for n in range(cutoff + 1):
-            if blocked:
-                lhs = len(pl.omega.words(n, cutoff))
+            if dl.blocked:
+                lhs = len(pl.omega.words(n, dl.cap))
                 rhs = 0
                 for lab in [l for p in range(n + 1) for l in dl.basis(p)]:
                     p, w = lab[1], lab[2]
-                    rhs += len(pl.omega_base.words(n - p, cutoff - w))
+                    rhs += len(pl.omega_base.words(n - p, dl.cap - w))
             else:
                 lhs = len(pl.omega.words(n))
                 rhs = sum(dl.rank(p) * len(pl.omega_base.words(n - p))
@@ -391,9 +363,8 @@ def _verify_suites(C, A):
         om = CobarAlgebra(C)
         tsq = TensorSquare(om, om)
         split = letterwise_split(omT, tsq)
-        mw = weight_cap(omT, cutoff)
         for deg in range(small + 1):
-            for w in omT.words(deg, mw):
+            for w in omT.words(deg, omT.cap):
                 lhs = omT.d_word(w).map_terms(split)
                 rhs = split(w).map_terms(tsq.diff)
                 if not (lhs - rhs).is_zero():
@@ -415,20 +386,18 @@ def _verify_suites(C, A):
         ("induced-coassociativity",
          letters(lambda hopf: hopf.coassociativity_defects())),
         ("induced-chain-map", letters(lambda hopf: hopf.chain_map_defects())),
-        ("cobar-d2", _suite_d2(lambda: CobarAlgebra(C), lambda om: om)),
+        ("cobar-d2", _suite_d2(lambda: CobarAlgebra(C))),
         ("acyclic-cobar-d2-right",
-         _suite_d2(lambda: OneSidedCobar(CobarAlgebra(C), side="right"),
-                   lambda oc: oc.omega)),
+         _suite_d2(lambda: OneSidedCobar(CobarAlgebra(C), side="right"))),
         ("acyclic-cobar-d2-left",
-         _suite_d2(lambda: OneSidedCobar(CobarAlgebra(C), side="left"),
-                   lambda oc: oc.omega)),
+         _suite_d2(lambda: OneSidedCobar(CobarAlgebra(C), side="left"))),
         ("path-object", coalgebra(lambda: path_object(C))),
-        ("path-loop-d2", _suite_d2(lambda: path_loop().omega, lambda om: om)),
+        ("path-loop-d2", _suite_d2(lambda: path_loop().omega)),
         ("section-defect", section_defect),
         ("kappa", kappa),
         ("cofreeness", cofreeness),
         ("tensor-split", tensor_split),
-        ("formal-dl-d2", _suite_d2(formal, lambda fm: fm)),
+        ("formal-dl-d2", _suite_d2(formal)),
     ]
 
 

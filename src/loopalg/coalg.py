@@ -109,7 +109,7 @@ def _pair_label(a, b):
     return _pair(a, b)
 
 
-def tensor_coalgebra(C, Cp, name=""):
+def tensor_coalgebra(C, Cp):
     """Tensor product coalgebra with generators ('tp', a, b); the Koszul
     shuffle comultiplication and the tensor differential."""
     if C.ring != Cp.ring:
@@ -150,12 +150,10 @@ def tensor_coalgebra(C, Cp, name=""):
                 dl.iadd_term(s * ca * cb, ("t", left, right))
         if not dl.is_zero():
             delta[label] = dl
-    return DGCoalgebra(ring, cutoff, gens, d, delta,
-                       name=name or ("%s(x)%s" % (C.name, Cp.name)),
-                       weights=weights)
+    return DGCoalgebra(ring, cutoff, gens, d, delta, weights=weights)
 
 
-def direct_sum(C, Cp, name=""):
+def direct_sum(C, Cp):
     """Coproduct of coaugmented coalgebras: generators tagged inl/inr."""
     if C.ring != Cp.ring:
         raise ValueError("coefficient rings differ")
@@ -177,6 +175,4 @@ def direct_sum(C, Cp, name=""):
                              for t, c in src.delta_red(g).items()])
             if not dl.is_zero():
                 delta[wrap(g)] = dl
-    return DGCoalgebra(ring, cutoff, gens, d, delta,
-                       name=name or ("%s(+)%s" % (C.name, Cp.name)),
-                       weights=weights)
+    return DGCoalgebra(ring, cutoff, gens, d, delta, weights=weights)

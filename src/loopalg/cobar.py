@@ -53,12 +53,11 @@ class CobarAlgebra(FreeAlgebra):
     """Free algebra on letters s[g], g a generator of a connected
     coalgebra, with the cobar differential."""
 
-    def __init__(self, C, name=""):
+    def __init__(self, C):
         self.C = C
         letters = {s_letter(g): deg - 1 for g, deg in C.gens.items()}
         weights = {s_letter(g): C.weights.get(g, 1) for g in C.gens}
-        super().__init__(C.ring, C.cutoff, letters, weights,
-                         name=name or ("Omega(%s)" % C.name))
+        super().__init__(C.ring, C.cutoff, letters, weights)
         self.set_differential(self._d_letter)
 
     def _d_letter(self, letter):
@@ -77,9 +76,10 @@ class OneSidedCobar:
     C = omega.C a comodule over itself by its own comultiplication, and
     the twisted differential.  Labels are ('t', m, word) resp. ('t', word,
     m), with m a generator of C or unit, which stands for the unit of C
-    in degree 0 and weight 0."""
+    in degree 0 and weight 0.  Its cap bounds the total weight across both
+    slots: none if omega is of finite type, else the cutoff."""
 
-    def __init__(self, omega, side, unit=UNIT, name=""):
+    def __init__(self, omega, side, unit=UNIT):
         if side not in ("left", "right"):
             raise ValueError("side must be 'left' or 'right'")
         self.omega = omega
@@ -88,9 +88,6 @@ class OneSidedCobar:
         self.cutoff = omega.cutoff
         self.side = side
         self.unit = unit
-        self.name = name or (
-            "%s(x)Omega" % self.C.name if side == "right"
-            else "Omega(x)%s" % self.C.name)
         self._coeffs = {0: [unit]}
         for g, deg in self.C.gens.items():
             self._coeffs.setdefault(deg, []).append(g)
@@ -122,17 +119,21 @@ class OneSidedCobar:
         m, word = self.split(label)
         return self.coeff_degree(m) + self.omega.degree(word)
 
-    def basis(self, n, max_weight=None):
-        """max_weight bounds the total weight across both tensor slots.
-        The twisted differential keeps that total only where d and the
-        reduced comultiplication of C preserve the weights, which
-        DGCoalgebra does not check; elsewhere the capped block is no
-        subcomplex, and from_labels refuses the term that leaves it."""
-        out = []
+    @property
+    def cap(self):
+        return None if self.omega.finite_type else self.cutoff
+
+    def basis(self, n):
+        """The labels of degree n under the cap.  The twisted differential
+        keeps the total weight only where d and the reduced
+        comultiplication of C preserve the weights, which DGCoalgebra does
+        not check; elsewhere the capped block is no subcomplex, and
+        from_labels refuses the term that leaves it."""
+        out, cap = [], self.cap
         for p in range(n + 1):
             for m in self._coeffs.get(p, []):
-                room = None if max_weight is None \
-                    else max_weight - self.C.weights.get(m, 0)
+                room = None if cap is None \
+                    else cap - self.C.weights.get(m, 0)
                 if room is not None and room < 0:
                     continue
                 for w in self.omega.words(n - p, room):
@@ -174,12 +175,11 @@ class OneSidedCobar:
                               self.label(mi, word + (s_letter(ci),)))
         return out
 
-    def to_chain_complex(self, max_weight=None, top=None, name=""):
+    def to_chain_complex(self):
         from .chain import ChainComplex
-        top = self.cutoff if top is None else top
-        bases = {n: self.basis(n, max_weight) for n in range(top + 1)}
+        bases = {n: self.basis(n) for n in range(self.cutoff + 1)}
         return ChainComplex.from_labels(self.ring, bases, self.diff,
-                                        self.cutoff, name=name or self.name)
+                                        self.cutoff)
 
 
 def coalgebra_of_hopf(H, cutoff):
@@ -191,7 +191,7 @@ def coalgebra_of_hopf(H, cutoff):
     return DGCoalgebra(H.ring, cutoff, gens,
                        {h: om.d_word(h) for h in gens},
                        {h: H.delta_red(h) for h in gens},
-                       name=H.name, weights={h: om.weight(h) for h in gens})
+                       weights={h: om.weight(h) for h in gens})
 
 
 class TwistedHopfTensor(OneSidedCobar):
@@ -205,9 +205,8 @@ class TwistedHopfTensor(OneSidedCobar):
         # letters of Omega H reach degree cutoff, i.e. H elements of
         # degree cutoff + 1; basis() stops the coefficients at the cutoff
         super().__init__(CobarAlgebra(coalgebra_of_hopf(H, cutoff + 1)),
-                         "left", unit=UNIT_WORD,
-                         name="Omega(%s)(x)(%s)" % (H.name, H.name))
-        self.cutoff = cutoff  # omega's cutoff is one higher
+                         "left", unit=UNIT_WORD)
+        self.cutoff = cutoff  # omega's is one higher; the cap follows this one
 
     def _one_letter_rule(self, b, a):
         """(1 (x) b)(s[a] (x) 1) for b a positive H element, a an H basis

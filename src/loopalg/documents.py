@@ -17,6 +17,7 @@ spelled out).  A map document has "components": {"1": {"x3": [[coeff,
 """
 
 import json
+import re
 
 from .rings import ring_from_name
 from .vectors import Vect
@@ -29,9 +30,17 @@ class DocumentError(ValueError):
 
 
 def load_json(path):
+    """The JSON value in path; an object that repeats a key is refused."""
+    def unique(pairs):
+        out = {}
+        for key, value in pairs:
+            _require(key not in out, "duplicate key %r in %s" % (key, path))
+            out[key] = value
+        return out
+
     try:
         with open(path, "r") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except OSError as e:
         raise DocumentError("cannot read %s: %s" % (path, e))
     except json.JSONDecodeError as e:
@@ -51,6 +60,13 @@ def _object(value, what):
 def _list(value, what):
     _require(isinstance(value, list), "%s must be a list" % what)
     return value
+
+
+def _level(key, what):
+    """A level key, written as a positive integer in canonical decimal."""
+    _require(isinstance(key, str) and re.fullmatch("[1-9][0-9]*", key),
+             "%s level %r must match [1-9][0-9]*" % (what, key))
+    return int(key)
 
 
 def _coeff(c, where):
@@ -132,10 +148,7 @@ def coalgebra_from_document(doc, ring=None, cutoff=None):
         return C, AWCoalgebra.strict(C)
     comps = {1: psi_one(C)}
     for kstr, table in psi_doc.items():
-        try:
-            k = int(kstr)
-        except (ValueError, TypeError):
-            raise DocumentError("'psi' level %r is not an integer" % (kstr,))
+        k = _level(kstr, "'psi'")
         _require(k >= 2, "'psi' levels start at 2 (level 1 is the "
                  "comultiplication); got %d" % k)
         for g, terms in _object(table, "'psi' level %d" % k).items():
@@ -167,8 +180,7 @@ def coalgebra_from_document(doc, ring=None, cutoff=None):
                 v.iadd_term(c, ("t",) + tuple(parts))
             if not v.is_zero():
                 comps.setdefault(k, {})[g] = v
-    fam = SHFamily(C, tensor_coalgebra(C, C), comps, name="Psi")
-    return C, AWCoalgebra(C, fam, name=name)
+    return C, AWCoalgebra(C, SHFamily(C, tensor_coalgebra(C, C), comps))
 
 
 def shmap_from_document(doc, source, target):
@@ -179,11 +191,7 @@ def shmap_from_document(doc, source, target):
              "map document needs 'components'")
     comps = {}
     for kstr, table in doc["components"].items():
-        try:
-            k = int(kstr)
-        except (ValueError, TypeError):
-            raise DocumentError("component level %r is not an integer" % (kstr,))
-        _require(k >= 1, "component levels start at 1")
+        k = _level(kstr, "component")
         for g, terms in _object(table, "component level %d" % k).items():
             _require(g in source.gens, "map refers to unknown source "
                      "generator %r" % (g,))
@@ -206,7 +214,7 @@ def shmap_from_document(doc, source, target):
                 v.iadd_term(c, ("t",) + tuple(term[1]))
             if not v.is_zero():
                 comps.setdefault(k, {})[g] = v
-    return SHFamily(source, target, comps, name=doc.get("name", "map"))
+    return SHFamily(source, target, comps)
 
 
 # -- report rendering ----------------------------------------------------

@@ -49,7 +49,7 @@ class FormalDoubleLoop(FreeAlgebra):
     """Free algebra on iterated brackets with the transported
     differential."""
 
-    def __init__(self, C, name=""):
+    def __init__(self, C):
         if C.ring.kind == "Z":
             raise ValueError("the bracket model needs a field (2 invertible "
                              "or characteristic 2)")
@@ -62,8 +62,7 @@ class FormalDoubleLoop(FreeAlgebra):
         self.pc = path_object(C)
         self.omega = CobarAlgebra(self.pc)
         degs, weights = bracket_generators(C, C.cutoff)
-        super().__init__(C.ring, C.cutoff, degs, weights,
-                         name=name or ("FDL(%s)" % C.name))
+        super().__init__(C.ring, C.cutoff, degs, weights)
         self._expansion_cache = {}
         self.set_differential(self._d_gen)
 

@@ -38,7 +38,7 @@ def _is_bar(label):
     return isinstance(label, tuple) and label[:1] == ("bar",)
 
 
-def path_object(C, name=""):
+def path_object(C):
     """The based-path coalgebra on X + bar(X): acyclic, with
     d(x) = dx - bar(x), d(bar x) = -bar(dx), and the comultiplication of
     bar(x) obtained by barring one tensor factor of Delta(x) at a time."""
@@ -69,8 +69,7 @@ def path_object(C, name=""):
                 s = -1 if C.degree(a) % 2 else 1
                 dlbar.iadd_term(s * c, ("t", a, bar(b)))
             delta[bar(g)] = dlbar
-    return DGCoalgebra(ring, C.cutoff, gens, d, delta,
-                       name=name or ("P(%s)" % C.name), weights=weights)
+    return DGCoalgebra(ring, C.cutoff, gens, d, delta, weights=weights)
 
 
 # Sign rule for barring a slot of a level-k homotopy-diagonal term: the
@@ -86,7 +85,7 @@ def path_object(C, name=""):
 BAR_EXTRA = (1, 1)
 
 
-def extend_psi(A, name=""):
+def extend_psi(A):
     """Extend a homotopy diagonal on C to one on P(C).  Unbarred
     generators keep their components; bar(g) gets every term of Psi_k(g)
     with one slot barred (the unit cannot be barred), with Koszul and
@@ -124,8 +123,7 @@ def extend_psi(A, name=""):
                     pre += A.C.degree(e) if e != UNIT else 0
             if not out.is_zero():
                 comps[k][bar(g)] = out
-    fam = SHFamily(PC, T, comps, name="Psi~")
-    return AWCoalgebra(PC, fam, name=name or PC.name)
+    return AWCoalgebra(PC, SHFamily(PC, T, comps))
 
 
 class _Coaction:
@@ -134,10 +132,9 @@ class _Coaction:
     coaction of one letter over ('t', word, base word), then calls this
     __init__.  nu runs on the codes of the module docstring."""
 
-    _cap = None
-
     def __init__(self):
         A, B = self.omega, self.omega_base
+        self._cap = A.cap  # an attribute: nu reads it on every call
         self._codes = [{l: i for i, l in enumerate(om._ordered)}
                        for om in (A, B)]
         self._deg = [A.letters[l] for l in A._ordered]
@@ -154,7 +151,7 @@ class _Coaction:
         """The coaction of a code word: nu of the prefix times the factor
         of the last letter, (a1 (x) a2)(b1 (x) b2) = (-1)^{|a2||b1|} a1 b1
         (x) a2 b2.  Only prefixes are read again, so a word is kept only if
-        some letter extends it within the cutoff and cofixed()'s cap."""
+        some letter extends it within the cutoff and omega's cap."""
         val = self._nu_cache.get(word)
         if val is None:
             if not word:
@@ -206,10 +203,8 @@ class _Coaction:
               ("w", *map(B.__getitem__, v))), c)
             for (u, v), c in self.nu(self._encode(word)).items()])
 
-    def cofixed(self, max_weight=None):
-        self._cap = max_weight
-        return CofixedSubalgebra(self.omega, self.column, self.cutoff,
-                                 max_weight=max_weight)
+    def cofixed(self):
+        return CofixedSubalgebra(self.omega, self.column)
 
 
 class PathLoop(_Coaction):
@@ -217,11 +212,10 @@ class PathLoop(_Coaction):
     right coaction over Omega C that erases bars.  nu is the product of the
     letter coproducts with their barred second-slot terms dropped."""
 
-    def __init__(self, A, name=""):
+    def __init__(self, A):
         self.ring = A.ring
         self.cutoff = A.cutoff
-        self.name = name or ("PL(%s)" % A.name)
-        self.hopf = InducedHopf(extend_psi(A), name=self.name)
+        self.hopf = InducedHopf(extend_psi(A))
         self.omega = self.hopf.omega
         self.base_hopf = InducedHopf(A)
         self.omega_base = self.base_hopf.omega
@@ -246,11 +240,12 @@ class CofixedSubalgebra:
     """The degreewise kernel of a reduced coaction inside a word algebra,
     as a chain complex with a product.
 
-    ambient: a free word algebra (a FreeAlgebra such as a CobarAlgebra);
+    ambient: a free word algebra (a FreeAlgebra such as a CobarAlgebra),
+    whose cutoff and cap the subalgebra takes;
     column: word -> its reduced coaction, a dict row key -> nonzero
     coefficient, such as _Coaction.column.
     With a weight cap, which an ambient alphabet with degree-0 letters
-    needs, the computation is run per weight block (the coaction and
+    has, the computation is run per weight block (the coaction and
     differential must preserve the weight for the blocks to be exact; this
     holds in the primitive situations that produce degree-0 letters).
 
@@ -260,17 +255,13 @@ class CofixedSubalgebra:
     on its core vectors if it has any: together they give the
     coordinates."""
 
-    def __init__(self, ambient, column, cutoff, max_weight=None, name=""):
+    def __init__(self, ambient, column):
         self.ambient = ambient
         self.ring = ambient.ring
         self.column = column
-        self.cutoff = cutoff
-        self.max_weight = max_weight
-        self.blocked = max_weight is not None
-        if not (self.blocked or ambient.finite_type):
-            raise ValueError("degree-0 letters in the ambient algebra: a "
-                             "weight bound is required")
-        self.name = name or ("cofixed(%s)" % getattr(ambient, "name", ""))
+        self.cutoff = ambient.cutoff
+        self.cap = ambient.cap
+        self.blocked = self.cap is not None
         self._layouts = {}
         self._kernels = {}
         self._bases = {}
@@ -280,7 +271,7 @@ class CofixedSubalgebra:
         """(word list per block, the ambient index of each of their words,
         and for each ambient word of degree n its block and index there)."""
         if n not in self._layouts:
-            words = self.ambient.words(n, self.max_weight)
+            words = self.ambient.words(n, self.cap)
             ws = [self.ambient.weight(u) if self.blocked else 0 for u in words]
             amb = [[a for a, w in enumerate(ws) if w == k]
                    for k in range(len(self.blocks(n)))]
@@ -311,7 +302,7 @@ class CofixedSubalgebra:
         return self._kernels[key]
 
     def blocks(self, n):
-        return list(range(self.max_weight + 1)) if self.blocked else [None]
+        return list(range(self.cap + 1)) if self.blocked else [None]
 
     def basis(self, n):
         """Synthetic labels ('k', n, i) or ('k', n, w, i) per block."""
@@ -360,13 +351,12 @@ class CofixedSubalgebra:
     def coordinates(self, n, vect):
         """A Vect over ambient words of degree n in the synthetic basis
         (see _read); terms above the cap dropped, other strays refused."""
-        index = {u: a for a, u in enumerate(
-            self.ambient.words(n, self.max_weight))}
+        index = {u: a for a, u in enumerate(self.ambient.words(n, self.cap))}
         acc = {}
         for u, c in vect.items():
             if u in index:
                 acc[index[u]] = c
-            elif not self.blocked or self.ambient.weight(u) <= self.max_weight:
+            elif not self.blocked or self.ambient.weight(u) <= self.cap:
                 raise ValueError("vector leaves the stored block")
         basis = self.basis(n)
         return {basis[i]: c for i, c in self._read(n, acc).items()}
@@ -374,7 +364,7 @@ class CofixedSubalgebra:
     def columns(self, n):
         """The columns of d_n: each basis vector's sum of the ambient
         d_columns of its words, read off one degree down."""
-        d, amb = self.ambient.d_columns(n, self.max_weight), self._layout(n)[1]
+        d, amb = self.ambient.d_columns(n, self.cap), self._layout(n)[1]
         out = []
         for k, w in enumerate(self.blocks(n)):
             for vec in self._kernel(n, w)[1]:
@@ -396,12 +386,10 @@ class CofixedSubalgebra:
         """Synthetic coordinates back to ambient words."""
         return vect.map_terms(self.vector_of)
 
-    def to_chain_complex(self, top=None, name=""):
+    def to_chain_complex(self):
         from .chain import ChainComplex
-        top = self.cutoff if top is None else top
-        bases = {n: self.basis(n) for n in range(top + 1)}
-        return ChainComplex(self.ring, bases, self.columns, self.cutoff,
-                            name=name or self.name)
+        bases = {n: self.basis(n) for n in range(self.cutoff + 1)}
+        return ChainComplex(self.ring, bases, self.columns, self.cutoff)
 
 
 class FiberCoaction(_Coaction):
@@ -410,13 +398,11 @@ class FiberCoaction(_Coaction):
     induced by (omega + pi) : C' (+) P(C) -> C.  nu is the product of the
     pushed letter coactions in Omega(C' (+) P(C)) (x) Omega C."""
 
-    def __init__(self, Aprime, A, omega_family, name=""):
+    def __init__(self, Aprime, A, omega_family):
         self.ring = A.ring
         self.cutoff = min(A.cutoff, Aprime.cutoff)
         self.family = omega_family
-        self.name = name
-        self.hopf = InducedHopf(aw_coproduct(Aprime, extend_psi(A)),
-                                name=name or "E")
+        self.hopf = InducedHopf(aw_coproduct(Aprime, extend_psi(A)))
         self.omega = self.hopf.omega
         self.omega_base = CobarAlgebra(A.C)
         self._push = self.omega.algebra_map(
@@ -442,10 +428,10 @@ class FiberCoaction(_Coaction):
 def identity_family(A):
     """The strict homotopy family of the identity map of C."""
     letter_map = {g: Vect.basis(A.ring, g) for g in A.C.gens}
-    return SHFamily.strict(A.C, A.C, letter_map, name="id")
+    return SHFamily.strict(A.C, A.C, letter_map)
 
 
 def trivial_family(Aprime, A):
     """The strict family of the trivial (basepoint) map C' -> C: zero on
     positive degrees."""
-    return SHFamily(Aprime.C, A.C, {}, name="trivial")
+    return SHFamily(Aprime.C, A.C, {})

@@ -30,11 +30,10 @@ class SHFamily:
     components: dict level k >= 1 -> dict source generator -> Vect over
     ('t', t_1, ..., t_k) with t_i target generators."""
 
-    def __init__(self, source, target, components, name=""):
+    def __init__(self, source, target, components):
         self.source = source
         self.target = target
         self.ring = source.ring
-        self.name = name
         self.components = {}
         for k, table in components.items():
             kept = {g: v for g, v in table.items()
@@ -43,12 +42,12 @@ class SHFamily:
                 self.components[int(k)] = kept
 
     @classmethod
-    def strict(cls, source, target, letter_map, name=""):
+    def strict(cls, source, target, letter_map):
         """The family of an ordinary coalgebra map: theta_1 only.
         letter_map: source generator -> Vect over target generators."""
         comp = {g: Vect(source.ring, [(("t", l), c) for l, c in v.items()])
                 for g, v in letter_map.items()}
-        return cls(source, target, {1: comp}, name=name)
+        return cls(source, target, {1: comp})
 
     def max_level(self):
         return max(self.components) if self.components else 0
@@ -132,12 +131,11 @@ class TensorSquare:
     """Omega A (x) Omega B with labels ('t', wordA, wordB), the interchange
     product, and the tensor differential."""
 
-    def __init__(self, omA, omB, name=""):
+    def __init__(self, omA, omB):
         self.omA = omA
         self.omB = omB
         self.ring = omA.ring
         self.cutoff = min(omA.cutoff, omB.cutoff)
-        self.name = name or ("%s(x)%s" % (omA.name, omB.name))
         self._odd = {}
 
     def unit(self):
@@ -206,21 +204,18 @@ class AWCoalgebra:
     """A coalgebra together with a homotopy diagonal Psi: an SHFamily from
     C to C (x) C with Psi_1 the full comultiplication."""
 
-    def __init__(self, C, psi, name=""):
+    def __init__(self, C, psi):
         self.C = C
         self.ring = C.ring
         self.cutoff = C.cutoff
         self.psi = psi
-        self.name = name or C.name
         self.tensorC = psi.target
 
     @classmethod
-    def strict(cls, C, name=""):
+    def strict(cls, C):
         """The homotopy diagonal of a coassociative coalgebra: Psi_1 is the
         comultiplication and all higher components vanish."""
-        fam = SHFamily(C, tensor_coalgebra(C, C), {1: psi_one(C)},
-                       name="Delta")
-        return cls(C, fam, name=name or C.name)
+        return cls(C, SHFamily(C, tensor_coalgebra(C, C), {1: psi_one(C)}))
 
     def verify(self):
         """Psi_1 must be the full comultiplication and the family must be
@@ -237,13 +232,12 @@ class InducedHopf:
     homotopy diagonal.  Serves as the Hopf algebra input of the twisted
     constructions; its element labels are cobar words."""
 
-    def __init__(self, aw, name=""):
+    def __init__(self, aw):
         self.aw = aw
         self.C = aw.C
         self.ring = aw.ring
         self.cutoff = aw.cutoff
-        self.name = name or ("Omega~(%s)" % aw.name)
-        self.omega = CobarAlgebra(self.C, name=self.name)
+        self.omega = CobarAlgebra(self.C)
         self.omega_tensor = CobarAlgebra(aw.tensorC)
         self.tsq = TensorSquare(self.omega, self.omega)
         self._split = letterwise_split(self.omega_tensor, self.tsq)
@@ -308,7 +302,7 @@ class InducedHopf:
         return defects
 
 
-def aw_coproduct(A, Ap, name=""):
+def aw_coproduct(A, Ap):
     """Homotopy diagonal on the coproduct coalgebra: each summand keeps its
     own family, pushed through the inclusions."""
     E = direct_sum(A.C, Ap.C)
@@ -333,5 +327,4 @@ def aw_coproduct(A, Ap, name=""):
             comps.setdefault(k, {})
             for g, v in table.items():
                 comps[k][(tag, g)] = v.map_terms(push)
-    fam = SHFamily(E, TE, comps, name="Psi-coproduct")
-    return AWCoalgebra(E, fam, name=name or E.name)
+    return AWCoalgebra(E, SHFamily(E, TE, comps))

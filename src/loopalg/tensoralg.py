@@ -7,7 +7,8 @@ sit in degree 0 (this happens for cobar constructions on coalgebras that are
 connected but not simply connected); such alphabets have infinitely many
 words per degree, so enumeration then requires a weight bound.  Every letter
 carries a positive integer weight (default 1); weights add along words and
-give the finite blocks used for those computations.
+give the finite blocks used for those computations.  An algebra's own cap
+is that bound: none for a finite-type alphabet, else its cutoff.
 """
 
 from bisect import bisect_right
@@ -22,11 +23,10 @@ def concat(w1, w2):
 
 
 class FreeAlgebra:
-    def __init__(self, ring, cutoff, letters, weights=None, name=""):
+    def __init__(self, ring, cutoff, letters, weights=None):
         """letters: dict letter label -> degree >= 0."""
         self.ring = ring
         self.cutoff = cutoff
-        self.name = name
         self.letters = dict(letters)
         self.weights = {l: 1 for l in letters}
         if weights:
@@ -35,6 +35,7 @@ class FreeAlgebra:
                     raise ValueError("letter weight must be positive")
                 self.weights[l] = w
         self._ordered = sorted(self.letters, key=label_key)
+        self.cap = None if self.finite_type else cutoff
         self._word_cache = {}
         self._columns = {}
 
@@ -53,9 +54,8 @@ class FreeAlgebra:
         in label_key order.  Requires a weight bound when the alphabet has
         degree-0 letters."""
         if max_weight is None and not self.finite_type:
-            raise ValueError(
-                "alphabet of %s has degree-0 letters; enumeration needs "
-                "a weight bound" % (self.name or "free algebra"))
+            raise ValueError("alphabet has degree-0 letters; enumeration "
+                             "needs a weight bound")
         return self._words(n, max_weight)[0]
 
     def _words(self, n, max_weight):
@@ -165,16 +165,17 @@ class FreeAlgebra:
             return acc
         return apply_word
 
-    def to_chain_complex(self, max_weight=None, top=None, name=""):
-        """The word complex on d_columns.  If d raises a letter's weight, a
-        capped one refuses, by the label route, what leaves the basis."""
+    def to_chain_complex(self):
+        """The word complex through the cutoff under the cap, on
+        d_columns.  If d raises a letter's weight, a capped one refuses, by
+        the label route, what leaves the basis."""
         from .chain import ChainComplex
-        top = self.cutoff if top is None else top
-        bases = {n: self.words(n, max_weight) for n in range(top + 1)}
-        if max_weight is not None and any(
+        cap = self.cap
+        bases = {n: self.words(n, cap) for n in range(self.cutoff + 1)}
+        if cap is not None and any(
                 self.weight(v) > self.weights[l] for l in self.letters
                 for v in self.d_word(("w", l)).terms):
             return ChainComplex.from_labels(self.ring, bases, self.d_word,
-                                            self.cutoff, name or self.name)
-        return ChainComplex(self.ring, bases, lambda n: self.d_columns(
-            n, max_weight), self.cutoff, name or self.name)
+                                            self.cutoff)
+        return ChainComplex(self.ring, bases,
+                            lambda n: self.d_columns(n, cap), self.cutoff)

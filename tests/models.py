@@ -18,19 +18,19 @@ def sphere_model(n, ring, cutoff, label=None):
                        name="sphere%d" % n)
 
 
-def double_loop(A, max_weight=None):
+def double_loop(A):
     """The cofixed part of the path-loop algebra under its coaction over
     Omega C, and the path-loop algebra."""
     pl = PathLoop(A)
-    return pl.cofixed(max_weight), pl
+    return pl.cofixed(), pl
 
 
-def loop_fiber(Aprime, A, omega_family, max_weight=None):
+def loop_fiber(Aprime, A, omega_family):
     """Homotopy-fiber model of a map (C', Psi') -> (C, Psi) given by a
     homotopy-coherent family: the cofixed part of Omega(C' (+) P(C))
     under the pushed coaction, and the coaction."""
     fc = FiberCoaction(Aprime, A, omega_family)
-    return fc.cofixed(max_weight), fc
+    return fc.cofixed(), fc
 
 
 def reduced_coaction(co):

@@ -63,8 +63,8 @@ def pathloop_of(name, A):
     return _cache[key]
 
 
-def assert_d2(obj, max_weight=None, top=CUTOFF, what=""):
-    cx = obj.to_chain_complex(max_weight=max_weight, top=top)
+def assert_d2(obj, what=""):
+    cx = obj.to_chain_complex()
     ok, label, residue = cx.verify_differential()
     assert ok, (what, label, residue)
     return cx
@@ -119,43 +119,31 @@ def test_criterion_01_differential_integrity():
         if name == "S2xS3":
             letters_d2(pl.omega, ("path-loop", name))
         else:
-            assert_d2(pl.omega, max_weight=mw, what=("path-loop", name))
+            assert_d2(pl.omega, what=("path-loop", name))
         # double loop: structural proof everywhere, plus a direct sweep
         # of the synthetic complex on the members where it is small
         letters_d2(pl.omega, ("path-loop letters", name))
         coaction_chain_map_letters(pl.omega, pl.omega_base, pl.coaction,
                                    ("double-loop closure", name))
         if name not in big_dl:
-            dl, _ = double_loop(A, max_weight=mw)
-            cx = dl.to_chain_complex(top=CUTOFF)
+            dl, _ = double_loop(A)
+            cx = dl.to_chain_complex()
             ok, label, residue = cx.verify_differential()
             assert ok, ("double-loop", name, label, residue)
         # homotopy fiber of the identity map
+        hf, fc = loop_fiber(A, A, identity_family(A))
         if name in big_hf:
-            try:
-                hf, fc = loop_fiber(A, A, identity_family(A))
-            except ValueError:
-                hf, fc = loop_fiber(A, A, identity_family(A),
-                                    max_weight=CUTOFF)
             letters_d2(fc.omega, ("fiber ambient", name))
             coaction_chain_map_letters(fc.omega, fc.omega_base, fc.coaction,
                                        ("fiber closure", name))
         else:
-            try:
-                hf, fc = loop_fiber(A, A, identity_family(A))
-            except ValueError:
-                hf, fc = loop_fiber(A, A, identity_family(A),
-                                    max_weight=CUTOFF)
-            cx = hf.to_chain_complex(top=CUTOFF)
+            cx = hf.to_chain_complex()
             ok, label, residue = cx.verify_differential()
             assert ok, ("fiber", name, label, residue)
     # the bracket model needs a field and a primitive input
     for n in (2, 3, 5):
-        fm = FormalDoubleLoop(sphere_model(n, F2, CUTOFF))
-        try:
-            assert_d2(fm, what=("formal", n))
-        except ValueError:
-            assert_d2(fm, max_weight=CUTOFF, what=("formal", n))
+        assert_d2(FormalDoubleLoop(sphere_model(n, F2, CUTOFF)),
+                  what=("formal", n))
     Cnp, _ = coalgebra_from_document(load_json(NONPRIMITIVE), ring=F2)
     assert_d2(FormalDoubleLoop(Cnp), what=("formal", "nonprim"))
     elapsed = time.time() - t0
@@ -168,7 +156,7 @@ def test_criterion_02_acyclic_one_sided_cobar():
     for name, A, mw in corpus():
         om = CobarAlgebra(A.C)
         for side in ("right", "left"):
-            cx = OneSidedCobar(om, side=side).to_chain_complex(max_weight=mw)
+            cx = OneSidedCobar(om, side=side).to_chain_complex()
             h0 = cx.homology(0)
             assert h0.free_rank == 1 and not h0.torsion, (name, side)
             for n in range(1, CUTOFF):
@@ -268,7 +256,8 @@ def test_criterion_06_cofreeness_rank_identity():
         if name == "S2xS3":
             continue
         pl = pathloop_of(name, A)
-        dl, _ = double_loop(A, max_weight=mw)
+        dl, _ = double_loop(A)
+        assert dl.cap == mw, name
         for n in range(0, CUTOFF + 1):
             if mw is None:
                 lhs = len(pl.omega.words(n))
@@ -307,8 +296,9 @@ def test_criterion_07_formal_model_ranks():
     for ring in (F2, QQ):
         for n, mw in ((2, CUTOFF), (3, None)):
             C = sphere_model(n, ring, CUTOFF)
-            dl, _ = double_loop(AWCoalgebra.strict(C), max_weight=mw)
+            dl, _ = double_loop(AWCoalgebra.strict(C))
             fm = FormalDoubleLoop(C)
+            assert dl.cap == fm.cap == mw, (ring.name, n)
             for k in range(0, CUTOFF + 1):
                 assert dl.rank(k) == len(fm.words(k, mw)), \
                     (ring.name, n, k)
@@ -363,7 +353,7 @@ def test_criterion_08_mod2_betti_table():
     assert polynomial_betti(degs, CUTOFF - 1) == table
     # the computed model
     dl, _ = double_loop(AWCoalgebra.strict(sphere_model(3, F2, CUTOFF)))
-    cx = dl.to_chain_complex(top=CUTOFF)
+    cx = dl.to_chain_complex()
     assert betti(cx, 0, CUTOFF - 1) == table
     elapsed = time.time() - t0
     assert elapsed < 300, "criterion 8 exceeded five minutes: %.1fs" % elapsed
@@ -395,16 +385,16 @@ def test_criterion_10_fiber_sanity():
     through degree 6."""
     A3 = AWCoalgebra.strict(sphere_model(3, ZZ, CUTOFF))
     hf, _ = loop_fiber(A3, A3, identity_family(A3))
-    cx = hf.to_chain_complex(top=CUTOFF)
+    cx = hf.to_chain_complex()
     assert betti(cx, 0, CUTOFF - 1) == [1] + [0] * (CUTOFF - 1)
 
     A5 = AWCoalgebra.strict(sphere_model(5, ZZ, 7))
     A3b = AWCoalgebra.strict(sphere_model(3, ZZ, 7))
     hf2, _ = loop_fiber(A5, A3b, trivial_family(A5, A3b))
-    b = betti(hf2.to_chain_complex(top=7), 0, 6)
+    b = betti(hf2.to_chain_complex(), 0, 6)
     o5 = betti(CobarAlgebra(sphere_model(5, ZZ, 7)).to_chain_complex(), 0, 6)
     dl3, _ = double_loop(A3b)
-    d3 = betti(dl3.to_chain_complex(top=7), 0, 6)
+    d3 = betti(dl3.to_chain_complex(), 0, 6)
     conv = [sum(o5[p] * d3[n - p] for p in range(n + 1)) for n in range(7)]
     assert b == conv, (b, conv)
 

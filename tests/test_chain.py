@@ -194,3 +194,64 @@ def test_verify_differential_of_a_path_loop_takes_each_label_once():
     assert len(built) == len(set(built)) > 80
     assert {(n, None, i) for n in cx.degrees()
             for i in range(cx.rank(n))} <= set(built)
+
+
+def test_constructions_own_their_range():
+    """Every construction builds its complex through its own cutoff,
+    under its own weight cap: no to_chain_complex or cofixed takes a
+    parameter, and no construction takes a display name but DGCoalgebra,
+    whose name is a document's.  The budget of words() stays."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import loopalg
+    from loopalg.coalg import DGCoalgebra
+    from loopalg.cobar import CobarAlgebra, OneSidedCobar, TwistedHopfTensor
+    from loopalg.formal import FormalDoubleLoop
+    from loopalg.pathloop import PathLoop, FiberCoaction, trivial_family
+    from loopalg.shfamily import AWCoalgebra, InducedHopf
+    from models import sphere_model
+
+    allowed = {("DGCoalgebra.__init__", "name"),
+               ("ring_from_name", "name"),
+               ("FreeAlgebra.words", "max_weight"),
+               ("FreeAlgebra._words", "max_weight")}
+    for info in pkgutil.iter_modules(loopalg.__path__):
+        mod = importlib.import_module("loopalg." + info.name)
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isclass(obj):
+                fns = [("%s.%s" % (name, k), getattr(obj, k))
+                       for k, v in vars(obj).items() if inspect.isfunction(v)
+                       or isinstance(v, (classmethod, staticmethod))]
+            else:
+                fns = [(name, obj)] if inspect.isfunction(obj) else []
+            for qual, fn in fns:
+                params = inspect.signature(fn).parameters
+                if qual.endswith((".to_chain_complex", ".cofixed")):
+                    assert list(params) == ["self"], qual
+                for knob in ("name", "top", "max_weight"):
+                    assert knob not in params or (qual, knob) in allowed, \
+                        (qual, knob)
+
+    def aw(n, ring, cutoff):
+        return AWCoalgebra.strict(sphere_model(n, ring, cutoff))
+
+    circle = DGCoalgebra(ZZ, 5, {"e1": 1})
+    A2, A3, A5 = aw(2, F2, 5), aw(3, ZZ, 6), aw(5, ZZ, 7)
+    models = [(CobarAlgebra(A3.C), None), (CobarAlgebra(circle), 5),
+              (OneSidedCobar(CobarAlgebra(circle), "left"), 5),
+              (OneSidedCobar(CobarAlgebra(A3.C), "right"), None),
+              (TwistedHopfTensor(InducedHopf(A3), 5), None),
+              (TwistedHopfTensor(InducedHopf(A2), 5), 5),
+              (PathLoop(A3).omega, None), (PathLoop(A3).cofixed(), None),
+              (PathLoop(A2).omega, 5), (PathLoop(A2).cofixed(), 5),
+              (FiberCoaction(A5, A3, trivial_family(A5, A3)).cofixed(), None),
+              (FormalDoubleLoop(A2.C), 5)]
+    for model, cap in models:
+        cx = model.to_chain_complex()
+        assert model.cap == cap, model
+        assert cx.cutoff == model.cutoff
+        assert sorted(cx.bases) == list(range(model.cutoff + 1)), model

@@ -186,6 +186,46 @@ def test_malformed_input_is_one_error_line(tmp_path, doc, map_doc, flags):
         assert flags[1] in proc.stderr
 
 
+@pytest.mark.parametrize("key", ["02", " 2", "+2", "\u0662", "2"],
+                         ids=["zero", "space", "plus", "arabic-indic",
+                              "duplicate"])
+def test_psi_level_keys_are_canonical_and_unique(capsys, tmp_path, key):
+    """A psi level is written [1-9][0-9]* and given once.  Each of these
+    keys, read as level 2, would replace the level-2 component of v5; it
+    is refused on one line that names it."""
+    with open(sample("nonprimitive.json")) as fh:
+        text = fh.read()
+    extra = '%s: {"v5": [[2, ["a3", "1"], ["1", "b3"]]]}, ' % json.dumps(key)
+    assert text.count('"psi": {') == 1
+    path = tmp_path / "doc.json"
+    path.write_text(text.replace('"psi": {', '"psi": {' + extra))
+    code, out, err = run(capsys, "cobar", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert repr(key) in err
+
+
+def test_fiber_reports_the_cutoff_it_computed_at(capsys, tmp_path):
+    """The fiber model runs at the smaller of its documents' cutoffs, and
+    its report says so."""
+    with open(sample("sphere5.json")) as fh:
+        doc = json.load(fh)
+    path = tmp_path / "sphere5-c6.json"
+    path.write_text(json.dumps(dict(doc, cutoff=6)))
+    code, rep, _ = run_json(capsys, "fiber", str(path), sample("sphere3.json"))
+    assert code == 0
+    assert rep["cutoff"] == 6 and len(rep["betti"]) == 6
+    assert sorted(rep["homology"], key=int) == [str(n) for n in range(6)]
+
+
+def test_verify_takes_no_verify_all(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", sample("sphere3.json"), "--verify-all"])
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --verify-all" in err
+
+
 BOOLEAN_DOCUMENTS = {
     "cutoff": (dict(SPHERE3, cutoff=True), None),
     "degree": (dict(SPHERE3, generators=[{"label": "x3", "degree": True}]),

@@ -99,6 +99,10 @@ def test_shmap_from_document():
     bad = {"components": {"1": {"x3": [[1, ["nope"]]]}}}
     with pytest.raises(DocumentError, match="unknown.*target"):
         shmap_from_document(bad, C3, C3)
+    bad = {"components": {"01": {"x3": [[1, ["x3"]]]}}}
+    with pytest.raises(DocumentError,
+                       match=r"component level '01' must match \[1-9\]"):
+        shmap_from_document(bad, C3, C3)
 
 
 def test_render_report_formats():

@@ -23,7 +23,7 @@ def test_rejects_integers_and_nonprimitive():
 def test_bracket_generator_count_fibonacci_ranks():
     # for S^3 the bracket alphabet gives Fibonacci degreewise ranks
     fm = FormalDoubleLoop(sphere_model(3, QQ, 8))
-    cx = fm.to_chain_complex(top=8)
+    cx = fm.to_chain_complex()
     assert [len(cx.bases[n]) for n in range(9)] == [1, 1, 1, 2, 3, 5, 8, 13, 21]
     ok, label, _ = cx.verify_differential()
     assert ok, label
@@ -41,6 +41,6 @@ def test_matches_double_loop_betti():
         C = sphere_model(3, ring, 8)
         fm = FormalDoubleLoop(C)
         dl, _ = double_loop(AWCoalgebra.strict(C))
-        assert betti(fm.to_chain_complex(top=8), 0, 7) == \
-            betti(dl.to_chain_complex(top=8), 0, 7)
+        assert betti(fm.to_chain_complex(), 0, 7) == \
+            betti(dl.to_chain_complex(), 0, 7)
 

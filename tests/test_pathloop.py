@@ -66,7 +66,7 @@ def test_extend_psi_coherent():
 
 def test_pathloop_acyclic():
     pl = PathLoop(aw(3, ZZ, 6))
-    cx = pl.omega.to_chain_complex(top=6)
+    cx = pl.omega.to_chain_complex()
     ok, label, _ = cx.verify_differential()
     assert ok, label
     assert betti(cx, 0, 5) == [1, 0, 0, 0, 0, 0]
@@ -103,22 +103,25 @@ def test_cofixed_closure_and_coordinates():
                 dl.coordinates(n - 1, v.map_terms(pl.omega.d_word))
 
 
-def test_cofixed_blocked_requires_weight():
+def test_cofixed_blocked_takes_its_cap_from_the_ambient():
+    """The path-loop alphabet of S2 has the degree-0 letter s[bar(x2)]:
+    the double loop and the bracket model are both capped at the cutoff,
+    and agree."""
     from loopalg.formal import FormalDoubleLoop
     C2 = sphere_model(2, F2, 5)
-    with pytest.raises(ValueError):
-        double_loop(AWCoalgebra.strict(C2))
-    dl, _ = double_loop(AWCoalgebra.strict(C2), max_weight=6)
-    cx = dl.to_chain_complex(top=4)
+    dl, pl = double_loop(AWCoalgebra.strict(C2))
+    assert dl.blocked and dl.cap == pl.omega.cap == 5
+    cx = dl.to_chain_complex()
     ok, label, _ = cx.verify_differential()
     assert ok, label
-    fcx = FormalDoubleLoop(C2).to_chain_complex(max_weight=6, top=4)
-    assert betti(cx, 0, 3) == betti(fcx, 0, 3)
+    fm = FormalDoubleLoop(C2)
+    assert fm.cap == 5
+    assert betti(cx) == betti(fm.to_chain_complex())
 
 
 def test_double_loop_s3_mod2_betti():
     dl, _ = double_loop(aw(3, F2, 8))
-    cx = dl.to_chain_complex(top=8)
+    cx = dl.to_chain_complex()
     ok, label, _ = cx.verify_differential()
     assert ok, label
     assert betti(cx, 0, 7) == [1, 1, 1, 2, 2, 2, 3, 4]
@@ -127,7 +130,7 @@ def test_double_loop_s3_mod2_betti():
 def test_loop_fiber_identity_acyclic():
     A = aw(3, ZZ, 6)
     hf, _ = loop_fiber(A, A, identity_family(A))
-    cx = hf.to_chain_complex(top=6)
+    cx = hf.to_chain_complex()
     ok, label, _ = cx.verify_differential()
     assert ok, label
     assert betti(cx, 0, 5) == [1, 0, 0, 0, 0, 0]
@@ -137,12 +140,12 @@ def test_loop_fiber_trivial_map():
     A5 = aw(5, ZZ, 6)
     A3 = aw(3, ZZ, 6)
     hf, _ = loop_fiber(A5, A3, trivial_family(A5, A3))
-    cx = hf.to_chain_complex(top=6)
+    cx = hf.to_chain_complex()
     ok, label, _ = cx.verify_differential()
     assert ok, label
     # through degree 5 this is Omega S5 (x) DL(S3)
     dl, _ = double_loop(aw(3, ZZ, 6))
-    d3 = betti(dl.to_chain_complex(top=6), 0, 5)
+    d3 = betti(dl.to_chain_complex(), 0, 5)
     o5 = [1, 0, 0, 0, 1, 0]
     conv = [sum(o5[p] * d3[n - p] for p in range(n + 1)) for n in range(6)]
     assert betti(cx, 0, 5) == conv
@@ -178,7 +181,7 @@ def _check_coordinates(sub, coaction_bar, top, seed=0):
                 label: c for label, c in zip(basis, coeffs) if c}
         # a single word is in the cofixed block exactly when the reduced
         # coaction kills it
-        for u in amb.words(n, sub.max_weight):
+        for u in amb.words(n, sub.cap):
             single = Vect.basis(ring, u)
             if coaction_bar(u).is_zero():
                 coords = sub.coordinates(n, single)
@@ -193,7 +196,7 @@ def _check_coordinates(sub, coaction_bar, top, seed=0):
             label = basis[-1]
             w = label[2] if len(label) == 4 else None
             stray = next(u for u in amb.words(n + 1, w if sub.blocked
-                                              else sub.max_weight)
+                                              else sub.cap)
                          if w is None or amb.weight(u) == w)
             v = sub.vector_of(label) + Vect.basis(ring, stray)
             with pytest.raises(ValueError, match="leaves the stored block"):
@@ -208,10 +211,9 @@ def test_double_loop_coordinates_round_trip(ring):
 
 
 def test_blocked_double_loop_coordinates_round_trip():
-    dl, pl = double_loop(AWCoalgebra.strict(sphere_model(2, F2, 5)),
-                         max_weight=6)
+    dl, pl = double_loop(AWCoalgebra.strict(sphere_model(2, F2, 5)))
     assert dl.blocked
-    _check_coordinates(dl, reduced_coaction(pl), 4)
+    _check_coordinates(dl, reduced_coaction(pl), 5)
 
 
 def test_fiber_coordinates_round_trip_over_z():
@@ -281,7 +283,7 @@ def test_cofixed_coordinates_with_a_non_unit_pivot(ring):
         def column(word):
             c = {a: ca, b: cb}.get(word, 0)
             return {"t": c} if c else {}
-        sub = CofixedSubalgebra(alg, column, 3)
+        sub = CofixedSubalgebra(alg, column)
         (v,) = [sub.vector_of(label) for label in sub.basis(1)]
         return sub, v
 
@@ -442,7 +444,7 @@ def test_double_loop_builds_no_comultiplication_of_a_word(monkeypatch):
         pl.hopf.psi_letter(letter)
     monkeypatch.setattr(TensorSquare, "mul", counting(mul))
     monkeypatch.setattr(TensorSquare, "times", counting(times))
-    cx = dl.to_chain_complex(top=9)
+    cx = dl.to_chain_complex()
     # rationally the double loop of S3 is a circle
     assert betti(cx, 0, 8) == [1, 1, 0, 0, 0, 0, 0, 0, 0]
     assert not [w for h, w in psi_calls if h is pl.hopf]
@@ -488,10 +490,9 @@ def test_index_diff_is_the_label_route_on_fibers(family, ring):
 
 
 def test_index_diff_is_the_label_route_with_a_weight_cap():
-    dl, _ = double_loop(AWCoalgebra.strict(sphere_model(2, F2, 5)),
-                        max_weight=6)
+    dl, _ = double_loop(AWCoalgebra.strict(sphere_model(2, F2, 5)))
     assert dl.blocked
-    assert _index_diff_matches_label_route(dl, 4) > 10
+    assert _index_diff_matches_label_route(dl, 5) > 10
 
 
 def _core_algebra(coaction, d):
@@ -507,7 +508,7 @@ def _core_algebra(coaction, d):
     def column(word):
         c = coaction.get(word[1], 0) if len(word) == 2 else 0
         return {len(word): c} if c else {}
-    return CofixedSubalgebra(alg, column, 3)
+    return CofixedSubalgebra(alg, column)
 
 
 def test_index_diff_is_the_label_route_through_a_core():
@@ -561,7 +562,7 @@ def test_homology_takes_each_d_word_once_and_no_vector(monkeypatch):
     monkeypatch.setattr(FreeAlgebra, "d_columns", counting)
     monkeypatch.setattr(FreeAlgebra, "d_word", letters_only)
     monkeypatch.setattr(CofixedSubalgebra, "vector_of", refused)
-    cx = dl.to_chain_complex(top=11)
+    cx = dl.to_chain_complex()
     report = {"homology": {str(n): {"rank": h.free_rank, "torsion": h.torsion}
                            for n in range(11) for h in [cx.homology(n)]}}
     monkeypatch.syspath_prepend(LOOPBENCH)

@@ -36,8 +36,7 @@ def aw_sphere(n, ring, cutoff):
 
 def test_strict_identity_family_is_coherent():
     C = sphere_model(3, ZZ, 8)
-    fam = SHFamily.strict(C, C, {g: Vect.basis(ZZ, g) for g in C.gens},
-                          name="id")
+    fam = SHFamily.strict(C, C, {g: Vect.basis(ZZ, g) for g in C.gens})
     ok, problems = fam.verify()
     assert ok, problems
     assert fam.max_level() == 1
