@@ -91,6 +91,11 @@ CASES = [
     ("cotor-self-sphere2-c6", "cotor", ["sample:sphere2"],
      ["--hopf", "self", "--cutoff", "6"]),
     ("cotor-sphere2-c6", "cotor", ["sample:sphere2"], ["--cutoff", "6"]),
+    ("fiber-identity-sphere2-c6", "fiber", ["sample:sphere2", "sample:sphere2"],
+     ["--map", "identity", "--cutoff", "6"]),
+    ("fiber-sphere3-sphere2-c6", "fiber", ["sample:sphere3", "sample:sphere2"],
+     ["--cutoff", "6"]),
+    ("verify-product3-5-c6", "verify", ["golden:product3-5"], ["--cutoff", "6"]),
 ]
 
 
