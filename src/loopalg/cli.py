@@ -12,6 +12,7 @@ import functools
 import gc
 import sys
 import time
+from collections import Counter
 
 from .rings import ring_from_name
 from .vectors import Vect, label_str
@@ -91,8 +92,6 @@ def read_document(path, args):
             ring = ring_from_name(args.ring)
         except (ValueError, TypeError) as e:
             raise DocumentError(str(e))
-    if args.cutoff is not None and args.cutoff < 2:
-        raise DocumentError("cutoff must be at least 2")
     return coalgebra_from_document(load_json(path), ring=ring,
                                    cutoff=args.cutoff)
 
@@ -340,19 +339,26 @@ def _verify_suites(C, A):
         return "pass", None
 
     def cofreeness():
+        # |words(n)| = the sum over cofixed vectors of degree p and weight w
+        # of |base words of degree n - p| under the weight left, cap - w
         pl = path_loop()
         dl = pl.cofixed()
+        cap = dl.cap
+
+        @functools.cache
+        def weight(label):
+            # read off the vector's words; uncapped, it bounds nothing
+            if cap is None:
+                return 0
+            return pl.omega.weight(next(iter(dl.vector_of(label).terms)))
         for n in range(cutoff + 1):
-            if dl.blocked:
-                lhs = len(pl.omega.words(n, dl.cap))
-                rhs = 0
-                for lab in [l for p in range(n + 1) for l in dl.basis(p)]:
-                    p, w = lab[1], lab[2]
-                    rhs += len(pl.omega_base.words(n - p, dl.cap - w))
-            else:
-                lhs = len(pl.omega.words(n))
-                rhs = sum(dl.rank(p) * len(pl.omega_base.words(n - p))
-                          for p in range(n + 1))
+            lhs = len(pl.omega.words(n, cap))
+            rhs = 0
+            for p in range(n + 1):
+                count = Counter(map(weight, dl.basis(p)))
+                rhs += sum(count[w] * len(pl.omega_base.words(
+                    n - p, None if cap is None else cap - w))
+                    for w in range((cap or 0) + 1))
             if lhs != rhs:
                 return "fail", "degree %d: %d != %d" % (n, lhs, rhs)
         return "pass", None

@@ -5,7 +5,7 @@ The label "1" is reserved for the implicit unit wherever a formula needs it
 (full comultiplications, coactions); it never appears in a stored basis.
 """
 
-from .vectors import Vect, tensor_apply
+from .vectors import Vect
 
 
 UNIT = "1"
@@ -67,7 +67,6 @@ class DGCoalgebra:
         """Check co-Leibniz and coassociativity on every generator.
         Returns (ok, list of (kind, generator, residue))."""
         problems = []
-        ident = lambda l: Vect.basis(self.ring, l)
         for label in self.gens:
             # degree bookkeeping of stored values
             for out, _ in self.d_of(label).items():
@@ -76,13 +75,16 @@ class DGCoalgebra:
             for out, _ in self.delta_red(label).items():
                 if self.degree(out[1]) + self.degree(out[2]) != self.degree(label):
                     problems.append(("delta-degree", label, out))
-            # co-Leibniz (reduced form)
+            # co-Leibniz (reduced form): Delta d = the sum over Delta of
+            # c (d(a) (x) b + (-1)^|a| a (x) d(b))
             lhs = self.d_of(label).map_terms(self.delta_red)
-            rhs = self.delta_red(label).map_terms(
-                lambda t: tensor_apply(self.ring, [self.d_of, ident], [-1, 0],
-                                       [self.degree(t[1]), self.degree(t[2])], t)
-                + tensor_apply(self.ring, [ident, self.d_of], [0, -1],
-                               [self.degree(t[1]), self.degree(t[2])], t))
+            rhs = Vect(self.ring)
+            for (_, a, b), c in self.delta_red(label).items():
+                for a2, c2 in self.d_of(a).items():
+                    rhs.iadd_term(c * c2, ("t", a2, b))
+                s = -1 if self.degree(a) % 2 else 1
+                for b2, c2 in self.d_of(b).items():
+                    rhs.iadd_term(s * c * c2, ("t", a, b2))
             if not (lhs - rhs).is_zero():
                 problems.append(("co-Leibniz", label, lhs - rhs))
             # coassociativity of the reduced comultiplication

@@ -14,12 +14,12 @@ model.  Both coactions are maps of chain algebras, so nu is built prefix
 by prefix from letter values prepared once, on int codes: a letter is its
 index in label_key order, a word a tuple of codes, a term a pair of words.
 
-A cofixed subalgebra works on word indices: each (degree, weight) block
-keeps its ambient words and linalg.kernel's vectors on their indices.  A
-word's kernel column is its reduced coaction, read off nu with no Vect,
-its rows numbered as they first appear, not sorted.  The boundary columns
-sum the ambient d_columns over a basis vector and read the sum off at the
-free words; only the vectors of a leftover Z core go through a
+A cofixed subalgebra works on word indices: each degree keeps its ambient
+words under the cap and the vectors of one linalg.kernel call on their
+indices.  A word's kernel column is its reduced coaction, read off nu with
+no Vect, its rows numbered as they first appear, not sorted.  The boundary
+columns sum the ambient d_columns over a basis vector and read the sum off
+at the free words; only the vectors of a leftover Z core go through a
 linalg.Solver.  Vects over ambient words are built for the product alone.
 """
 
@@ -72,24 +72,13 @@ def path_object(C):
     return DGCoalgebra(ring, C.cutoff, gens, d, delta, weights=weights)
 
 
-# Sign rule for barring a slot of a level-k homotopy-diagonal term: the
-# Koszul sign of moving the degree -1 bar operator past the earlier slots,
-# plus a level correction for the pair index i that was barred (the
-# desuspension signs of the induced cobar map see that pair's degree drop
-# by one).  The correction exponent is
-# BAR_EXTRA[0]*(k - 1 - i) + BAR_EXTRA[1]*i, and (1, 1), a global
-# (-1)^(k-1), is the convention pinned by requiring all at once: the
-# extended family stays coherent, the induced comultiplication on the
-# path cobar algebra is a coassociative chain map, and the bar-erasing
-# coaction satisfies the loop-concatenation derivation identities.
-BAR_EXTRA = (1, 1)
-
-
 def extend_psi(A):
     """Extend a homotopy diagonal on C to one on P(C).  Unbarred
     generators keep their components; bar(g) gets every term of Psi_k(g)
-    with one slot barred (the unit cannot be barred), with Koszul and
-    regrading signs."""
+    with one slot barred (the unit cannot be barred), with the sign
+    (-1)^(pre+k-1): the Koszul sign of moving the degree -1 bar past the
+    earlier slots, of total degree pre, and a level correction (-1)^(k-1)
+    from the desuspensions of the induced cobar map."""
     PC = path_object(A.C)
     T = tensor_coalgebra(PC, PC)
     ring = A.ring
@@ -108,9 +97,8 @@ def extend_psi(A):
                 pre = 0
                 for t, e in enumerate(flat):
                     if e != UNIT:
-                        i = t // 2
-                        exp = pre + BAR_EXTRA[0] * (k - 1 - i) + BAR_EXTRA[1] * i
-                        sign = -1 if exp % 2 else 1
+                        # (-1)^(pre+k-1); test_extend_psi_coherent pins it
+                        sign = -1 if (pre + k - 1) % 2 else 1
                         parts = []
                         for j in range(0, len(flat), 2):
                             a, b = flat[j], flat[j + 1]
@@ -244,16 +232,18 @@ class CofixedSubalgebra:
     whose cutoff and cap the subalgebra takes;
     column: word -> its reduced coaction, a dict row key -> nonzero
     coefficient, such as _Coaction.column.
-    With a weight cap, which an ambient alphabet with degree-0 letters
-    has, the computation is run per weight block (the coaction and
-    differential must preserve the weight for the blocks to be exact; this
-    holds in the primitive situations that produce degree-0 letters).
 
-    A degree's ambient words are split by weight block once.  Each block
-    keeps its words and its kernel basis, which basis() labels, as
-    linalg.kernel's dicts word index -> coefficient, plus a linalg.Solver
-    on its core vectors if it has any: together they give the
-    coordinates."""
+    Each degree has one kernel, of the columns of all of its ambient words
+    under the cap, as linalg.kernel's dicts word index -> coefficient,
+    which basis() labels, plus a linalg.Solver on its core vectors if it
+    has any: together they give the coordinates.  The elimination adds
+    together only columns that share a row, and where the coaction keeps
+    the weight, columns of different weight share none, so the kernel is
+    the sum of its weight parts.  Under a weight cap, which an ambient
+    alphabet with degree-0 letters has, the capped words form a subcomplex
+    only where d and the coaction keep the weight.  This holds in the
+    primitive situations that produce degree-0 letters; DGCoalgebra does
+    not check a document's weights."""
 
     def __init__(self, ambient, column):
         self.ambient = ambient
@@ -261,33 +251,19 @@ class CofixedSubalgebra:
         self.column = column
         self.cutoff = ambient.cutoff
         self.cap = ambient.cap
-        self.blocked = self.cap is not None
-        self._layouts = {}
         self._kernels = {}
         self._bases = {}
         self._readers = {}
 
-    def _layout(self, n):
-        """(word list per block, the ambient index of each of their words,
-        and for each ambient word of degree n its block and index there)."""
-        if n not in self._layouts:
-            words = self.ambient.words(n, self.cap)
-            ws = [self.ambient.weight(u) if self.blocked else 0 for u in words]
-            amb = [[a for a, w in enumerate(ws) if w == k]
-                   for k in range(len(self.blocks(n)))]
-            place = {a: (k, j) for k, ix in enumerate(amb)
-                     for j, a in enumerate(ix)}
-            self._layouts[n] = [[words[a] for a in ix] for ix in amb], amb, place
-        return self._layouts[n]
-
-    def _kernel(self, n, w=None):
-        """Kernel vectors of the reduced coaction on the (degree, weight)
-        block, as dicts word index -> coefficient: the unit vectors in the
-        order of their free words, then the core vectors.  Rows are
-        numbered as they first appear: the pivots rest on dict order."""
-        key = (n, w)
+    def _kernel(self, n):
+        """(the ambient words of degree n under the cap, the kernel vectors
+        of the reduced coaction on them, as dicts word index ->
+        coefficient: the unit vectors in the order of their free words,
+        then the core vectors).  Rows are numbered as they first appear:
+        the pivots rest on dict order."""
+        key = (n, None)
         if key not in self._kernels:
-            words = self._layout(n)[0][w or 0]
+            words = self.ambient.words(n, self.cap)
             rows = {}
             free, vecs = linalg.kernel(
                 [{rows.setdefault(l, len(rows)): c
@@ -295,27 +271,27 @@ class CofixedSubalgebra:
                 self.ring)
             core = vecs[len(free):]
             self._kernels[key] = (words, vecs)
-            self._readers[key] = (
+            self._readers[n] = (
                 {j: i for i, j in enumerate(free)},
                 linalg.Solver(core, range(len(words)), self.ring,
                               "cofixed block") if core else None)
         return self._kernels[key]
 
     def blocks(self, n):
-        return list(range(self.cap + 1)) if self.blocked else [None]
+        """[None], the one key per degree of _kernels, (n, None).  Only
+        the benchmark tracer reads blocks and _kernels."""
+        return [None]
 
     def basis(self, n):
-        """Synthetic labels ('k', n, i) or ('k', n, w, i) per block."""
+        """Synthetic labels ('k', n, i)."""
         if n not in self._bases:
-            self._bases[n] = [("k", n, i) if w is None else ("k", n, w, i)
-                              for w in self.blocks(n)
-                              for i in range(len(self._kernel(n, w)[1]))]
+            self._bases[n] = [("k", n, i)
+                              for i in range(len(self._kernel(n)[1]))]
         return self._bases[n]
 
     def vector_of(self, label):
-        n, w, i = (label[1], None, label[2]) if len(label) == 3 else label[1:]
-        words, vecs = self._kernel(n, w)
-        return Vect(self.ring, {words[j]: c for j, c in vecs[i].items()})
+        words, vecs = self._kernel(label[1])
+        return Vect(self.ring, {words[j]: c for j, c in vecs[label[2]].items()})
 
     def rank(self, n):
         return len(self.basis(n))
@@ -323,29 +299,21 @@ class CofixedSubalgebra:
     def _read(self, n, acc):
         """Coordinates, as a dict basis index -> nonzero coefficient, of
         the vector of degree n with the unreduced sums acc (ambient word
-        index -> c), block by block: its coefficients at the free words,
-        then the core Solver's coordinates of what the unit vectors leave
-        (or a refusal of a remainder)."""
-        place = self._layout(n)[2]
-        parts = {}
-        for a, c in self.ring.reduce(acc).items():
-            k, j = place[a]
-            parts.setdefault(k, {})[j] = c
-        out, blocks = {}, self.blocks(n)
-        for k, left in sorted(parts.items()):
-            vecs = self._kernel(n, blocks[k])[1]
-            free, core = self._readers[(n, blocks[k])]
-            start = sum(len(self._kernel(n, w)[1]) for w in blocks[:k])
-            for j, c in [(j, c) for j, c in left.items() if j in free]:
-                out[start + free[j]] = c
-                linalg.add_multiple(left, vecs[free[j]], -c, self.ring)
-            if core:
-                for i, c in enumerate(core.coordinates(left),
-                                      start + len(free)):
-                    if c:
-                        out[i] = c
-            elif left:
-                raise ValueError("vector outside the cofixed block")
+        index -> c): its coefficients at the free words, then the core
+        Solver's coordinates of what the unit vectors leave (or a refusal
+        of a remainder)."""
+        vecs = self._kernel(n)[1]
+        free, core = self._readers[n]
+        left, out = self.ring.reduce(acc), {}
+        for j, c in [(j, c) for j, c in left.items() if j in free]:
+            out[free[j]] = c
+            linalg.add_multiple(left, vecs[free[j]], -c, self.ring)
+        if core:
+            for i, c in enumerate(core.coordinates(left), len(free)):
+                if c:
+                    out[i] = c
+        elif left:
+            raise ValueError("vector outside the cofixed block")
         return out
 
     def coordinates(self, n, vect):
@@ -356,7 +324,7 @@ class CofixedSubalgebra:
         for u, c in vect.items():
             if u in index:
                 acc[index[u]] = c
-            elif not self.blocked or self.ambient.weight(u) <= self.cap:
+            elif self.cap is None or self.ambient.weight(u) <= self.cap:
                 raise ValueError("vector leaves the stored block")
         basis = self.basis(n)
         return {basis[i]: c for i, c in self._read(n, acc).items()}
@@ -364,15 +332,14 @@ class CofixedSubalgebra:
     def columns(self, n):
         """The columns of d_n: each basis vector's sum of the ambient
         d_columns of its words, read off one degree down."""
-        d, amb = self.ambient.d_columns(n, self.cap), self._layout(n)[1]
+        d = self.ambient.d_columns(n, self.cap)
         out = []
-        for k, w in enumerate(self.blocks(n)):
-            for vec in self._kernel(n, w)[1]:
-                acc = {}
-                for j, c in vec.items():
-                    for r, x in d[amb[k][j]].items():
-                        acc[r] = acc.get(r, 0) + c * x
-                out.append(self._read(n - 1, acc) if acc else {})
+        for vec in self._kernel(n)[1]:
+            acc = {}
+            for j, c in vec.items():
+                for r, x in d[j].items():
+                    acc[r] = acc.get(r, 0) + c * x
+            out.append(self._read(n - 1, acc) if acc else {})
         return out
 
     def mul_labels(self, l1, l2):

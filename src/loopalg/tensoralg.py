@@ -6,8 +6,8 @@ Words are labels ("w", letter, ..., letter); ("w",) is the unit.  Letters may
 sit in degree 0 (this happens for cobar constructions on coalgebras that are
 connected but not simply connected); such alphabets have infinitely many
 words per degree, so enumeration then requires a weight bound.  Every letter
-carries a positive integer weight (default 1); weights add along words and
-give the finite blocks used for those computations.  An algebra's own cap
+carries a positive integer weight (default 1); weights add along words, and
+a bound on them keeps those computations finite.  An algebra's own cap
 is that bound: none for a finite-type alphabet, else its cutoff.
 """
 

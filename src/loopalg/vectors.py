@@ -9,7 +9,7 @@ Labels are strings or nested tuples whose first entry is a constructor tag:
     ("w", l1, ..., lk)         word in a free algebra (("w",) is the unit)
     ("t", l1, ..., lk)         element of a tensor product of modules
     ("br", (v...), w)          iterated-bracket generator of the formal model
-    ("k", n, [w,] i)           synthetic basis vector of a cofixed subalgebra
+    ("k", n, i)                synthetic basis vector of a cofixed subalgebra
 label_key is the canonical total order on labels.  The builders establish
 it (word enumeration emits it, the other bases sort by it) and a
 ChainComplex keeps the order it is given, so every matrix is deterministic.
@@ -153,30 +153,3 @@ def bilinear(ring, u, v, pair_fn):
                 sums[label] = sums.get(label, 0) + c * c2
     return Vect.from_sums(ring, sums)
 
-
-def tensor_apply(ring, fs, shifts, degs, tlabel):
-    """Apply f_1 (x) ... (x) f_k to a tensor label with Koszul signs.
-
-    fs: component maps label -> Vect; shifts: their degrees; degs: the degree
-    of each component of tlabel.  Sign convention:
-    (f (x) g)(v (x) w) = (-1)^{|g||v|} f(v) (x) g(w).
-    """
-    parts = tlabel[1:]
-    k = len(parts)
-    sign_exp = 0
-    for j in range(k):
-        if shifts[j] % 2:
-            sign_exp += sum(degs[i] for i in range(j))
-    outs = [fs[j](parts[j]) for j in range(k)]
-    result = Vect(ring)
-    sign = -1 if sign_exp % 2 else 1
-
-    def rec(j, acc_label, acc_coeff):
-        if j == k:
-            result.iadd_term(acc_coeff, ("t",) + tuple(acc_label))
-            return
-        for label, c in outs[j].terms.items():
-            rec(j + 1, acc_label + [label], acc_coeff * c)
-
-    rec(0, [], sign)
-    return result

@@ -249,9 +249,10 @@ def f2_block_kernel_rank(pl, n, w):
 
 def test_criterion_06_cofreeness_rank_identity():
     """rank_n(path-loop) = sum rank_p(double-loop) * rank_q(cobar) for
-    n <= 8, corpus-wide.  Weight-blocked members are checked blockwise;
-    the tensor member is checked over F2 where its kernels stay within
-    reach (dimension by rank-nullity on the coaction matrix)."""
+    n <= 8, corpus-wide.  Capped members are checked per weight, each
+    basis vector's weight read off its words; the tensor member is checked
+    over F2 where its kernels stay within reach (dimension by rank-nullity
+    on the coaction matrix)."""
     for name, A, mw in corpus():
         if name == "S2xS3":
             continue
@@ -267,7 +268,8 @@ def test_criterion_06_cofreeness_rank_identity():
                 lhs = len(pl.omega.words(n, mw))
                 rhs = 0
                 for lab in [l for p in range(n + 1) for l in dl.basis(p)]:
-                    p, w = lab[1], lab[2]
+                    p = lab[1]
+                    w = pl.omega.weight(next(iter(dl.vector_of(lab).terms)))
                     rhs += len(pl.omega_base.words(n - p, mw - w))
             assert lhs == rhs, (name, n, lhs, rhs)
     # tensor member over F2

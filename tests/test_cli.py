@@ -146,12 +146,32 @@ def test_parse_errors_exit_1(capsys, tmp_path):
     assert code == 1 and "ring" in err
 
     code, out, err = run(capsys, "cobar", sample("sphere3.json"),
-                         "--cutoff", "1")
+                         "--cutoff", "0")
     assert code == 1 and "cutoff" in err
 
     code, out, err = run(capsys, "cobar", sample("sphere3.json"),
                          "--ring", "F9")
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["cobar", "double-loop", "verify"])
+def test_cutoff_override_follows_the_document_rule(capsys, tmp_path,
+                                                     command):
+    """--cutoff takes the documents' rule, a positive integer: --cutoff 1
+    gives the report of a document with cutoff 1, and --cutoff 0 is one
+    error line with exit 1."""
+    with open(sample("sphere3.json")) as fh:
+        doc = json.load(fh)
+    path = tmp_path / "sphere3-c1.json"
+    path.write_text(json.dumps(dict(doc, cutoff=1)))
+    code, out, _ = run(capsys, command, str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["cutoff"] == 1
+    assert run(capsys, command, sample("sphere3.json"), "--cutoff", "1",
+               "--format", "json")[:2] == (code, out)
+    code, out, err = run(capsys, command, sample("sphere3.json"),
+                         "--cutoff", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 SPHERE3 = {"name": "s3", "ring": "Z", "cutoff": 6,
@@ -569,12 +589,16 @@ def test_section_defect_suite_sees_a_wrong_twisting_sign(monkeypatch, capsys,
     """The suite compares d(1 (x) b) - 1 (x) db with its closed form from
     the reduced comultiplication, so it fails once the left twisting term
     changes sign."""
-    from loopalg import cobar
+    from loopalg.cobar import OneSidedCobar
     code, rep, _ = run_json(capsys, "verify", sample(doc), "--cutoff", "5")
     suites = {o["suite"]: o["status"] for o in rep["verifications"]}
     assert suites["section-defect"] == "pass"
-    a, b, ab, const = cobar.TWIST_LEFT
-    monkeypatch.setattr(cobar, "TWIST_LEFT", (a, b, ab, 1 - const))
+    coaction = OneSidedCobar.coaction
+
+    def flipped(self, m):
+        terms = coaction(self, m)
+        return [(t, -c) for t, c in terms] if self.side == "left" else terms
+    monkeypatch.setattr(OneSidedCobar, "coaction", flipped)
     code, rep, _ = run_json(capsys, "verify", sample(doc), "--cutoff", "5")
     suites = {o["suite"]: o for o in rep["verifications"]}
     assert code == 2
@@ -658,13 +682,18 @@ def test_models_are_the_same_under_every_hash_seed():
     appear, so their pivots rest on dict insertion order alone: a set
     iterated on the way would make the kernels, the boundary columns or
     the report depend on the string hash seed."""
+    product2_3 = os.path.join(GOLDEN_INPUTS, "product2-3.json")
     jobs = [["double-loop", sample("nonprimitive.json")],
             ["double-loop", os.path.join(GOLDEN_INPUTS, "product3-5.json")],
             ["double-loop", os.path.join(GOLDEN_INPUTS, "wedge3-5.json")],
             ["fiber", sample("sphere5.json"), sample("sphere3.json")],
             ["fiber", sample("sphere3.json"), sample("sphere3.json"),
              "--map", "identity"]]
-    jobs = [argv + ["--cutoff", "8", "--format", "json"] for argv in jobs]
+    jobs = [argv + ["--cutoff", "8"] for argv in jobs] + [
+        # capped: one kernel over the words of every weight
+        ["double-loop", sample("sphere2.json"), "--cutoff", "5"],
+        ["fiber", product2_3, product2_3, "--cutoff", "5"]]
+    jobs = [argv + ["--format", "json"] for argv in jobs]
     code = ("import contextlib, hashlib, io, json\n"
             "from loopalg import cli, pathloop\n"
             "built = []\n"
@@ -691,7 +720,10 @@ def test_models_are_the_same_under_every_hash_seed():
         outs.append([json.loads(line) for line in proc.stdout.splitlines()])
     assert len(outs[0]) == len(jobs)
     for argv, (rc, report, kernels, columns), other in zip(jobs, *outs):
-        assert rc == 0 and json.loads(report)["betti"][0] == 1, argv
+        # H_0 is one copy of the ring per weight through the cap
+        rep = json.loads(report)
+        assert rc == 0 and rep["betti"][0] == (rep["max_weight"] or 0) + 1, \
+            argv
         assert other == [rc, report, kernels, columns], argv
 
 

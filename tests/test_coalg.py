@@ -1,10 +1,14 @@
 """Coalgebra presentations: verification, spheres, tensor products, sums."""
 
+import os
+
 import pytest
 
-from loopalg.rings import ZZ
+from loopalg.rings import ZZ, Ring
 from loopalg.vectors import Vect
 from loopalg.coalg import UNIT, DGCoalgebra, tensor_coalgebra, direct_sum
+from loopalg.documents import coalgebra_from_document, load_json
+from loopalg.pathloop import path_object
 
 from models import sphere_model
 
@@ -40,6 +44,21 @@ def test_verify_catches_broken_coleibniz():
     ok, problems = C.verify()
     assert not ok
     assert any(kind == "co-Leibniz" for kind, _, _ in problems)
+
+
+@pytest.mark.parametrize("ring", [ZZ, Ring("Fp", 3)], ids=["Z", "F3"])
+def test_coleibniz_koszul_sign_on_a_path_object(ring):
+    """In P(S3 x S5), d(g) = -bar(g) on x3, y5 and z8, and Delta(z8) =
+    x3 (x) y5 - y5 (x) x3 has a differential on both factors: co-Leibniz
+    at z8 holds only with the sign (-1)^|a| on a (x) d(b)."""
+    doc = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden",
+                       "inputs", "product3-5.json")
+    C, _ = coalgebra_from_document(load_json(doc), ring=ring)
+    PC = path_object(C)
+    assert any(not PC.d_of(a).is_zero() and not PC.d_of(b).is_zero()
+               for g in PC.gens for (_, a, b) in PC.delta_red(g).terms)
+    ok, problems = PC.verify()
+    assert ok, problems
 
 
 def test_verify_catches_noncoassociative():

@@ -110,7 +110,7 @@ def test_cofixed_blocked_takes_its_cap_from_the_ambient():
     from loopalg.formal import FormalDoubleLoop
     C2 = sphere_model(2, F2, 5)
     dl, pl = double_loop(AWCoalgebra.strict(C2))
-    assert dl.blocked and dl.cap == pl.omega.cap == 5
+    assert dl.cap == pl.omega.cap == 5
     cx = dl.to_chain_complex()
     ok, label, _ = cx.verify_differential()
     assert ok, label
@@ -190,13 +190,13 @@ def _check_coordinates(sub, coaction_bar, top, seed=0):
                 with pytest.raises(ValueError,
                                    match="outside the cofixed block"):
                     sub.coordinates(n, single)
-        # a word of the next degree, in a block with basis vectors, is not
-        # among the stored words
+        # a word of the next degree, under a cap of the weight of a basis
+        # vector, is not among the stored words
         if basis:
             label = basis[-1]
-            w = label[2] if len(label) == 4 else None
-            stray = next(u for u in amb.words(n + 1, w if sub.blocked
-                                              else sub.cap)
+            w = None if sub.cap is None else amb.weight(
+                next(iter(sub.vector_of(label).terms)))
+            stray = next(u for u in amb.words(n + 1, w)
                          if w is None or amb.weight(u) == w)
             v = sub.vector_of(label) + Vect.basis(ring, stray)
             with pytest.raises(ValueError, match="leaves the stored block"):
@@ -212,8 +212,33 @@ def test_double_loop_coordinates_round_trip(ring):
 
 def test_blocked_double_loop_coordinates_round_trip():
     dl, pl = double_loop(AWCoalgebra.strict(sphere_model(2, F2, 5)))
-    assert dl.blocked
+    assert dl.cap == 5
     _check_coordinates(dl, reduced_coaction(pl), 5)
+
+
+@pytest.mark.parametrize("ring", [ZZ, F2], ids=["Z", "F2"])
+@pytest.mark.parametrize("model", ["double-loop", "identity", "trivial"])
+def test_capped_cofixed_vectors_have_one_weight(model, ring):
+    """Under a weight cap each degree has one kernel, over all its words:
+    every basis vector of the S2 double loop, of the identity fiber of S2
+    and of the trivial fiber S3 -> S2 still has words of a single
+    weight."""
+    A2 = AWCoalgebra.strict(sphere_model(2, ring, 6))
+    if model == "double-loop":
+        sub, _ = double_loop(A2)
+    elif model == "identity":
+        sub, _ = loop_fiber(A2, A2, identity_family(A2))
+    else:
+        A3 = aw(3, ring, 6)
+        sub, _ = loop_fiber(A3, A2, trivial_family(A3, A2))
+    assert sub.cap == 6
+    weights = set()
+    for n in range(7):
+        for label in sub.basis(n):
+            ws = {sub.ambient.weight(u) for u in sub.vector_of(label).terms}
+            assert len(ws) == 1, label
+            weights |= ws
+    assert len(weights) > 3
 
 
 def test_fiber_coordinates_round_trip_over_z():
@@ -272,7 +297,7 @@ def test_cofixed_coordinates_with_a_non_unit_pivot(ring):
     integral vector in its Q-span has integral coordinates, and a is not
     in that span.
 
-    Over Z, a -> 2t, b -> 3t has no unit entry.  The whole block is the
+    Over Z, a -> 2t, b -> 3t has no unit entry.  The whole degree is the
     core of linalg.kernel, whose saturated kernel is spanned by 3a - 2b,
     and coordinates go through the Solver on it."""
     from loopalg.tensoralg import FreeAlgebra
@@ -491,7 +516,6 @@ def test_index_diff_is_the_label_route_on_fibers(family, ring):
 
 def test_index_diff_is_the_label_route_with_a_weight_cap():
     dl, _ = double_loop(AWCoalgebra.strict(sphere_model(2, F2, 5)))
-    assert dl.blocked
     assert _index_diff_matches_label_route(dl, 5) > 10
 
 
@@ -513,13 +537,13 @@ def _core_algebra(coaction, d):
 
 def test_index_diff_is_the_label_route_through_a_core():
     """a -> 2t, b -> 3t and c -> 2t', e -> 3t' have no unit entry: the
-    blocks' cofixed lines 3a - 2b and 3c - 2e are cores of
+    cofixed lines 3a - 2b and 3c - 2e of degrees 1 and 2 are cores of
     linalg.kernel, and d(3c - 2e) = 3a - 2b is read off through the core
     Solver."""
     sub = _core_algebra({"a": 2, "b": 3, "c": 2, "e": 3},
                         {"c": [("a", 1)], "e": [("b", 1)]})
     assert _index_diff_matches_label_route(sub, 2) == 6
-    assert sub._readers[(1, None)][1] and sub._readers[(2, None)][1]
+    assert sub._readers[1][1] and sub._readers[2][1]
     (line,) = [l for l in sub.basis(2) if len(sub.vector_of(l).terms) == 2]
     assert sub.columns(2)[sub.basis(2).index(line)] == {0: 1}
 

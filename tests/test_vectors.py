@@ -1,4 +1,4 @@
-"""Sparse vectors, label ordering, and the Koszul tensor calculus."""
+"""Sparse vectors, label ordering and rendering, and bilinear maps."""
 
 from fractions import Fraction
 
@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from loopalg.rings import ZZ, F2, Ring
-from loopalg.vectors import (Vect, label_key, label_str, bilinear,
-                             tensor_apply)
+from loopalg.vectors import Vect, label_key, label_str, bilinear
 
 
 def test_basic_algebra():
@@ -88,7 +87,7 @@ def test_label_str():
     assert label_str(("bar", "x")) == "bar(x)"
     assert label_str(("tp", "a", "1")) == "(a&1)"
     assert label_str(("t", "a", "b")) == "(a (x) b)"
-    assert label_str(("k", 4, 1, 0)) == "k4.1.0"
+    assert label_str(("k", 4, 1)) == "k4.1"
 
 
 def test_map_terms_linear():
@@ -102,19 +101,6 @@ def test_bilinear():
     v = Vect(ZZ, [("b", 3)])
     out = bilinear(ZZ, u, v, lambda x, y: Vect.basis(ZZ, (x, y)))
     assert out.terms == {("a", "b"): 6}
-
-
-def test_tensor_apply_koszul_sign():
-    # (f (x) g)(v (x) w) = (-1)^{|g||v|} f(v) (x) g(w)
-    f = lambda l: Vect.basis(ZZ, "fv")
-    g = lambda l: Vect.basis(ZZ, "gw")
-    # odd-degree g past odd-degree v flips the sign
-    out = tensor_apply(ZZ, [f, g], [0, 1], [1, 2], ("t", "v", "w"))
-    assert out.terms == {("t", "fv", "gw"): -1}
-    out = tensor_apply(ZZ, [f, g], [0, 1], [2, 2], ("t", "v", "w"))
-    assert out.terms == {("t", "fv", "gw"): 1}
-    out = tensor_apply(ZZ, [f, g], [0, 0], [1, 2], ("t", "v", "w"))
-    assert out.terms == {("t", "fv", "gw"): 1}
 
 
 coeffs = st.integers(-5, 5)
