@@ -4,9 +4,10 @@ from sparse elimination, and representatives built on demand.
 A complex stores one ordered label list per degree (through a cutoff) and
 a column callback: n -> the sparse columns of d_n on row indices, which
 its builder makes (word algebras from their d_columns, the cofixed models
-from their read-off, a label rule through from_labels, which refuses a
-term off the stored basis).  Homology is reported only through cutoff - 1:
-at the cutoff the incoming boundary is not fully known.
+from their projections read at the start words, a label rule through
+from_labels, which refuses a term off the stored basis).  Homology is
+reported only through cutoff - 1: at the cutoff the incoming boundary is
+not fully known.
 
 The rank of H_n is dim C_n - rank d_n - rank d_{n+1}, and its torsion is
 the invariant factors of d_{n+1} other than 0 and 1.  Each degree's

@@ -12,8 +12,8 @@ import functools
 import gc
 import sys
 import time
-from collections import Counter
 
+from . import linalg
 from .rings import ring_from_name
 from .vectors import Vect, label_str
 from .coalg import tensor_coalgebra
@@ -135,11 +135,18 @@ def _problem_str(problem):
     return str(problem)
 
 
-def require_coassociative(hopf):
-    defects = hopf.coassociativity_defects()
+def require_coassociative(hopf, coaction=None):
+    """Refuse an induced diagonal that is not coassociative and, if given,
+    a coaction nu over it with (nu (x) 1)nu != (1 (x) Delta)nu: the
+    cofixed models need a Hopf module.  The path-loop coaction needs no
+    check of its own, as its barred letters are kappa of the others; a
+    fiber's is pushed through the map, which need not keep Delta."""
+    defects, what = hopf.coassociativity_defects(), "induced diagonal"
+    if coaction and not defects:
+        defects, what = coaction.comodule_defects(), "coaction"
     if defects:
-        raise MathError("induced diagonal is not coassociative at letter %s"
-                        % label_str(defects[0][0]))
+        raise MathError("%s is not coassociative at letter %s"
+                        % (what, label_str(defects[0][0])))
 
 
 def base_report(args, C, construction):
@@ -220,7 +227,9 @@ def cmd_path_loop(args, t0):
 
 def cmd_double_loop(args, t0):
     C, A = load_input(args.document, args, simply_connected=True)
-    emit_homology(args, C, "double-loop", PathLoop(A).cofixed(), t0)
+    pl = PathLoop(A)
+    require_coassociative(pl.base_hopf)
+    emit_homology(args, C, "double-loop", pl.cofixed(), t0)
 
 
 def cmd_fiber(args, t0):
@@ -242,9 +251,11 @@ def cmd_fiber(args, t0):
         if not ok:
             raise MathError("map %s fails coherence: %s"
                             % (args.map, _problem_str(problems[0])))
-    emit_homology(args, C, "fiber", FiberCoaction(Ap, A, family).cofixed(),
-                  t0, lambda cx: {"input": "%s -> %s" % (Cp.name, C.name),
-                                  "map": args.map})
+    fc = FiberCoaction(Ap, A, family)
+    require_coassociative(fc.base_hopf, fc)
+    emit_homology(args, C, "fiber", fc.cofixed(), t0,
+                  lambda cx: {"input": "%s -> %s" % (Cp.name, C.name),
+                              "map": args.map})
 
 
 def cmd_formal_dl(args, t0):
@@ -339,26 +350,24 @@ def _verify_suites(C, A):
         return "pass", None
 
     def cofreeness():
-        # |words(n)| = the sum over cofixed vectors of degree p and weight w
-        # of |base words of degree n - p| under the weight left, cap - w
+        # |words(n)| = the sum over degrees p and weights w of the cofixed
+        # rank, the word count less the rank of their reduced coaction
+        # columns, times |base words of degree n - p| under cap - w
         pl = path_loop()
-        dl = pl.cofixed()
-        cap = dl.cap
+        om, cap = pl.omega, pl.omega.cap
 
         @functools.cache
-        def weight(label):
-            # read off the vector's words; uncapped, it bounds nothing
-            if cap is None:
-                return 0
-            return pl.omega.weight(next(iter(dl.vector_of(label).terms)))
+        def kernel_rank(p, w):
+            # uncapped, the weight bounds nothing: one block per degree
+            words = [u for u in om.words(p, cap)
+                     if cap is None or om.weight(u) == w]
+            return len(words) - linalg.rank_and_torsion(
+                [pl.column(u) for u in words], C.ring)[0]
         for n in range(cutoff + 1):
-            lhs = len(pl.omega.words(n, cap))
-            rhs = 0
-            for p in range(n + 1):
-                count = Counter(map(weight, dl.basis(p)))
-                rhs += sum(count[w] * len(pl.omega_base.words(
-                    n - p, None if cap is None else cap - w))
-                    for w in range((cap or 0) + 1))
+            lhs = len(om.words(n, cap))
+            rhs = sum(kernel_rank(p, w) * len(pl.omega_base.words(
+                n - p, None if cap is None else cap - w))
+                for p in range(n + 1) for w in range((cap or 0) + 1))
             if lhs != rhs:
                 return "fail", "degree %d: %d != %d" % (n, lhs, rhs)
         return "pass", None

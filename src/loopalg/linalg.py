@@ -1,12 +1,12 @@
 """Exact linear algebra over Z, Q and F_p.
 
-Ranks, Z torsion and kernels come from one sparse elimination per
-matrix: over a field every nonzero entry is a pivot; over Z only entries
-+-1 are, and the small core that is left goes to a dense invariant-factor
-routine (ranks) or to kernel_saturated (kernels).  Dense cycle bases come
-from kernel_saturated and kernel_field (rref), and homology
-representatives from Smith normal form with transforms (the steps of
-sympy's, so that its transforms are reproduced without importing it).
+Ranks and Z torsion come from one sparse elimination per matrix: over a
+field every nonzero entry is a pivot; over Z only entries +-1 are, and
+the small core that is left goes to a dense invariant-factor routine.
+Dense cycle bases come from kernel_saturated and kernel_field (rref),
+and homology representatives from Smith normal form with transforms (the
+steps of sympy's, so that its transforms are reproduced without
+importing it).
 
 Every exact solve A x = b goes through one Solver: built once on the
 independent columns of A, as dicts over ordered keys, in an echelon form
@@ -180,59 +180,13 @@ def rank_and_torsion(cols, ring):
     return len(pivots) + len(factors), [d for d in factors if d != 1]
 
 
-def kernel(cols, ring):
-    """A basis of the kernel of the matrix with the given sparse columns,
-    as (free, vectors), each vector a dict column index -> nonzero entry.
-    Each column that _eliminate clears gives its transform, which is 1 at
-    that column and 0 at every other free column (only pivot columns are
-    added into a column): these are the first len(free) vectors, copied
-    because the log's dicts keep the room of entries that cancelled.  Over Z
-    a kernel_saturated basis of the core's kernel follows, carried back
-    through the core's transforms; as these are unimodular, the whole
-    basis is saturated."""
-    log = {}
-    pivots, core = _eliminate(cols, ring, log)
-    done = set(pivots).union(core)
-    free = [j for j in range(len(cols)) if j not in done]
-    vecs = [dict(log.get(j, {j: ring.one})) for j in free]
-    if core:
-        order = list(core)
-        rows = dict.fromkeys(i for j in order for i in core[j])
-        for x in kernel_saturated([[core[j].get(i, 0) for j in order]
-                                   for i in rows]):
-            v = {}
-            for j, c in zip(order, x):
-                if c:
-                    add_multiple(v, log.get(j, {j: ring.one}), c, ring)
-            vecs.append(v)
-    return free, vecs
-
-
-def add_multiple(dst, src, f, ring):
-    """dst += f * src for dicts key -> nonzero coefficient, in place,
-    dropping the entries that become zero."""
-    p = ring.p if ring.kind == "Fp" else None
-    for k, x in src.items():
-        y = dst.get(k, 0) + f * x
-        if p:
-            y %= p
-        if y:
-            dst[k] = y
-        else:
-            dst.pop(k, None)
-
-
-def _eliminate(cols, ring, log=None):
+def _eliminate(cols, ring):
     """Sparse elimination on a copy of the columns.  Over Z only entries
     +-1 are pivots; over a field every nonzero entry is.  Each pivot
     clears its row from every other column, so the matrix splits as a
     unit block plus the columns left over.  Returns (pivot columns,
     leftover columns as a dict column index -> column), the leftover
     columns having no unit entry (none over a field).
-
-    If log is a dict, it gets the transform of each column that a step
-    changes: the combination of given columns (a dict column index ->
-    coefficient) that it has become.
 
     The next pivot column is the shortest one, and within it the pivot row
     with the fewest other entries, which keeps fill-in low."""
@@ -278,9 +232,6 @@ def _eliminate(cols, ring, log=None):
                 elif r in other:
                     del other[r]
                     where[r].discard(t)
-            if log is not None:
-                add_multiple(log.setdefault(t, {t: ring.one}),
-                             log.get(j, {j: ring.one}), -f, ring)
             if other:
                 version[t] += 1
                 heappush(heap, (len(other), t, version[t]))

@@ -14,20 +14,22 @@ model.  Both coactions are maps of chain algebras, so nu is built prefix
 by prefix from letter values prepared once, on int codes: a letter is its
 index in label_key order, a word a tuple of codes, a term a pair of words.
 
-A cofixed subalgebra works on word indices: each degree keeps its ambient
-words under the cap and the vectors of one linalg.kernel call on their
-indices.  A word's kernel column is its reduced coaction, read off nu with
-no Vect, its rows numbered as they first appear, not sorted.  The boundary
-columns sum the ambient d_columns over a basis vector and read the sum off
-at the free words; only the vectors of a leftover Z core go through a
-linalg.Solver.  Vects over ambient words are built for the product alone.
+Both ambient algebras M contain Omega C, on their unbarred (for the
+fiber, inr) letters, where nu is its comultiplication; where that is
+coassociative and nu a coaction (the commands check both), M is a right
+Hopf module over Omega C.  By the fundamental theorem of Hopf modules,
+P(m) = sum m_(0) S(m_(1)), with S the antipode, projects M onto its
+cofixed part, and the P(w) of the start words (the empty word and the
+words that end outside Omega C) are a basis of it, over Z as over a
+field: P(w) - w ends in Omega C, so a cofixed vector's coordinates are
+its coefficients at the start words.
 """
 
 from .vectors import Vect, label_str, bilinear
 from .coalg import UNIT, DGCoalgebra, tensor_coalgebra
-from .cobar import CobarAlgebra, s_letter
-from .shfamily import SHFamily, AWCoalgebra, InducedHopf, aw_coproduct
-from . import linalg
+from .cobar import s_letter
+from .shfamily import (SHFamily, AWCoalgebra, InducedHopf, aw_coproduct,
+                       letter_defects)
 
 
 def bar(label):
@@ -116,11 +118,13 @@ def extend_psi(A):
 
 class _Coaction:
     """What the path-loop and fiber coactions share.  A subclass sets ring,
-    cutoff, the word algebras omega and omega_base, and _nu_letter, the
-    coaction of one letter over ('t', word, base word), then calls this
-    __init__.  nu runs on the codes of the module docstring."""
+    cutoff, the word algebras omega and omega_base, base_hopf (the induced
+    Hopf algebra on omega_base) and _nu_letter, the coaction of one letter
+    over ('t', word, base word), then calls this __init__ with include,
+    the letter of omega that a letter of omega_base is.  nu, the antipode
+    and the projection run on the codes of the module docstring."""
 
-    def __init__(self):
+    def __init__(self, include):
         A, B = self.omega, self.omega_base
         self._cap = A.cap  # an attribute: nu reads it on every call
         self._codes = [{l: i for i, l in enumerate(om._ordered)}
@@ -131,6 +135,10 @@ class _Coaction:
         self._shapes = set(zip(self._deg, self._wt))
         self._dmin = min(self._deg, default=0)
         self._nu_cache, self._factors, self._odd = {}, {}, {}
+        # iota: base code -> omega code; _base: its inverse on Omega C
+        self._iota = [self._codes[0][include(l)] for l in B._ordered]
+        self._base = {a: b for b, a in enumerate(self._iota)}
+        self._antipodes = {(): {(): self.ring.one}}
 
     def _encode(self, word, slot=0):
         return tuple(map(self._codes[slot].__getitem__, word[1:]))
@@ -173,6 +181,51 @@ class _Coaction:
                 self._nu_cache[word] = val
         return val
 
+    def antipode(self, v):
+        """S(v) for a base code word v, over omega codes: on a letter b,
+        S(b) = -b - sum S(b') b'' over the terms b' (x) b'' of Delta(b)
+        with both factors positive, Delta(b) read off nu of the letter b
+        of omega; on a longer word, S(u b) = (-1)^{|u||b|} S(b) S(u)."""
+        val = self._antipodes.get(v)
+        if val is None:
+            iota, terms = self._iota, {}
+            if len(v) == 1:
+                terms[(iota[v[0]],)] = -self.ring.one
+                for (a1, a2), c in self.nu((iota[v[0]],)).items():
+                    if a1 and a2:
+                        tail = tuple(map(iota.__getitem__, a2))
+                        for s, cs in self.antipode(tuple(
+                                map(self._base.__getitem__, a1))).items():
+                            terms[s + tail] = terms.get(s + tail, 0) - c * cs
+            else:
+                odd = self._odd_b
+                sign = -1 if odd[v[-1]] and sum(map(odd.__getitem__,
+                                                    v[:-1])) % 2 else 1
+                for s1, c1 in self.antipode(v[-1:]).items():
+                    for s2, c2 in self.antipode(v[:-1]).items():
+                        key = s1 + s2
+                        terms[key] = terms.get(key, 0) + sign * c1 * c2
+            val = self._antipodes[v] = self.ring.reduce(terms)
+        return val
+
+    def project(self, word):
+        """P(word) = sum word_(0) S(word_(1)) for a code word, a dict code
+        word -> nonzero coefficient: cofixed, and for a start word the
+        word plus terms that end in a letter of Omega C."""
+        terms, known = {}, self._antipodes
+        for (a1, a2), c in self.nu(word).items():
+            for s, cs in (known.get(a2) or self.antipode(a2)).items():
+                key = a1 + s
+                terms[key] = terms.get(key, 0) + c * cs
+        return self.ring.reduce(terms)
+
+    def comodule_defects(self):
+        """(nu (x) 1)nu - (1 (x) Delta)nu on the letters of omega where it
+        is not 0, Delta the comultiplication of base_hopf: empty exactly
+        when nu is a coaction."""
+        return letter_defects(self.omega._ordered, self.coaction,
+                              self.coaction, self.base_hopf.psi)
+
     def column(self, word):
         """nu(word) - word (x) 1 on codes, for a label word."""
         u = self._encode(word)
@@ -192,7 +245,7 @@ class _Coaction:
             for (u, v), c in self.nu(self._encode(word)).items()])
 
     def cofixed(self):
-        return CofixedSubalgebra(self.omega, self.column)
+        return CofixedSubalgebra(self)
 
 
 class PathLoop(_Coaction):
@@ -207,7 +260,7 @@ class PathLoop(_Coaction):
         self.omega = self.hopf.omega
         self.base_hopf = InducedHopf(A)
         self.omega_base = self.base_hopf.omega
-        super().__init__()
+        super().__init__(lambda letter: letter)
 
     def _nu_letter(self, letter):
         """(1 (x) Omega pi) psi~ of a letter, over ('t', path-loop word,
@@ -225,56 +278,45 @@ class PathLoop(_Coaction):
 
 
 class CofixedSubalgebra:
-    """The degreewise kernel of a reduced coaction inside a word algebra,
-    as a chain complex with a product.
+    """The cofixed part of a coaction's word algebra, degree by degree, as
+    a chain complex with a product; it takes the cutoff and cap of the
+    coaction's omega, the ambient algebra.
 
-    ambient: a free word algebra (a FreeAlgebra such as a CobarAlgebra),
-    whose cutoff and cap the subalgebra takes;
-    column: word -> its reduced coaction, a dict row key -> nonzero
-    coefficient, such as _Coaction.column.
+    Degree n is spanned by the P(w) of its start words under the cap (see
+    the module docstring), dicts word index -> coefficient over the
+    ambient words of degree n, which basis() labels.  P keeps the weight
+    where the coaction does, and the capped P(w) span a subcomplex where
+    d does too, as in the primitive situations that produce degree-0
+    letters; DGCoalgebra does not check a document's weights, and terms
+    above the cap are left out."""
 
-    Each degree has one kernel, of the columns of all of its ambient words
-    under the cap, as linalg.kernel's dicts word index -> coefficient,
-    which basis() labels, plus a linalg.Solver on its core vectors if it
-    has any: together they give the coordinates.  The elimination adds
-    together only columns that share a row, and where the coaction keeps
-    the weight, columns of different weight share none, so the kernel is
-    the sum of its weight parts.  Under a weight cap, which an ambient
-    alphabet with degree-0 letters has, the capped words form a subcomplex
-    only where d and the coaction keep the weight.  This holds in the
-    primitive situations that produce degree-0 letters; DGCoalgebra does
-    not check a document's weights."""
-
-    def __init__(self, ambient, column):
-        self.ambient = ambient
-        self.ring = ambient.ring
-        self.column = column
-        self.cutoff = ambient.cutoff
-        self.cap = ambient.cap
+    def __init__(self, coaction):
+        self.coaction = coaction
+        self.ambient = coaction.omega
+        self.ring = self.ambient.ring
+        self.cutoff = self.ambient.cutoff
+        self.cap = self.ambient.cap
         self._kernels = {}
+        self._starts = {}
         self._bases = {}
-        self._readers = {}
 
     def _kernel(self, n):
-        """(the ambient words of degree n under the cap, the kernel vectors
-        of the reduced coaction on them, as dicts word index ->
-        coefficient: the unit vectors in the order of their free words,
-        then the core vectors).  Rows are numbered as they first appear:
-        the pivots rest on dict order."""
+        """(the ambient words of degree n under the cap, the P(w) of its
+        start words w in word order, as dicts word index -> coefficient).
+        _starts[n] maps a start word's index to its basis index."""
         key = (n, None)
         if key not in self._kernels:
+            co = self.coaction
             words = self.ambient.words(n, self.cap)
-            rows = {}
-            free, vecs = linalg.kernel(
-                [{rows.setdefault(l, len(rows)): c
-                  for l, c in self.column(u).items()} for u in words],
-                self.ring)
-            core = vecs[len(free):]
+            index = {co._encode(u): j for j, u in enumerate(words)}
+            starts, vecs = {}, []
+            for u, j in index.items():
+                if not u or u[-1] not in co._base:
+                    starts[j] = len(vecs)
+                    vecs.append({index[v]: c for v, c in co.project(u).items()
+                                 if v in index})
             self._kernels[key] = (words, vecs)
-            self._readers[n] = (
-                {j: i for i, j in enumerate(free)},
-                linalg.Solver(core, range(len(words)), self.ring,
-                              "cofixed block") if core else None)
+            self._starts[n] = starts
         return self._kernels[key]
 
     def blocks(self, n):
@@ -296,50 +338,37 @@ class CofixedSubalgebra:
     def rank(self, n):
         return len(self.basis(n))
 
-    def _read(self, n, acc):
-        """Coordinates, as a dict basis index -> nonzero coefficient, of
-        the vector of degree n with the unreduced sums acc (ambient word
-        index -> c): its coefficients at the free words, then the core
-        Solver's coordinates of what the unit vectors leave (or a refusal
-        of a remainder)."""
-        vecs = self._kernel(n)[1]
-        free, core = self._readers[n]
-        left, out = self.ring.reduce(acc), {}
-        for j, c in [(j, c) for j, c in left.items() if j in free]:
-            out[free[j]] = c
-            linalg.add_multiple(left, vecs[free[j]], -c, self.ring)
-        if core:
-            for i, c in enumerate(core.coordinates(left), len(free)):
-                if c:
-                    out[i] = c
-        elif left:
-            raise ValueError("vector outside the cofixed block")
+    def coordinates(self, n, vect):
+        """A cofixed Vect over ambient words of degree n in the synthetic
+        basis: its coefficients at the start words; terms above the cap
+        dropped, other strays refused."""
+        words = self._kernel(n)[0]
+        index = {u: j for j, u in enumerate(words)}
+        starts, basis, out = self._starts[n], self.basis(n), {}
+        for u, c in vect.items():
+            j = index.get(u)
+            if j is None:
+                if self.cap is None or self.ambient.weight(u) <= self.cap:
+                    raise ValueError("vector leaves the stored block")
+            elif j in starts:
+                out[basis[starts[j]]] = c
         return out
 
-    def coordinates(self, n, vect):
-        """A Vect over ambient words of degree n in the synthetic basis
-        (see _read); terms above the cap dropped, other strays refused."""
-        index = {u: a for a, u in enumerate(self.ambient.words(n, self.cap))}
-        acc = {}
-        for u, c in vect.items():
-            if u in index:
-                acc[index[u]] = c
-            elif self.cap is None or self.ambient.weight(u) <= self.cap:
-                raise ValueError("vector leaves the stored block")
-        basis = self.basis(n)
-        return {basis[i]: c for i, c in self._read(n, acc).items()}
-
     def columns(self, n):
-        """The columns of d_n: each basis vector's sum of the ambient
-        d_columns of its words, read off one degree down."""
+        """The columns of d_n: each P(w)'s sum of the ambient d_columns of
+        its words, read at the start words one degree down."""
         d = self.ambient.d_columns(n, self.cap)
-        out = []
+        if n:
+            self._kernel(n - 1)  # fills _starts[n - 1]
+        rows, out = self._starts.get(n - 1, {}), []
         for vec in self._kernel(n)[1]:
             acc = {}
             for j, c in vec.items():
                 for r, x in d[j].items():
-                    acc[r] = acc.get(r, 0) + c * x
-            out.append(self._read(n - 1, acc) if acc else {})
+                    i = rows.get(r)
+                    if i is not None:
+                        acc[i] = acc.get(i, 0) + c * x
+            out.append(self.ring.reduce(acc))
         return out
 
     def mul_labels(self, l1, l2):
@@ -371,10 +400,11 @@ class FiberCoaction(_Coaction):
         self.family = omega_family
         self.hopf = InducedHopf(aw_coproduct(Aprime, extend_psi(A)))
         self.omega = self.hopf.omega
-        self.omega_base = CobarAlgebra(A.C)
+        self.base_hopf = InducedHopf(A)
+        self.omega_base = self.base_hopf.omega
         self._push = self.omega.algebra_map(
             self._push_letter, self.omega_base.mul, self.omega_base.unit)
-        super().__init__()
+        super().__init__(lambda letter: s_letter(("inr", letter[1])))
 
     def _push_letter(self, letter):
         tag, inner = letter[1]

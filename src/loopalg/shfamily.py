@@ -273,22 +273,11 @@ class InducedHopf:
                                                  ("t", UNIT_WORD, word): 1})
 
     def coassociativity_defects(self):
-        """(psi (x) 1)psi - (1 (x) psi)psi on every letter; both sides are
-        algebra maps, so letters decide.  Nonempty exactly when the
-        homotopy diagonal is not balanced enough for a genuine Hopf
-        structure."""
-        defects = []
-        for letter in sorted(self.omega.letters, key=label_key):
-            lhs = Vect(self.ring)
-            rhs = Vect(self.ring)
-            for (_, u, v), c in self.psi(("w", letter)).items():
-                for (_, a, b), c2 in self.psi(u).items():
-                    lhs.iadd_term(c * c2, ("t", a, b, v))
-                for (_, a, b), c2 in self.psi(v).items():
-                    rhs.iadd_term(c * c2, ("t", u, a, b))
-            if not (lhs - rhs).is_zero():
-                defects.append((letter, lhs - rhs))
-        return defects
+        """(psi (x) 1)psi - (1 (x) psi)psi on every letter (letter_defects).
+        Nonempty exactly when the homotopy diagonal is not balanced enough
+        for a genuine Hopf structure."""
+        return letter_defects(sorted(self.omega.letters, key=label_key),
+                              self.psi, self.psi, self.psi)
 
     def chain_map_defects(self):
         """psi d - (d (x) 1 + 1 (x) d) psi on every letter."""
@@ -300,6 +289,25 @@ class InducedHopf:
             if not (lhs - rhs).is_zero():
                 defects.append((letter, lhs - rhs))
         return defects
+
+
+def letter_defects(letters, nu, left, right):
+    """The letters where (left (x) 1)nu and (1 (x) right)nu differ, each
+    with the difference over ('t', a, b, c); nu, left and right take
+    words to Vects over ('t', word, word).  Both sides are algebra maps
+    where nu, left and right are, so letters decide."""
+    defects = []
+    for letter in letters:
+        value = nu(("w", letter))
+        diff = Vect(value.ring)
+        for (_, u, v), c in value.items():
+            for (_, a, b), c2 in left(u).items():
+                diff.iadd_term(c * c2, ("t", a, b, v))
+            for (_, a, b), c2 in right(v).items():
+                diff.iadd_term(-c * c2, ("t", u, a, b))
+        if not diff.is_zero():
+            defects.append((letter, diff))
+    return defects
 
 
 def aw_coproduct(A, Ap):

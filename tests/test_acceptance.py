@@ -12,9 +12,11 @@ subspace is closed under d.  Both letter checks are exact.
 import json
 import os
 import time
+from collections import Counter
 
 import pytest
 
+from loopalg import linalg
 from loopalg.rings import ZZ, QQ, F2
 from loopalg.vectors import Vect
 from loopalg.coalg import tensor_coalgebra
@@ -247,30 +249,43 @@ def f2_block_kernel_rank(pl, n, w):
     return len(words), len(words) - rank
 
 
+def coaction_nullity(pl, n, w, cap):
+    """Dimension of the kernel of the reduced coaction on the words of
+    degree n, and of weight w under a cap: the word count less the rank
+    of their label columns (rank-nullity)."""
+    alg, nu_bar, rows = pl.omega, reduced_coaction(pl), {}
+    words = [u for u in alg.words(n, cap) if cap is None or alg.weight(u) == w]
+    cols = [{rows.setdefault(l, len(rows)): c for l, c in nu_bar(u).items()}
+            for u in words]
+    return len(words) - linalg.rank_and_torsion(cols, pl.ring)[0]
+
+
 def test_criterion_06_cofreeness_rank_identity():
     """rank_n(path-loop) = sum rank_p(double-loop) * rank_q(cobar) for
-    n <= 8, corpus-wide.  Capped members are checked per weight, each
-    basis vector's weight read off its words; the tensor member is checked
-    over F2 where its kernels stay within reach (dimension by rank-nullity
-    on the coaction matrix)."""
+    n <= 8, corpus-wide, with the double-loop ranks by rank-nullity on the
+    coaction matrix, and the cofixed basis of that size in each degree.
+    Capped members are checked per weight, each basis vector's weight read
+    off its words; the tensor member is checked over F2 where its kernels
+    stay within reach."""
     for name, A, mw in corpus():
         if name == "S2xS3":
             continue
         pl = pathloop_of(name, A)
         dl, _ = double_loop(A)
         assert dl.cap == mw, name
+        kdim = {(p, w): coaction_nullity(pl, p, w, mw)
+                for p in range(CUTOFF + 1)
+                for w in ([0] if mw is None else range(mw + 1))}
+        count = Counter(
+            (p, 0 if mw is None else
+             pl.omega.weight(next(iter(dl.vector_of(lab).terms))))
+            for p in range(CUTOFF + 1) for lab in dl.basis(p))
+        assert dict(count) == {k: r for k, r in kdim.items() if r}, name
         for n in range(0, CUTOFF + 1):
-            if mw is None:
-                lhs = len(pl.omega.words(n))
-                rhs = sum(dl.rank(p) * len(pl.omega_base.words(n - p))
-                          for p in range(n + 1))
-            else:
-                lhs = len(pl.omega.words(n, mw))
-                rhs = 0
-                for lab in [l for p in range(n + 1) for l in dl.basis(p)]:
-                    p = lab[1]
-                    w = pl.omega.weight(next(iter(dl.vector_of(lab).terms)))
-                    rhs += len(pl.omega_base.words(n - p, mw - w))
+            lhs = len(pl.omega.words(n, mw))
+            rhs = sum(r * len(pl.omega_base.words(
+                n - p, None if mw is None else mw - w))
+                for (p, w), r in kdim.items() if p <= n)
             assert lhs == rhs, (name, n, lhs, rhs)
     # tensor member over F2
     for name, A, mw in corpus(F2):
@@ -292,7 +307,7 @@ def test_criterion_06_cofreeness_rank_identity():
 
 
 def test_criterion_07_formal_model_ranks():
-    """Degreewise ranks of the kernel-computed double-loop model equal the
+    """Degreewise ranks of the cofixed double-loop model equal the
     ranks of the free algebra on iterated brackets through degree 8, over
     F2 and Q, for the degree-2 and degree-3 spheres."""
     for ring in (F2, QQ):

@@ -136,6 +136,43 @@ def test_noncoassoc_truncated_below_defect_passes(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["double-loop", sample("noncoassoc.json")],
+    ["fiber", sample("noncoassoc.json"), sample("noncoassoc.json"),
+     "--map", "identity"],
+    ["fiber", sample("sphere3.json"), sample("noncoassoc.json")]],
+    ids=["double-loop", "identity-fiber", "trivial-fiber"])
+def test_cofixed_models_refuse_a_non_coassociative_target(capsys, argv):
+    """The cofixed models need Omega C to be a Hopf algebra: over
+    noncoassoc, whose induced diagonal fails coassociativity at s[u7],
+    double-loop and fiber exit 2 with cotor's message and no report.  At
+    cutoff 6, which drops u7, they run."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("invariant failure: induced diagonal is not "
+                   "coassociative at letter s[u7]\n")
+    code, rep, _ = run_json(capsys, *argv, "--cutoff", "6")
+    assert code == 0 and rep["betti"][0] == 1
+
+
+def test_fiber_refuses_a_map_that_makes_no_coaction(capsys, tmp_path):
+    """The level-4 family S5 -> S2 with x5 -> x2 (x) x2 (x) x2 (x) x2 is
+    coherent, but s[x2]^4 is not primitive over Z (its coproduct has the
+    middle term 2 s[x2]^2 (x) s[x2]^2), so nu is no coaction at s[L.x5]:
+    fiber exits 2.  Over F2 the term vanishes and the fiber runs."""
+    doc = tmp_path / "power4.json"
+    doc.write_text(json.dumps(
+        {"components": {"4": {"x5": [[1, ["x2", "x2", "x2", "x2"]]]}}}))
+    argv = ["fiber", sample("sphere5.json"), sample("sphere2.json"),
+            "--map", str(doc), "--cutoff", "6"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("invariant failure: coaction is not coassociative at "
+                   "letter s[L.x5]\n")
+    code, rep, _ = run_json(capsys, *argv, "--ring", "F2")
+    assert code == 0 and rep["max_weight"] == 6
+
+
 def test_parse_errors_exit_1(capsys, tmp_path):
     code, out, err = run(capsys, "cobar", "/nonexistent.json")
     assert code == 1 and "error" in err
@@ -426,12 +463,14 @@ def test_benchmark_tracer_reaches_the_layers():
             "for command, ring in ((['cotor', '--hopf', 'trivial'], 'Z'),\n"
             "                      (['cotor', '--hopf', 'self'], 'Z'),\n"
             "                      (['double-loop'], 'Z'),\n"
-            "                      (['formal-dl'], 'F2')):\n"
+            "                      (['formal-dl'], 'F2'),\n"
+            "                      (['fiber', %r], 'Z')):\n"
             "    argv = command + [%r, '--ring', ring, '--cutoff', '6',"
             " '--format', 'json']\n"
             "    assert tracer.root('job', cli.main, argv) == 0\n"
             "print(json.dumps(tracer.metrics()))\n"
-            % (os.path.join(HERE, "loopbench"), sample("sphere3.json")))
+            % (os.path.join(HERE, "loopbench"), sample("sphere5.json"),
+               sample("sphere3.json")))
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
@@ -450,6 +489,10 @@ def test_benchmark_tracer_reaches_the_layers():
     for name in ("chain.homology.calls", "pathloop.kernel_yield",
                  "shfamily.InducedHopf.psi.reuse"):
         assert metrics.get(name, 0) > 0, name
+    # the cofixed bases of the S3 double loop and the S5 -> S3 fiber through
+    # degree 6: 49 basis vectors over 74 ambient words, as the kernels of
+    # the reduced coaction had
+    assert metrics["pathloop.kernel_yield"] == 49 / 74
 
 
 def test_library_error_exits_3_on_one_line(capsys):
