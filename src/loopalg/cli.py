@@ -139,8 +139,9 @@ def require_coassociative(hopf, coaction=None):
     """Refuse an induced diagonal that is not coassociative and, if given,
     a coaction nu over it with (nu (x) 1)nu != (1 (x) Delta)nu: the
     cofixed models need a Hopf module.  The path-loop coaction needs no
-    check of its own, as its barred letters are kappa of the others; a
-    fiber's is pushed through the map, which need not keep Delta."""
+    check of its own, as nu is psi on the unbarred letters and -(kappa
+    (x) 1)psi on the barred ones; a fiber's takes its source letters
+    through the map's cobar map, which need not keep Delta."""
     defects, what = hopf.coassociativity_defects(), "induced diagonal"
     if coaction and not defects:
         defects, what = coaction.comodule_defects(), "coaction"
@@ -333,6 +334,8 @@ def _verify_suites(C, A):
         return "pass", None
 
     def kappa():
+        # nu kappa = (kappa (x) 1)psi holds on letters by construction of
+        # nu; the suite checks it on longer words, and d kappa + kappa d = 0
         pl = path_loop()
         for deg in range(small + 1):
             for w in pl.omega_base.words(deg, pl.omega_base.cap):

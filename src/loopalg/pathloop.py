@@ -2,14 +2,17 @@
 
 P(C) adjoins an acyclibility partner bar(c) for every generator: d(c) picks
 up -bar(c) and d(bar(c)) = -bar(dc); the comultiplication of bar(c) spreads
-the bar across the tensor factors of Delta(c) with Koszul signs.  A homotopy
-diagonal on C extends to one on P(C) the same way, slotwise.
+the bar across the tensor factors of Delta(c) with Koszul signs.
 
-The path-loop algebra is the cobar construction on P(C) with the induced
-comultiplication; it right-coacts on itself over Omega C by erasing bars in
-the second output slot.  The cofixed part of that coaction is the
-double-loop model; applied to the coproduct of a source coalgebra with
-P(C) along a map to C, the same construction yields the homotopy-fiber
+The path-loop algebra is the cobar construction on P(C); it right-coacts
+on itself over Omega C, with psi the comultiplication of Omega C that the
+homotopy diagonal induces: nu(s[c]) = (iota (x) 1)psi(s[c]) and
+nu(s[bar c]) = -(kappa (x) 1)psi(s[c]), kappa the derivation with
+kappa(s[c]) = -s[bar c], so that nu kappa = (kappa (x) 1)psi holds on
+letters.  The cofixed part of that coaction is the double-loop model;
+on the cobar algebra of the coproduct of a source coalgebra C' with
+P(C), along a map theta to C, the same letter rule on P(C) and
+nu(s[x]) = (1 (x) ind theta)psi'(s[x]) on C' yield the homotopy-fiber
 model.  Both coactions are maps of chain algebras, so nu is built prefix
 by prefix from letter values prepared once, on int codes: a letter is its
 index in label_key order, a word a tuple of codes, a term a pair of words.
@@ -26,10 +29,9 @@ its coefficients at the start words.
 """
 
 from .vectors import Vect, label_str, bilinear
-from .coalg import UNIT, DGCoalgebra, tensor_coalgebra
-from .cobar import s_letter
-from .shfamily import (SHFamily, AWCoalgebra, InducedHopf, aw_coproduct,
-                       letter_defects)
+from .coalg import DGCoalgebra, direct_sum
+from .cobar import CobarAlgebra, s_letter
+from .shfamily import SHFamily, InducedHopf, letter_defects
 
 
 def bar(label):
@@ -74,57 +76,17 @@ def path_object(C):
     return DGCoalgebra(ring, C.cutoff, gens, d, delta, weights=weights)
 
 
-def extend_psi(A):
-    """Extend a homotopy diagonal on C to one on P(C).  Unbarred
-    generators keep their components; bar(g) gets every term of Psi_k(g)
-    with one slot barred (the unit cannot be barred), with the sign
-    (-1)^(pre+k-1): the Koszul sign of moving the degree -1 bar past the
-    earlier slots, of total degree pre, and a level correction (-1)^(k-1)
-    from the desuspensions of the induced cobar map."""
-    PC = path_object(A.C)
-    T = tensor_coalgebra(PC, PC)
-    ring = A.ring
-    comps = {}
-    for k, table in A.psi.components.items():
-        comps[k] = {}
-        for g, v in table.items():
-            comps[k][g] = v
-            out = Vect(ring)
-            for label, coef in v.items():
-                flat = []
-                for p in label[1:]:
-                    (_, a, b) = p
-                    flat.append(a)
-                    flat.append(b)
-                pre = 0
-                for t, e in enumerate(flat):
-                    if e != UNIT:
-                        # (-1)^(pre+k-1); test_extend_psi_coherent pins it
-                        sign = -1 if (pre + k - 1) % 2 else 1
-                        parts = []
-                        for j in range(0, len(flat), 2):
-                            a, b = flat[j], flat[j + 1]
-                            if t == j:
-                                a = bar(a)
-                            elif t == j + 1:
-                                b = bar(b)
-                            parts.append(("tp", a, b))
-                        out.iadd_term(sign * coef, ("t",) + tuple(parts))
-                    pre += A.C.degree(e) if e != UNIT else 0
-            if not out.is_zero():
-                comps[k][bar(g)] = out
-    return AWCoalgebra(PC, SHFamily(PC, T, comps))
-
-
 class _Coaction:
     """What the path-loop and fiber coactions share.  A subclass sets ring,
-    cutoff, the word algebras omega and omega_base, base_hopf (the induced
-    Hopf algebra on omega_base) and _nu_letter, the coaction of one letter
-    over ('t', word, base word), then calls this __init__ with include,
-    the letter of omega that a letter of omega_base is.  nu, the antipode
-    and the projection run on the codes of the module docstring."""
+    cutoff, the word algebras omega and omega_base and base_hopf (the
+    induced Hopf algebra on omega_base), then calls this __init__ with
+    include and barred, the letters of omega that a letter s[c] of
+    omega_base and its partner s[bar c] are.  _nu_letter gives nu on
+    those letters by the rule of the module docstring; a subclass with
+    other letters extends it.  nu, the antipode and the projection run on
+    the codes of the module docstring."""
 
-    def __init__(self, include):
+    def __init__(self, include, barred):
         A, B = self.omega, self.omega_base
         self._cap = A.cap  # an attribute: nu reads it on every call
         self._codes = [{l: i for i, l in enumerate(om._ordered)}
@@ -135,13 +97,41 @@ class _Coaction:
         self._shapes = set(zip(self._deg, self._wt))
         self._dmin = min(self._deg, default=0)
         self._nu_cache, self._factors, self._odd = {}, {}, {}
-        # iota: base code -> omega code; _base: its inverse on Omega C
+        # iota, bars: base code -> omega code of the letter, of its
+        # partner; _base, _unbar: their inverses
         self._iota = [self._codes[0][include(l)] for l in B._ordered]
+        self._bars = [self._codes[0][barred(l)] for l in B._ordered]
         self._base = {a: b for b, a in enumerate(self._iota)}
+        self._unbar = {a: b for b, a in enumerate(self._bars)}
         self._antipodes = {(): {(): self.ring.one}}
 
     def _encode(self, word, slot=0):
         return tuple(map(self._codes[slot].__getitem__, word[1:]))
+
+    def _nu_letter(self, l):
+        """nu of the letter code l of Omega C or of a barred letter, a dict
+        (code word, base code word) -> nonzero coefficient.  On a term
+        c s[a_1]..s[a_k] (x) v of psi(s[c]), -(kappa (x) 1) bars each a_j
+        in turn, with the sign of the letters before it."""
+        b, iota = self._base.get(l), self._iota
+        if b is not None:
+            return {(tuple(map(iota.__getitem__, u)), v): c
+                    for u, v, c in self._psi(b)}
+        terms, odd = {}, self._odd_b
+        for u, v, c in self._psi(self._unbar[l]):
+            word, pre = tuple(map(iota.__getitem__, u)), 0
+            for j, a in enumerate(u):
+                key = (word[:j] + (self._bars[a],) + word[j + 1:], v)
+                terms[key] = terms.get(key, 0) + (-c if pre else c)
+                pre ^= odd[a]
+        return self.ring.reduce(terms)
+
+    def _psi(self, b):
+        """psi of the base letter code b as (code word, code word,
+        coefficient) triples."""
+        return [(self._encode(u, 1), self._encode(v, 1), c)
+                for (_, u, v), c in self.base_hopf.psi_letter(
+                    self.omega_base._ordered[b]).items()]
 
     def nu(self, word):
         """The coaction of a code word: nu of the prefix times the factor
@@ -154,8 +144,7 @@ class _Coaction:
                 return {((), ()): self.ring.one}
             l, deg = word[-1], self._deg.__getitem__
             if len(word) == 1:
-                val = {(self._encode(u), self._encode(v, 1)): c for (_, u, v),
-                       c in self._nu_letter(self.omega._ordered[l]).items()}
+                val = self._nu_letter(l)
             else:
                 if l not in self._factors:
                     # the terms of nu(l), then those for an odd a2
@@ -249,25 +238,17 @@ class _Coaction:
 
 
 class PathLoop(_Coaction):
-    """The cobar algebra on P(C) with its induced comultiplication and the
-    right coaction over Omega C that erases bars.  nu is the product of the
-    letter coproducts with their barred second-slot terms dropped."""
+    """The cobar algebra on P(C) and its right coaction over Omega C, nu
+    the product of the letter values of the module docstring."""
 
     def __init__(self, A):
         self.ring = A.ring
         self.cutoff = A.cutoff
-        self.hopf = InducedHopf(extend_psi(A))
-        self.omega = self.hopf.omega
+        self.omega = CobarAlgebra(path_object(A.C))
         self.base_hopf = InducedHopf(A)
         self.omega_base = self.base_hopf.omega
-        super().__init__(lambda letter: letter)
-
-    def _nu_letter(self, letter):
-        """(1 (x) Omega pi) psi~ of a letter, over ('t', path-loop word,
-        base word): Omega pi erases every term with a barred letter in the
-        second slot."""
-        return Vect(self.ring, [(t, c) for t, c in self.hopf.psi_letter(
-            letter).items() if not any(_is_bar(l[1]) for l in t[2][1:])])
+        super().__init__(lambda letter: letter,
+                         lambda letter: s_letter(bar(letter[1])))
 
     def kappa(self, vect):
         """The degree -1 derivation of Omega C into the path-loop algebra
@@ -389,37 +370,36 @@ class CofixedSubalgebra:
 
 
 class FiberCoaction(_Coaction):
-    """Coaction for the homotopy-fiber model: on the cobar algebra of
-    C' (+) P(C), push the second comultiplication slot through the map
-    induced by (omega + pi) : C' (+) P(C) -> C.  nu is the product of the
-    pushed letter coactions in Omega(C' (+) P(C)) (x) Omega C."""
+    """Coaction for the homotopy-fiber model of a map theta: C' -> C, on
+    the cobar algebra of C' (+) P(C).  Its inr letters take the path-loop
+    rule; an inl letter takes (inl (x) ind theta)psi', psi' the
+    comultiplication of Omega C' and ind theta the cobar map of the
+    family."""
 
     def __init__(self, Aprime, A, omega_family):
         self.ring = A.ring
         self.cutoff = min(A.cutoff, Aprime.cutoff)
         self.family = omega_family
-        self.hopf = InducedHopf(aw_coproduct(Aprime, extend_psi(A)))
-        self.omega = self.hopf.omega
+        self.omega = CobarAlgebra(direct_sum(Aprime.C, path_object(A.C)))
         self.base_hopf = InducedHopf(A)
         self.omega_base = self.base_hopf.omega
-        self._push = self.omega.algebra_map(
-            self._push_letter, self.omega_base.mul, self.omega_base.unit)
-        super().__init__(lambda letter: s_letter(("inr", letter[1])))
+        self.source_hopf = InducedHopf(Aprime)
+        self._theta = omega_family.induced_map(self.source_hopf.omega,
+                                               self.omega_base)
+        super().__init__(lambda letter: s_letter(("inr", letter[1])),
+                         lambda letter: s_letter(("inr", bar(letter[1]))))
 
-    def _push_letter(self, letter):
-        tag, inner = letter[1]
-        if tag == "inl":
-            return self.family.induced_letter_value(s_letter(inner))
-        if _is_bar(inner):
-            return Vect.zero(self.ring)
-        return Vect.basis(self.ring, ("w", s_letter(inner)))
-
-    def _nu_letter(self, letter):
-        """psi of a letter with its second slot pushed to Omega C."""
-        return Vect(self.ring, [
-            (("t", u, w2), c * c2)
-            for (_, u, v), c in self.hopf.psi_letter(letter).items()
-            for w2, c2 in self._push(v).items()])
+    def _nu_letter(self, l):
+        tag, x = self.omega._ordered[l][1]
+        if tag == "inr":
+            return super()._nu_letter(l)
+        terms, inl = {}, self._codes[0]
+        for (_, u, v), c in self.source_hopf.psi_letter(s_letter(x)).items():
+            left = tuple(inl[s_letter(("inl", a[1]))] for a in u[1:])
+            for w, cw in self._theta(v).items():
+                key = (left, self._encode(w, 1))
+                terms[key] = terms.get(key, 0) + c * cw
+        return self.ring.reduce(terms)
 
 
 def identity_family(A):

@@ -19,7 +19,7 @@ value on a word is that on its prefix times that on its last letter.
 """
 
 from .vectors import Vect, label_key
-from .coalg import UNIT, tensor_coalgebra, direct_sum
+from .coalg import UNIT, tensor_coalgebra
 from .tensoralg import UNIT_WORD
 from .cobar import CobarAlgebra, s_letter
 
@@ -309,30 +309,3 @@ def letter_defects(letters, nu, left, right):
             defects.append((letter, diff))
     return defects
 
-
-def aw_coproduct(A, Ap):
-    """Homotopy diagonal on the coproduct coalgebra: each summand keeps its
-    own family, pushed through the inclusions."""
-    E = direct_sum(A.C, Ap.C)
-    TE = tensor_coalgebra(E, E)
-
-    def mk_push(tag):
-        def wrap(l):
-            return l if l == UNIT else (tag, l)
-
-        def push(label):
-            parts = []
-            for p in label[1:]:
-                (_, a, b) = p
-                parts.append(("tp", wrap(a), wrap(b)))
-            return Vect.basis(E.ring, ("t",) + tuple(parts))
-        return push
-
-    comps = {}
-    for tag, src in (("inl", A), ("inr", Ap)):
-        push = mk_push(tag)
-        for k, table in src.psi.components.items():
-            comps.setdefault(k, {})
-            for g, v in table.items():
-                comps[k][(tag, g)] = v.map_terms(push)
-    return AWCoalgebra(E, SHFamily(E, TE, comps))

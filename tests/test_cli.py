@@ -721,10 +721,10 @@ GOLDEN_INPUTS = os.path.join(HERE, "tests", "golden", "inputs")
 
 
 def test_models_are_the_same_under_every_hash_seed():
-    """The cofixed kernels number the coaction's rows as they first
-    appear, so their pivots rest on dict insertion order alone: a set
-    iterated on the way would make the kernels, the boundary columns or
-    the report depend on the string hash seed."""
+    """The cofixed models list their start words and the terms of each
+    P(w) in dict insertion order alone: a set iterated on the way would
+    make the kernels, the boundary columns or the report depend on the
+    string hash seed."""
     product2_3 = os.path.join(GOLDEN_INPUTS, "product2-3.json")
     jobs = [["double-loop", sample("nonprimitive.json")],
             ["double-loop", os.path.join(GOLDEN_INPUTS, "product3-5.json")],

@@ -4,6 +4,7 @@ and loop homotopy fibers."""
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,8 @@ from loopalg.rings import ZZ, QQ, F2, Ring
 from loopalg.vectors import Vect
 from loopalg.coalg import DGCoalgebra
 from loopalg.cobar import s_letter
-from loopalg.shfamily import AWCoalgebra, InducedHopf, TensorSquare
-from loopalg.pathloop import (bar, path_object, extend_psi, PathLoop,
+from loopalg.shfamily import AWCoalgebra, InducedHopf
+from loopalg.pathloop import (bar, path_object, PathLoop,
                               CofixedSubalgebra, FiberCoaction,
                               identity_family, trivial_family)
 from loopalg.documents import (coalgebra_from_document, load_json,
@@ -21,7 +22,7 @@ from loopalg.documents import (coalgebra_from_document, load_json,
 from loopalg import linalg
 
 from models import (double_loop, loop_fiber, betti, sphere_model,
-                    reduced_coaction)
+                    reduced_coaction, extend_psi, aw_coproduct)
 
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -323,15 +324,37 @@ RINGS = [ZZ, F2, Ring("Fp", 3)]
 RING_IDS = ["Z", "F2", "Fp3"]
 
 
+# noncoassoc and wedge3-5: documents on which verify's cofreeness suite
+# still reads nu; oddprefix: a level-2 diagonal with the two-letter first
+# slot s[a4]s[b3], whose first letter is odd, so that nu(s[bar c6]) bars
+# s[b3] with a sign
+NU_DOCUMENTS = dict(COACTION_DOCUMENTS, **{
+    "noncoassoc": os.path.join(SAMPLES, "noncoassoc.json"),
+    "wedge3-5": os.path.join(HERE, "tests", "golden", "inputs",
+                             "wedge3-5.json"),
+    "oddprefix": {"name": "oddprefix", "ring": "Z", "cutoff": 8,
+                  "generators": [{"label": "a4", "degree": 4},
+                                 {"label": "b3", "degree": 3},
+                                 {"label": "c6", "degree": 6}],
+                  "psi": {"2": {"c6": [[1, ["a4", "1"], ["b3", "1"]]]}}}})
+
+# map documents on sphere models: the degree-2 self-map of S3, and the
+# quaternionic Hopf map S7 -> S4, a strongly homotopy map given by its
+# level-2 component alone
+MAPS = {"degree2": (3, 3, {"1": {"x3": [[2, ["x3"]]]}}),
+        "hopf": (7, 4, {"2": {"x7": [[1, ["x4", "x4"]]]}})}
+
+
 def _check_nu_is_projected_psi(pl, top, max_weight=None):
-    """nu(w) is the full comultiplication of w with every term that has a
-    barred letter in the second slot dropped."""
-    ring = pl.ring
+    """nu(w) is the full comultiplication of w for the homotopy diagonal
+    extended to P(C) (tests/models.py) with every term that has a barred
+    letter in the second slot dropped."""
+    ring, hopf = pl.ring, InducedHopf(extend_psi(pl.base_hopf.aw))
     checked = 0
     for n in range(top + 1):
         for w in pl.omega.words(n, max_weight):
             want = Vect(ring)
-            for (_, u, v), c in pl.hopf.psi(w).items():
+            for (_, u, v), c in hopf.psi(w).items():
                 if not any(isinstance(l[1], tuple) and l[1][0] == "bar"
                            for l in v[1:]):
                     want.iadd_term(c, ("t", u, v))
@@ -341,10 +364,12 @@ def _check_nu_is_projected_psi(pl, top, max_weight=None):
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
-@pytest.mark.parametrize("doc", sorted(COACTION_DOCUMENTS))
+@pytest.mark.parametrize("doc", sorted(NU_DOCUMENTS))
 def test_nu_is_the_bar_filtered_comultiplication(doc, ring):
-    _, A = coalgebra_from_document(load_json(COACTION_DOCUMENTS[doc]),
-                                   ring=ring, cutoff=8)
+    doc = NU_DOCUMENTS[doc]
+    _, A = coalgebra_from_document(
+        doc if isinstance(doc, dict) else load_json(doc), ring=ring,
+        cutoff=8)
     assert _check_nu_is_projected_psi(PathLoop(A), 8)
 
 
@@ -355,30 +380,41 @@ def test_weight_capped_nu_is_the_bar_filtered_comultiplication():
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
-@pytest.mark.parametrize("family", ["trivial", "identity"])
+@pytest.mark.parametrize("family", ["trivial", "identity"] + sorted(MAPS)
+                         + ["nonprimitive"])
 def test_fiber_nu_is_the_pushed_comultiplication(family, ring):
-    """On S5 -> S3 (trivial map) and S3 -> S3 (identity), nu(w) is the full
-    comultiplication of w with its second slot pushed to Omega C."""
-    A3 = aw(3, ring, 8)
-    if family == "trivial":
-        A5 = aw(5, ring, 8)
-        fc = FiberCoaction(A5, A3, trivial_family(A5, A3))
+    """On S5 -> S3 (trivial map), S3 -> S3 (identity), the maps of MAPS
+    and the identity of nonprimitive, whose level-2 diagonal reaches the
+    inl letters, nu(w) is the full comultiplication of w for the
+    coproduct's homotopy diagonal (tests/models.py) with its second slot
+    pushed to Omega C: inl letters through the family, unbarred inr
+    letters to themselves and barred ones to 0."""
+    if family == "nonprimitive":
+        _, A = coalgebra_from_document(load_json(
+            COACTION_DOCUMENTS[family]), ring=ring, cutoff=8)
+        fc = FiberCoaction(A, A, identity_family(A))
     else:
-        fc = FiberCoaction(A3, A3, identity_family(A3))
+        fc = _coaction_of(family, ring, 8)
+    hopf = InducedHopf(aw_coproduct(fc.source_hopf.aw,
+                                    extend_psi(fc.base_hopf.aw)))
+
+    def push_letter(letter):
+        tag, inner = letter[1]
+        if tag == "inl":
+            return fc.family.induced_letter_value(s_letter(inner))
+        if isinstance(inner, tuple) and inner[0] == "bar":
+            return Vect.zero(ring)
+        return Vect.basis(ring, ("w", s_letter(inner)))
+
+    push = hopf.omega.algebra_map(push_letter, fc.omega_base.mul,
+                                  fc.omega_base.unit)
     for n in range(9):
         for w in fc.omega.words(n):
             want = Vect(ring)
-            for (_, u, v), c in fc.hopf.psi(w).items():
-                for w2, c2 in fc._push(v).items():
+            for (_, u, v), c in hopf.psi(w).items():
+                for w2, c2 in push(v).items():
                     want.iadd_term(c * c2, ("t", u, w2))
             assert fc.coaction(w) == want, w
-
-
-# map documents on sphere models: the degree-2 self-map of S3, and the
-# quaternionic Hopf map S7 -> S4, a strongly homotopy map given by its
-# level-2 component alone
-MAPS = {"degree2": (3, 3, {"1": {"x3": [[2, ["x3"]]]}}),
-        "hopf": (7, 4, {"2": {"x7": [[1, ["x4", "x4"]]]}})}
 
 
 def _in_omega_c(co, letter):
@@ -468,49 +504,83 @@ def test_a_fiber_over_a_non_coassociative_target_is_no_comodule():
         assert not any(v.is_zero() for _, v in defects)
 
 
-def test_double_loop_builds_no_comultiplication_of_a_word(monkeypatch):
-    """nu comes from letter values on codes: during a Z double loop of S3
-    at cutoff 9, psi is never asked for a path-loop word and no
-    TensorSquare product runs.  nu is asked for words of int codes, works
-    out each word once, and keeps fewer of them than it is asked for: only
-    the words that a letter can still extend."""
-    psi_calls, products, nu_calls, worked = [], [], [], []
-    psi, mul, times, nu = (InducedHopf.psi, TensorSquare.mul,
-                           TensorSquare.times, PathLoop.nu)
+def _run_recording_builds(monkeypatch, capsys, argv):
+    """Run a command and record what it builds: the coactions and the
+    words that their nu is asked for and works out, each InducedHopf and
+    the number of tensor coalgebras, whichever module calls for them."""
+    from loopalg import coalg
+    from loopalg.cli import main
+    built = {"coactions": [], "hopfs": [], "tensors": 0, "asked": [],
+             "worked": []}
+    init, nu, tensor = InducedHopf.__init__, PathLoop.nu, \
+        coalg.tensor_coalgebra
 
-    def counting_psi(self, word):
-        psi_calls.append((self, word))
-        return psi(self, word)
-
-    def counting(fn):
-        def product(self, *args):
-            products.append(fn)
-            return fn(self, *args)
-        return product
+    def recording_init(self, aw):
+        built["hopfs"].append(self)
+        init(self, aw)
 
     def recording_nu(self, word):
-        nu_calls.append(word)
-        if word not in self._nu_cache:
-            worked.append(word)
+        if self not in built["coactions"]:
+            built["coactions"].append(self)
+        built["asked"].append(word)
+        if word and word not in self._nu_cache:
+            built["worked"].append(word)
         return nu(self, word)
 
-    monkeypatch.setattr(InducedHopf, "psi", counting_psi)
-    monkeypatch.setattr(PathLoop, "nu", recording_nu)
-    dl, pl = double_loop(aw(3, ZZ, 9))
-    # the letter values themselves are products in the letterwise split;
-    # take them first, so that only products of words are counted
-    for letter in pl.omega.letters:
-        pl.hopf.psi_letter(letter)
-    monkeypatch.setattr(TensorSquare, "mul", counting(mul))
-    monkeypatch.setattr(TensorSquare, "times", counting(times))
-    cx = dl.to_chain_complex()
+    def counting_tensor(C, Cp):
+        built["tensors"] += 1
+        return tensor(C, Cp)
+
+    monkeypatch.setattr(InducedHopf, "__init__", recording_init)
+    for cls in (PathLoop, FiberCoaction):
+        monkeypatch.setattr(cls, "nu", recording_nu)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("loopalg") and \
+                getattr(module, "tensor_coalgebra", None) is tensor:
+            monkeypatch.setattr(module, "tensor_coalgebra", counting_tensor)
+    assert main(argv + ["--format", "json"]) == 0
+    built["report"] = json.loads(capsys.readouterr().out)
+    return built
+
+
+def _check_nu_on_codes(built):
+    """nu is asked for words of int codes, works out each word once, and
+    keeps fewer of them than it is asked for: only the words that a
+    letter can still extend."""
+    (co,), asked, worked = built["coactions"], built["asked"], \
+        built["worked"]
+    assert all(type(x) is int for w in asked for x in w)
+    assert len(worked) == len(set(worked)) == len(set(asked) - {()}) > 100
+    assert set(co._nu_cache) < set(worked) and len(worked) < len(asked)
+    return co
+
+
+def test_double_loop_builds_no_comultiplication_of_a_word(monkeypatch,
+                                                          capsys):
+    """nu comes from the letter values of the base diagonal, on codes:
+    the Z double loop of S3 at cutoff 9 builds no InducedHopf but the
+    coaction's base_hopf, and no tensor coalgebra but the document's
+    own."""
+    built = _run_recording_builds(monkeypatch, capsys, [
+        "double-loop", os.path.join(SAMPLES, "sphere3.json"), "--ring", "Z",
+        "--cutoff", "9"])
     # rationally the double loop of S3 is a circle
-    assert betti(cx, 0, 8) == [1, 1, 0, 0, 0, 0, 0, 0, 0]
-    assert not [w for h, w in psi_calls if h is pl.hopf]
-    assert not products
-    assert all(type(x) is int for w in nu_calls for x in w)
-    assert len(worked) == len(set(worked)) == len(set(nu_calls)) > 100
-    assert set(pl._nu_cache) < set(worked) and len(worked) < len(nu_calls)
+    assert built["report"]["betti"] == [1, 1, 0, 0, 0, 0, 0, 0, 0]
+    pl = _check_nu_on_codes(built)
+    assert built["hopfs"] == [pl.base_hopf] and built["tensors"] == 1
+
+
+def test_fiber_builds_no_comultiplication_of_a_word(monkeypatch, capsys):
+    """The F2 fiber of the trivial map S5 -> S3 at cutoff 9 builds no
+    InducedHopf but the coaction's base_hopf and source_hopf, and no
+    tensor coalgebra but the two documents' own."""
+    built = _run_recording_builds(monkeypatch, capsys, [
+        "fiber", os.path.join(SAMPLES, "sphere5.json"),
+        os.path.join(SAMPLES, "sphere3.json"), "--ring", "F2",
+        "--cutoff", "9"])
+    fc = _check_nu_on_codes(built)
+    assert built["hopfs"] == [fc.base_hopf, fc.source_hopf]
+    assert built["tensors"] == 2
 
 
 def _index_diff_matches_label_route(sub, top):

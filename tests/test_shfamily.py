@@ -13,11 +13,11 @@ from loopalg.coalg import DGCoalgebra, tensor_coalgebra
 from loopalg.cobar import CobarAlgebra, s_letter
 from loopalg.tensoralg import UNIT_WORD, concat
 from loopalg.shfamily import (SHFamily, TensorSquare, letterwise_split,
-                              AWCoalgebra, InducedHopf, aw_coproduct)
-from loopalg.pathloop import extend_psi
+                              AWCoalgebra, InducedHopf)
 from loopalg.documents import coalgebra_from_document, load_json
 
-from models import tensor_square_complex, sphere_model
+from models import (tensor_square_complex, sphere_model, extend_psi,
+                    aw_coproduct)
 
 RINGS = [ZZ, F2, Ring("Fp", 3)]
 RING_IDS = ["Z", "F2", "Fp3"]
@@ -181,7 +181,8 @@ def test_tensor_square_mul_is_the_interchange_product():
 def test_psi_is_the_algebra_map_of_its_letter_values(doc, ring):
     """psi built from the prefix is the multiplicative extension of
     psi_letter from the unit, on every word through cutoff 8, for the base
-    and the path-loop comultiplication."""
+    comultiplication and for the one of the diagonal extended to P(C),
+    the oracle of the path-loop coaction (tests/models.py)."""
     _, A = coalgebra_from_document(load_json(DOCUMENTS[doc]), ring=ring,
                                    cutoff=8)
     for H in (InducedHopf(A), InducedHopf(extend_psi(A))):
