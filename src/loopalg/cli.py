@@ -265,6 +265,14 @@ def cmd_formal_dl(args, t0):
         fm = FormalDoubleLoop(C)
     except ValueError as e:
         raise DocumentError(str(e))
+    # the bracket model sees C alone: refuse a diagonal that makes a
+    # letter of Omega C non-primitive
+    hopf = InducedHopf(A)
+    for l in hopf.omega._ordered:
+        if not hopf.delta_red(("w", l)).is_zero():
+            raise DocumentError("the bracket model requires primitive "
+                                "letters; the homotopy diagonal makes %s "
+                                "non-primitive" % label_str(l))
     emit_homology(args, C, "formal-dl", fm, t0)
 
 

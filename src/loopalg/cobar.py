@@ -8,11 +8,12 @@ C (x) Omega C and Omega C (x) C take the coalgebra C as a comodule over
 itself, the regular coefficients, and carry the twisted differential
 whose twisting cochain is the desuspension (with s[1] = 0); both are
 acyclic.  TwistedHopfTensor is the left one, Omega H (x) H, on the
-coalgebra of an induced Hopf algebra H; it is a chain algebra, whose
-product is determined by a three-term rule against single letters.
+coalgebra of an induced Hopf algebra H, with the product of its
+homology classes: its homology is R in degree 0, so it multiplies only
+by left factors with the unit coefficient.
 """
 
-from .vectors import Vect, label_key, bilinear
+from .vectors import Vect, label_key, label_str, bilinear
 from .coalg import UNIT, DGCoalgebra
 from .tensoralg import FreeAlgebra, UNIT_WORD, concat
 
@@ -171,57 +172,25 @@ class TwistedHopfTensor(OneSidedCobar):
     word, h) with word a word in letters s[h] and h a word of H.omega."""
 
     def __init__(self, H, cutoff):
-        self.H = H
         # letters of Omega H reach degree cutoff, i.e. H elements of
         # degree cutoff + 1; basis() stops the coefficients at the cutoff
         super().__init__(CobarAlgebra(coalgebra_of_hopf(H, cutoff + 1)),
                          "left", unit=UNIT_WORD)
         self.cutoff = cutoff  # omega's is one higher; the cap follows this one
 
-    def _one_letter_rule(self, b, a):
-        """(1 (x) b)(s[a] (x) 1) for b a positive H element, a an H basis
-        element:
-          (-1)^{(|a|+1)|b|} s[a] (x) b
-        + (-1)^{|b| + |a||b'|} s[h . a] (x) b'
-        over the components h (x) b' of the coaction of b other than
-        1 (x) b."""
-        db = self.coeff_degree(b)
-        da = self.H.omega.degree(a)
-        out = Vect(self.ring)
-        # (-1)^((|a|+1)|b|); test_cobar's Leibniz test pins it
-        out.iadd_term(-1 if (da + 1) * db % 2 else 1,
-                      ("t", ("w", s_letter(a)), b))
-        for (_, h, bp), coef in self.coaction(b):
-            # (-1)^(|b|+|a||b'|); test_cobar's Leibniz test pins it
-            s = -1 if (db + da * self.coeff_degree(bp)) % 2 else 1
-            out.iadd_term(s * coef, ("t", ("w", s_letter(concat(h, a))), bp))
-        return out
-
-    def _unit_times(self, b, word, x):
-        """(1 (x) b)(word (x) x) by peeling the first letter of word."""
-        ring = self.ring
-        if b == self.unit:
-            return Vect.basis(ring, ("t", word, x))
-        if word == UNIT_WORD:
-            return Vect.basis(ring, ("t", UNIT_WORD, concat(b, x)))
-        a = word[1][1]
-        rest = ("w",) + word[2:]
-        out = Vect(ring)
-        for (_, w1, e), coef in self._one_letter_rule(b, a).items():
-            for (_, w2, y), coef2 in self._unit_times(e, rest, x).items():
-                out.iadd_term(coef * coef2, ("t", concat(w1, w2), y))
-        return out
-
     def mul_labels(self, l1, l2):
-        """(v (x) c)(v' (x) x) = (v (x) 1) . [(1 (x) c)(v' (x) x)]."""
+        """(v (x) 1)(v' (x) x) = v v' (x) x.  H(Omega H (x) H) is R in
+        degree 0, so every product of classes has a left factor in degree
+        0, whose coefficient is the unit; any other is refused."""
         (_, v, c) = l1
         (_, vp, x) = l2
         if self.degree(l1) + self.degree(l2) > self.cutoff:
             raise ValueError("product in degree %d exceeds cutoff %d"
                              % (self.degree(l1) + self.degree(l2), self.cutoff))
-        return Vect(self.ring, [
-            (("t", concat(v, w), y), coef)
-            for (_, w, y), coef in self._unit_times(c, vp, x).items()])
+        if c != self.unit:
+            raise ValueError("product with left coefficient %s: only the "
+                             "unit is supported" % label_str(c))
+        return Vect.basis(self.ring, ("t", concat(v, vp), x))
 
     def mul(self, u, v):
         return bilinear(self.ring, u, v, self.mul_labels)

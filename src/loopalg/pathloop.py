@@ -13,9 +13,11 @@ letters.  The cofixed part of that coaction is the double-loop model;
 on the cobar algebra of the coproduct of a source coalgebra C' with
 P(C), along a map theta to C, the same letter rule on P(C) and
 nu(s[x]) = (1 (x) ind theta)psi'(s[x]) on C' yield the homotopy-fiber
-model.  Both coactions are maps of chain algebras, so nu is built prefix
-by prefix from letter values prepared once, on int codes: a letter is its
-index in label_key order, a word a tuple of codes, a term a pair of words.
+model.  Both coactions run on the coaction engine of shfamily, as
+psi itself does (the regular coaction of Omega C): nu is built prefix by
+prefix from letter values prepared once, on int codes, and the letters
+of Omega C and their partners read psi(s[c]) off the base Hopf algebra's
+nu on codes.
 
 Both ambient algebras M contain Omega C, on their unbarred (for the
 fiber, inr) letters, where nu is its comultiplication; where that is
@@ -31,7 +33,7 @@ its coefficients at the start words.
 from .vectors import Vect, label_str, bilinear
 from .coalg import DGCoalgebra, direct_sum
 from .cobar import CobarAlgebra, s_letter
-from .shfamily import SHFamily, InducedHopf, letter_defects
+from .shfamily import SHFamily, InducedHopf, Coaction
 
 
 def bar(label):
@@ -76,162 +78,35 @@ def path_object(C):
     return DGCoalgebra(ring, C.cutoff, gens, d, delta, weights=weights)
 
 
-class _Coaction:
-    """What the path-loop and fiber coactions share.  A subclass sets ring,
-    cutoff, the word algebras omega and omega_base and base_hopf (the
-    induced Hopf algebra on omega_base), then calls this __init__ with
-    include and barred, the letters of omega that a letter s[c] of
-    omega_base and its partner s[bar c] are.  _nu_letter gives nu on
-    those letters by the rule of the module docstring; a subclass with
-    other letters extends it.  nu, the antipode and the projection run on
-    the codes of the module docstring."""
+class _Coaction(Coaction):
+    """A Coaction whose omega also holds the partner s[bar c] of each
+    letter s[c] of omega_base: __init__ takes include and barred, the
+    letters of omega that s[c] and s[bar c] are, and _nu_letter adds the
+    barred-letter rule of the module docstring; a subclass with other
+    letters extends it."""
 
     def __init__(self, include, barred):
-        A, B = self.omega, self.omega_base
-        self._cap = A.cap  # an attribute: nu reads it on every call
-        self._codes = [{l: i for i, l in enumerate(om._ordered)}
-                       for om in (A, B)]
-        self._deg = [A.letters[l] for l in A._ordered]
-        self._wt = [A.weights[l] for l in A._ordered]
-        self._odd_b = [B.letters[l] % 2 for l in B._ordered]
-        self._shapes = set(zip(self._deg, self._wt))
-        self._dmin = min(self._deg, default=0)
-        self._nu_cache, self._factors, self._odd = {}, {}, {}
-        # iota, bars: base code -> omega code of the letter, of its
-        # partner; _base, _unbar: their inverses
-        self._iota = [self._codes[0][include(l)] for l in B._ordered]
+        super().__init__(include)
+        B = self.omega_base
+        # bars: base code -> omega code of the partner; _unbar its inverse
         self._bars = [self._codes[0][barred(l)] for l in B._ordered]
-        self._base = {a: b for b, a in enumerate(self._iota)}
         self._unbar = {a: b for b, a in enumerate(self._bars)}
-        self._antipodes = {(): {(): self.ring.one}}
-
-    def _encode(self, word, slot=0):
-        return tuple(map(self._codes[slot].__getitem__, word[1:]))
 
     def _nu_letter(self, l):
-        """nu of the letter code l of Omega C or of a barred letter, a dict
-        (code word, base code word) -> nonzero coefficient.  On a term
-        c s[a_1]..s[a_k] (x) v of psi(s[c]), -(kappa (x) 1) bars each a_j
-        in turn, with the sign of the letters before it."""
-        b, iota = self._base.get(l), self._iota
-        if b is not None:
-            return {(tuple(map(iota.__getitem__, u)), v): c
-                    for u, v, c in self._psi(b)}
-        terms, odd = {}, self._odd_b
-        for u, v, c in self._psi(self._unbar[l]):
+        """nu of the letter code l of Omega C or of a barred letter.  On a
+        term c s[a_1]..s[a_k] (x) v of psi(s[c]), -(kappa (x) 1) bars each
+        a_j in turn, with the sign of the letters before it."""
+        b = self._unbar.get(l)
+        if b is None:
+            return super()._nu_letter(l)
+        terms, odd, iota = {}, self._odd_b, self._iota
+        for (u, v), c in self.base_hopf.nu((b,)).items():
             word, pre = tuple(map(iota.__getitem__, u)), 0
             for j, a in enumerate(u):
                 key = (word[:j] + (self._bars[a],) + word[j + 1:], v)
                 terms[key] = terms.get(key, 0) + (-c if pre else c)
                 pre ^= odd[a]
         return self.ring.reduce(terms)
-
-    def _psi(self, b):
-        """psi of the base letter code b as (code word, code word,
-        coefficient) triples."""
-        return [(self._encode(u, 1), self._encode(v, 1), c)
-                for (_, u, v), c in self.base_hopf.psi_letter(
-                    self.omega_base._ordered[b]).items()]
-
-    def nu(self, word):
-        """The coaction of a code word: nu of the prefix times the factor
-        of the last letter, (a1 (x) a2)(b1 (x) b2) = (-1)^{|a2||b1|} a1 b1
-        (x) a2 b2.  Only prefixes are read again, so a word is kept only if
-        some letter extends it within the cutoff and omega's cap."""
-        val = self._nu_cache.get(word)
-        if val is None:
-            if not word:
-                return {((), ()): self.ring.one}
-            l, deg = word[-1], self._deg.__getitem__
-            if len(word) == 1:
-                val = self._nu_letter(l)
-            else:
-                if l not in self._factors:
-                    # the terms of nu(l), then those for an odd a2
-                    terms = self.nu((l,)).items()
-                    self._factors[l] = [[(b1, b2, c) for (b1, b2), c in terms],
-                                        [(b1, b2, -c if sum(map(deg, b1)) % 2
-                                          else c) for (b1, b2), c in terms]]
-                odd_of, factor, terms = self._odd, self._factors[l], {}
-                for (a1, a2), ca in self.nu(word[:-1]).items():
-                    odd = odd_of.get(a2)
-                    if odd is None:
-                        odd = odd_of[a2] = sum(map(self._odd_b.__getitem__,
-                                                   a2)) % 2
-                    for b1, b2, cb in factor[odd]:
-                        key = (a1 + b1, a2 + b2)
-                        terms[key] = terms.get(key, 0) + ca * cb
-                val = self.ring.reduce(terms)
-            room = self.cutoff - sum(map(deg, word))
-            left = None if self._cap is None else \
-                self._cap - sum(map(self._wt.__getitem__, word))
-            if room >= self._dmin and (left is None or any(
-                    d <= room and w <= left for d, w in self._shapes)):
-                self._nu_cache[word] = val
-        return val
-
-    def antipode(self, v):
-        """S(v) for a base code word v, over omega codes: on a letter b,
-        S(b) = -b - sum S(b') b'' over the terms b' (x) b'' of Delta(b)
-        with both factors positive, Delta(b) read off nu of the letter b
-        of omega; on a longer word, S(u b) = (-1)^{|u||b|} S(b) S(u)."""
-        val = self._antipodes.get(v)
-        if val is None:
-            iota, terms = self._iota, {}
-            if len(v) == 1:
-                terms[(iota[v[0]],)] = -self.ring.one
-                for (a1, a2), c in self.nu((iota[v[0]],)).items():
-                    if a1 and a2:
-                        tail = tuple(map(iota.__getitem__, a2))
-                        for s, cs in self.antipode(tuple(
-                                map(self._base.__getitem__, a1))).items():
-                            terms[s + tail] = terms.get(s + tail, 0) - c * cs
-            else:
-                odd = self._odd_b
-                sign = -1 if odd[v[-1]] and sum(map(odd.__getitem__,
-                                                    v[:-1])) % 2 else 1
-                for s1, c1 in self.antipode(v[-1:]).items():
-                    for s2, c2 in self.antipode(v[:-1]).items():
-                        key = s1 + s2
-                        terms[key] = terms.get(key, 0) + sign * c1 * c2
-            val = self._antipodes[v] = self.ring.reduce(terms)
-        return val
-
-    def project(self, word):
-        """P(word) = sum word_(0) S(word_(1)) for a code word, a dict code
-        word -> nonzero coefficient: cofixed, and for a start word the
-        word plus terms that end in a letter of Omega C."""
-        terms, known = {}, self._antipodes
-        for (a1, a2), c in self.nu(word).items():
-            for s, cs in (known.get(a2) or self.antipode(a2)).items():
-                key = a1 + s
-                terms[key] = terms.get(key, 0) + c * cs
-        return self.ring.reduce(terms)
-
-    def comodule_defects(self):
-        """(nu (x) 1)nu - (1 (x) Delta)nu on the letters of omega where it
-        is not 0, Delta the comultiplication of base_hopf: empty exactly
-        when nu is a coaction."""
-        return letter_defects(self.omega._ordered, self.coaction,
-                              self.coaction, self.base_hopf.psi)
-
-    def column(self, word):
-        """nu(word) - word (x) 1 on codes, for a label word."""
-        u = self._encode(word)
-        col, key = dict(self.nu(u)), (u, ())
-        if col.get(key) == 1:
-            del col[key]
-        else:
-            col[key] = self.ring.norm(col.get(key, 0) - 1)
-        return col
-
-    def coaction(self, word):
-        """nu of a label word, over ('t', word, base word)."""
-        A, B = self.omega._ordered, self.omega_base._ordered
-        return Vect(self.ring, [
-            (("t", ("w", *map(A.__getitem__, u)),
-              ("w", *map(B.__getitem__, v))), c)
-            for (u, v), c in self.nu(self._encode(word)).items()])
 
     def cofixed(self):
         return CofixedSubalgebra(self)
@@ -394,7 +269,7 @@ class FiberCoaction(_Coaction):
         if tag == "inr":
             return super()._nu_letter(l)
         terms, inl = {}, self._codes[0]
-        for (_, u, v), c in self.source_hopf.psi_letter(s_letter(x)).items():
+        for (_, u, v), c in self.source_hopf.psi(("w", s_letter(x))).items():
             left = tuple(inl[s_letter(("inl", a[1]))] for a in u[1:])
             for w, cw in self._theta(v).items():
                 key = (left, self._encode(w, 1))

@@ -13,9 +13,11 @@ A homotopy diagonal is a family Psi : C -> (C (x) C)^{(x)k} with Psi_1 the
 full comultiplication; pushing its induced map through the letterwise
 quotient Omega(C (x) C) -> Omega C (x) Omega C equips Omega C with a
 comultiplication, coassociative exactly when Psi is suitably coherent.
-That comultiplication is a map of chain algebras, so it is the product,
-in the interchange algebra Omega C (x) Omega C, of its letter values: the
-value on a word is that on its prefix times that on its last letter.
+That comultiplication psi is the regular coaction of Omega C on itself,
+computed by the engine that the path-loop and fiber coactions share
+(Coaction): a map of chain algebras, so on a word the value on its
+prefix times that on its last letter, in Omega C (x) Omega C, on int
+codes, with the antipode and the Hopf-module projection beside it.
 """
 
 from .vectors import Vect, label_key
@@ -136,30 +138,18 @@ class TensorSquare:
         self.omB = omB
         self.ring = omA.ring
         self.cutoff = min(omA.cutoff, omB.cutoff)
-        self._odd = {}
 
     def unit(self):
         return Vect.basis(self.ring, ("t", UNIT_WORD, UNIT_WORD))
 
     def mul(self, u, v):
-        return self.times(u, self.factor(v))
-
-    def factor(self, v):
-        """v prepared as a right factor: per term, the tails of its words,
-        its coefficient and the parity of its first word."""
-        return [(b1[1:], b2[1:], cb, self.omA.degree(b1) % 2)
-                for (_, b1, b2), cb in v.terms.items()]
-
-    def times(self, u, factor):
-        """u times a prepared factor: (a1 (x) a2)(b1 (x) b2) =
-        (-1)^{|a2||b1|} a1 b1 (x) a2 b2, each a2's parity taken once."""
-        odd_of = self._odd
+        """(a1 (x) a2)(b1 (x) b2) = (-1)^{|a2||b1|} a1 b1 (x) a2 b2."""
+        right = [(b1[1:], b2[1:], cb, self.omA.degree(b1) % 2)
+                 for (_, b1, b2), cb in v.terms.items()]
         terms = {}
         for (_, a1, a2), ca in u.terms.items():
-            odd = odd_of.get(a2)
-            if odd is None:
-                odd = odd_of[a2] = self.omB.degree(a2) % 2
-            for b1, b2, cb, b_odd in factor:
+            odd = self.omB.degree(a2) % 2
+            for b1, b2, cb, b_odd in right:
                 label = ("t", a1 + b1, a2 + b2)
                 c = ca * cb
                 terms[label] = terms.get(label, 0) + (-c if odd and b_odd else c)
@@ -227,44 +217,175 @@ class AWCoalgebra:
         return (not problems) and ok, problems + more
 
 
-class InducedHopf:
-    """The cobar algebra of C with the comultiplication induced by a
-    homotopy diagonal.  Serves as the Hopf algebra input of the twisted
-    constructions; its element labels are cobar words."""
+class Coaction:
+    """A right coaction nu of a word algebra omega over base_hopf, the
+    induced Hopf algebra on omega_base, on int codes: a letter is its index
+    in label_key order, a word a tuple of codes, a value a dict (code word,
+    base code word) -> nonzero coefficient.  nu is a map of chain algebras,
+    the product of the letter values of _nu_letter.  A subclass sets ring,
+    cutoff, omega, omega_base and base_hopf, then calls this __init__ with
+    include, the letter of omega that a base letter is."""
+
+    def __init__(self, include):
+        A, B = self.omega, self.omega_base
+        self._cap = A.cap  # an attribute: nu reads it on every call
+        self._codes = [{l: i for i, l in enumerate(om._ordered)}
+                       for om in (A, B)]
+        self._decoded = [(om._ordered, {}) for om in (A, B)]
+        self._deg = [A.letters[l] for l in A._ordered]
+        self._wt = [A.weights[l] for l in A._ordered]
+        self._odd_b = [B.letters[l] % 2 for l in B._ordered]
+        self._shapes = set(zip(self._deg, self._wt))
+        self._dmin = min(self._deg, default=0)
+        self._nu_cache, self._factors, self._odd = {}, {}, {}
+        # iota: base code -> omega code of the letter; _base its inverse
+        self._iota = [self._codes[0][include(l)] for l in B._ordered]
+        self._base = {a: b for b, a in enumerate(self._iota)}
+        self._antipodes = {(): {(): self.ring.one}}
+
+    def _encode(self, word, slot=0):
+        return tuple(map(self._codes[slot].__getitem__, word[1:]))
+
+    def _nu_letter(self, l):
+        """nu of the code l of an included base letter b: (iota (x)
+        1)Delta(b), Delta(b) read off base_hopf.nu on codes."""
+        iota = self._iota
+        return {(tuple(map(iota.__getitem__, u)), v): c for (u, v), c in
+                self.base_hopf.nu((self._base[l],)).items()}
+
+    def nu(self, word):
+        """The coaction of a code word: nu of the prefix times the factor
+        of the last letter, (a1 (x) a2)(b1 (x) b2) = (-1)^{|a2||b1|} a1 b1
+        (x) a2 b2.  Only prefixes are read again, so a word is kept only if
+        some letter extends it within the cutoff and omega's cap."""
+        val = self._nu_cache.get(word)
+        if val is None:
+            if not word:
+                return {((), ()): self.ring.one}
+            l, deg = word[-1], self._deg.__getitem__
+            if len(word) == 1:
+                val = self._nu_letter(l)
+            else:
+                if l not in self._factors:
+                    # the terms of nu(l), then those for an odd a2
+                    terms = self.nu((l,)).items()
+                    self._factors[l] = [[(b1, b2, c) for (b1, b2), c in terms],
+                                        [(b1, b2, -c if sum(map(deg, b1)) % 2
+                                          else c) for (b1, b2), c in terms]]
+                odd_of, factor, terms = self._odd, self._factors[l], {}
+                for (a1, a2), ca in self.nu(word[:-1]).items():
+                    odd = odd_of.get(a2)
+                    if odd is None:
+                        odd = odd_of[a2] = sum(map(self._odd_b.__getitem__,
+                                                   a2)) % 2
+                    for b1, b2, cb in factor[odd]:
+                        key = (a1 + b1, a2 + b2)
+                        terms[key] = terms.get(key, 0) + ca * cb
+                val = self.ring.reduce(terms)
+            room = self.cutoff - sum(map(deg, word))
+            left = None if self._cap is None else \
+                self._cap - sum(map(self._wt.__getitem__, word))
+            if room >= self._dmin and (left is None or any(
+                    d <= room and w <= left for d, w in self._shapes)):
+                self._nu_cache[word] = val
+        return val
+
+    def antipode(self, v):
+        """S(v) for a base code word v, over omega codes: on a letter b,
+        S(b) = -b - sum S(b') b'' over the terms b' (x) b'' of Delta(b)
+        with both factors positive, Delta(b) read off base_hopf.nu; on a
+        longer word, S(u b) = (-1)^{|u||b|} S(b) S(u)."""
+        val = self._antipodes.get(v)
+        if val is None:
+            iota, terms = self._iota, {}
+            if len(v) == 1:
+                terms[(iota[v[0]],)] = -self.ring.one
+                for (a1, a2), c in self.base_hopf.nu(v).items():
+                    if a1 and a2:
+                        tail = tuple(map(iota.__getitem__, a2))
+                        for s, cs in self.antipode(a1).items():
+                            terms[s + tail] = terms.get(s + tail, 0) - c * cs
+            else:
+                odd = self._odd_b
+                sign = -1 if odd[v[-1]] and sum(map(odd.__getitem__,
+                                                    v[:-1])) % 2 else 1
+                for s1, c1 in self.antipode(v[-1:]).items():
+                    for s2, c2 in self.antipode(v[:-1]).items():
+                        key = s1 + s2
+                        terms[key] = terms.get(key, 0) + sign * c1 * c2
+            val = self._antipodes[v] = self.ring.reduce(terms)
+        return val
+
+    def project(self, word):
+        """P(word) = sum word_(0) S(word_(1)) for a code word, a dict code
+        word -> nonzero coefficient."""
+        terms, known = {}, self._antipodes
+        for (a1, a2), c in self.nu(word).items():
+            for s, cs in (known.get(a2) or self.antipode(a2)).items():
+                key = a1 + s
+                terms[key] = terms.get(key, 0) + c * cs
+        return self.ring.reduce(terms)
+
+    def comodule_defects(self):
+        """(nu (x) 1)nu - (1 (x) Delta)nu on the letters of omega where it
+        is not 0, Delta the comultiplication of base_hopf: empty exactly
+        when nu is a coaction."""
+        return letter_defects(self.omega._ordered, self.coaction,
+                              self.coaction, self.base_hopf.psi)
+
+    def column(self, word):
+        """nu(word) - word (x) 1 on codes, for a label word."""
+        u = self._encode(word)
+        col, key = dict(self.nu(u)), (u, ())
+        if col.get(key) == 1:
+            del col[key]
+        else:
+            col[key] = self.ring.norm(col.get(key, 0) - 1)
+        return col
+
+    def coaction(self, word):
+        """nu of a label word, over ('t', word, base word); each code word
+        is decoded once."""
+        (A, la), (B, lb) = self._decoded
+        return Vect.from_sums(self.ring, {
+            ("t", la.get(u) or la.setdefault(u, ("w", *map(A.__getitem__, u))),
+             lb.get(v) or lb.setdefault(v, ("w", *map(B.__getitem__, v)))): c
+            for (u, v), c in self.nu(self._encode(word)).items()})
+
+
+class InducedHopf(Coaction):
+    """The cobar algebra of C with the comultiplication psi induced by a
+    homotopy diagonal, as the regular coaction of Omega C on itself: omega
+    is omega_base and include the identity.  A letter's value is ind
+    Psi(letter) pushed through the letterwise split, on codes.  Serves as
+    the Hopf algebra input of the twisted constructions; its element
+    labels are cobar words."""
 
     def __init__(self, aw):
         self.aw = aw
         self.C = aw.C
         self.ring = aw.ring
         self.cutoff = aw.cutoff
-        self.omega = CobarAlgebra(self.C)
+        self.omega = self.omega_base = CobarAlgebra(self.C)
+        self.base_hopf = self
         self.omega_tensor = CobarAlgebra(aw.tensorC)
         self.tsq = TensorSquare(self.omega, self.omega)
         self._split = letterwise_split(self.omega_tensor, self.tsq)
-        self._psi_letter_cache = {}
         self._psi_cache = {}
-        self._factors = {}
+        super().__init__(lambda letter: letter)
 
-    def psi_letter(self, letter):
-        if letter not in self._psi_letter_cache:
-            ind = self.aw.psi.induced_letter_value(letter)
-            self._psi_letter_cache[letter] = ind.map_terms(self._split)
-        return self._psi_letter_cache[letter]
+    def _nu_letter(self, l):
+        value = self.aw.psi.induced_letter_value(self.omega._ordered[l])
+        return {(self._encode(u), self._encode(v)): c
+                for (_, u, v), c in value.map_terms(self._split).items()}
 
     def psi(self, word):
-        """Full comultiplication of a word, over ('t', word, word).  It is
-        an algebra map: psi of the prefix times psi_letter of the last
-        letter, whose factor is prepared once."""
-        if word not in self._psi_cache:
-            if word == UNIT_WORD:
-                self._psi_cache[word] = self.tsq.unit()
-            else:
-                l = word[-1]
-                if l not in self._factors:
-                    self._factors[l] = self.tsq.factor(self.psi_letter(l))
-                self._psi_cache[word] = self.tsq.times(self.psi(word[:-1]),
-                                                       self._factors[l])
-        return self._psi_cache[word]
+        """Full comultiplication of a label word, over ('t', word, word):
+        nu decoded, kept per word."""
+        val = self._psi_cache.get(word)
+        if val is None:
+            val = self._psi_cache[word] = self.coaction(word)
+        return val
 
     def delta_red(self, word):
         if word == UNIT_WORD:
@@ -276,13 +397,13 @@ class InducedHopf:
         """(psi (x) 1)psi - (1 (x) psi)psi on every letter (letter_defects).
         Nonempty exactly when the homotopy diagonal is not balanced enough
         for a genuine Hopf structure."""
-        return letter_defects(sorted(self.omega.letters, key=label_key),
-                              self.psi, self.psi, self.psi)
+        return letter_defects(self.omega._ordered, self.psi, self.psi,
+                              self.psi)
 
     def chain_map_defects(self):
         """psi d - (d (x) 1 + 1 (x) d) psi on every letter."""
         defects = []
-        for letter in sorted(self.omega.letters, key=label_key):
+        for letter in self.omega._ordered:
             word = ("w", letter)
             lhs = self.omega.d_word(word).map_terms(self.psi)
             rhs = self.psi(word).map_terms(self.tsq.diff)

@@ -338,6 +338,36 @@ def test_formal_dl_needs_field(capsys):
     assert rep["betti"][0] == 1
 
 
+@pytest.mark.parametrize("ring", ["F2", "Q"])
+def test_formal_dl_refuses_a_diagonal_with_non_primitive_letters(capsys,
+                                                                 ring):
+    """nonprimitive has reduced comultiplication 0 but psi_2(v5) = (a3 (x)
+    1)(1 (x) b3): the bracket model of C alone would be the double loop of
+    another space, so formal-dl refuses it, naming the letter."""
+    code, out, err = run(capsys, "formal-dl", sample("nonprimitive.json"),
+                         "--ring", ring, "--cutoff", "8")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "s[v5] non-primitive" in err
+
+
+def test_formal_dl_agrees_with_double_loop_where_it_runs(capsys):
+    """On every sample and golden document that the bracket model accepts,
+    over F2, F3 and Q at cutoff 8, its homology is double-loop's."""
+    accepted = set()
+    for path in DOCUMENTS:
+        for ring in ("F2", "Fp:3", "Q"):
+            argv = [path, "--ring", ring, "--cutoff", "8"]
+            code, rep, _ = run_json(capsys, "formal-dl", *argv)
+            if code:
+                continue
+            accepted.add(os.path.basename(path))
+            _, want, _ = run_json(capsys, "double-loop", *argv)
+            assert rep["homology"] == want["homology"], (path, ring)
+    assert accepted == {"sphere2.json", "sphere3.json", "sphere5.json",
+                        "sphere3-f3.json", "wedge3-5.json"}
+
+
 def test_fiber_identity_and_trivial(capsys):
     code, rep, _ = run_json(capsys, "fiber", sample("sphere3.json"),
                             sample("sphere3.json"), "--map", "identity",

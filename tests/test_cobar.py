@@ -1,12 +1,15 @@
 """Cobar constructions, twisted one-sided complexes, and the twisted
 Hopf tensor algebra."""
 
+import itertools
 import os
+import re
 
 import pytest
 
 from loopalg.rings import ZZ, F2
-from loopalg.vectors import Vect
+from loopalg.vectors import Vect, label_str
+from loopalg.tensoralg import UNIT_WORD, concat
 from loopalg.coalg import DGCoalgebra
 from loopalg.cobar import (CobarAlgebra, OneSidedCobar, TwistedHopfTensor,
                            AlgebraOnHomology, coalgebra_of_hopf, s_letter)
@@ -93,30 +96,22 @@ def test_twisted_hopf_tensor_d2_and_acyclic():
     assert betti(cx, 0, 7) == [1, 0, 0, 0, 0, 0, 0, 0]
 
 
-def test_twisted_hopf_tensor_leibniz_and_associative():
-    H = hopf(3, cutoff=8)
-    tw = TwistedHopfTensor(H, 8)
-    ring = tw.ring
-    small = [l for n in range(1, 4) for l in tw.basis(n)]
-    for l1 in small:
-        for l2 in small:
-            if tw.degree(l1) + tw.degree(l2) + 1 > tw.cutoff:
-                continue
-            u = Vect.basis(ring, l1)
-            v = Vect.basis(ring, l2)
-            lhs = tw.mul(u, v).map_terms(tw.diff)
-            sign = -1 if tw.degree(l1) % 2 else 1
-            rhs = tw.mul(u.map_terms(tw.diff), v) + \
-                tw.mul(u, v.map_terms(tw.diff)).scale(sign)
-            assert (lhs - rhs).is_zero(), ("leibniz", l1, l2)
-    for l1 in small[:6]:
-        for l2 in small[:6]:
-            for l3 in small[:6]:
-                if tw.degree(l1) + tw.degree(l2) + tw.degree(l3) > tw.cutoff:
-                    continue
-                u, v, w = (Vect.basis(ring, l) for l in (l1, l2, l3))
-                assert (tw.mul(tw.mul(u, v), w)
-                        - tw.mul(u, tw.mul(v, w))).is_zero(), (l1, l2, l3)
+def test_twisted_hopf_tensor_multiplies_by_the_unit_coefficient_only():
+    """The products that cotor --hopf self forms have a left factor v (x)
+    1, and (v (x) 1)(v' (x) x) = v v' (x) x; a left factor with another
+    coefficient is refused, naming it."""
+    tw = TwistedHopfTensor(hopf(3, cutoff=8), 8)
+    small = [l for n in range(4) for l in tw.basis(n)]
+    units = [l for l in small if l[2] == UNIT_WORD]
+    others = [l for l in small if l[2] != UNIT_WORD]
+    assert len(units) > 1 and others
+    for l1, l2 in itertools.product(units, small):
+        assert tw.mul(Vect.basis(ZZ, l1), Vect.basis(ZZ, l2)).terms == \
+            {("t", concat(l1[1], l2[1]), l2[2]): 1}
+    for l1 in others:
+        with pytest.raises(ValueError, match=re.escape(
+                "left coefficient %s:" % label_str(l1[2]))):
+            tw.mul_labels(l1, units[0])
 
 
 def test_section_and_defect_identities():

@@ -13,7 +13,7 @@ from loopalg.rings import ZZ, QQ, F2, Ring
 from loopalg.vectors import Vect
 from loopalg.coalg import DGCoalgebra
 from loopalg.cobar import s_letter
-from loopalg.shfamily import AWCoalgebra, InducedHopf
+from loopalg.shfamily import AWCoalgebra, InducedHopf, TensorSquare
 from loopalg.pathloop import (bar, path_object, PathLoop,
                               CofixedSubalgebra, FiberCoaction,
                               identity_family, trivial_family)
@@ -506,14 +506,29 @@ def test_a_fiber_over_a_non_coassociative_target_is_no_comodule():
 
 def _run_recording_builds(monkeypatch, capsys, argv):
     """Run a command and record what it builds: the coactions and the
-    words that their nu is asked for and works out, each InducedHopf and
-    the number of tensor coalgebras, whichever module calls for them."""
+    words that their nu is asked for and works out, each InducedHopf, the
+    number of tensor coalgebras, whichever module calls for them, and
+    each TensorSquare.mul as (inside an InducedHopf letter value, its
+    right factor)."""
     from loopalg import coalg
     from loopalg.cli import main
     built = {"coactions": [], "hopfs": [], "tensors": 0, "asked": [],
-             "worked": []}
+             "worked": [], "products": []}
     init, nu, tensor = InducedHopf.__init__, PathLoop.nu, \
         coalg.tensor_coalgebra
+    nu_letter, mul = InducedHopf._nu_letter, TensorSquare.mul
+    inside = []
+
+    def recording_nu_letter(self, l):
+        inside.append(l)
+        try:
+            return nu_letter(self, l)
+        finally:
+            inside.pop()
+
+    def recording_mul(self, u, v):
+        built["products"].append((bool(inside), v))
+        return mul(self, u, v)
 
     def recording_init(self, aw):
         built["hopfs"].append(self)
@@ -532,6 +547,8 @@ def _run_recording_builds(monkeypatch, capsys, argv):
         return tensor(C, Cp)
 
     monkeypatch.setattr(InducedHopf, "__init__", recording_init)
+    monkeypatch.setattr(InducedHopf, "_nu_letter", recording_nu_letter)
+    monkeypatch.setattr(TensorSquare, "mul", recording_mul)
     for cls in (PathLoop, FiberCoaction):
         monkeypatch.setattr(cls, "nu", recording_nu)
     for name, module in list(sys.modules.items()):
@@ -552,7 +569,18 @@ def _check_nu_on_codes(built):
     assert all(type(x) is int for w in asked for x in w)
     assert len(worked) == len(set(worked)) == len(set(asked) - {()}) > 100
     assert set(co._nu_cache) < set(worked) and len(worked) < len(asked)
+    _check_one_product_path(built)
     return co
+
+
+def _check_one_product_path(built):
+    """No label product of words is formed: every TensorSquare.mul is a
+    step of the letterwise split inside a letter value of an InducedHopf,
+    its right factor one letter's image."""
+    assert built["products"]
+    for inside, v in built["products"]:
+        assert inside and len(v.terms) <= 1, v
+        assert all(len(a) + len(b) == 3 for _, a, b in v.terms), v
 
 
 def test_double_loop_builds_no_comultiplication_of_a_word(monkeypatch,
@@ -581,6 +609,21 @@ def test_fiber_builds_no_comultiplication_of_a_word(monkeypatch, capsys):
     fc = _check_nu_on_codes(built)
     assert built["hopfs"] == [fc.base_hopf, fc.source_hopf]
     assert built["tensors"] == 2
+
+
+def test_cotor_takes_psi_of_words_from_nu_on_codes(monkeypatch, capsys):
+    """cotor --hopf self of nonprimitive over Z at cutoff 6 reads psi of
+    every word of Omega C through degree 7, and forms no label product of
+    words for it."""
+    built = _run_recording_builds(monkeypatch, capsys, [
+        "cotor", "--hopf", "self", os.path.join(SAMPLES, "nonprimitive.json"),
+        "--ring", "Z", "--cutoff", "6"])
+    (hopf,) = built["hopfs"]
+    assert built["report"]["betti"] == [1] + [0] * 5
+    assert len(hopf._psi_cache) == sum(
+        len(hopf.omega.words(n)) for n in range(8)) == 20
+    assert not built["coactions"]
+    _check_one_product_path(built)
 
 
 def _index_diff_matches_label_route(sub, top):
