@@ -21,7 +21,7 @@ echelon kernel over a field, both on the dense matrix) and a
 linalg.Solver on it.  The solver gives the coordinates of the
 boundaries (then put in Smith normal form over Z, or row reduced over a
 field) and of every class_of argument.  Both are built once per degree,
-when a summary's representatives or class_of are first used.
+when class_of or a nonzero degree's representatives are first used.
 """
 
 from collections import namedtuple
@@ -251,8 +251,11 @@ class HomologySummary:
 
     @property
     def representatives(self):
-        """Cycles whose classes generate H_n: torsion classes first, then
-        free classes over Z; free classes over a field."""
+        """Cycles whose classes generate H_n (none, with no presentation
+        built, where H_n = 0): torsion classes first, then free classes
+        over Z; free classes over a field."""
+        if not self.free_rank and not self.torsion:
+            return []
         return self._present().reps
 
     def class_of(self, vect):

@@ -16,11 +16,9 @@ import time
 from . import linalg
 from .rings import ring_from_name
 from .vectors import Vect, label_str
-from .coalg import tensor_coalgebra
 from .tensoralg import UNIT_WORD
 from .cobar import (CobarAlgebra, OneSidedCobar, TwistedHopfTensor,
                     AlgebraOnHomology, coalgebra_of_hopf, s_letter)
-from .shfamily import InducedHopf, TensorSquare, letterwise_split
 from .pathloop import (path_object, PathLoop, FiberCoaction,
                        identity_family, trivial_family)
 from .formal import FormalDoubleLoop
@@ -197,15 +195,15 @@ def emit_homology(args, C, construction, model, t0, extra=None):
 
 def cmd_cobar(args, t0):
     C, A = load_input(args.document, args)
-    emit_homology(args, C, "cobar", CobarAlgebra(C), t0)
+    emit_homology(args, C, "cobar", A.psi.omegas[0], t0)
 
 
 def cmd_cotor(args, t0):
     C, A = load_input(args.document, args, simply_connected=True)
-    hopf = InducedHopf(A)
+    hopf = A.hopf
     require_coassociative(hopf)
     if args.hopf == "self":
-        coeffs = TwistedHopfTensor(hopf, C.cutoff)
+        coeffs = TwistedHopfTensor(hopf)
     else:
         coeffs = CobarAlgebra(coalgebra_of_hopf(hopf, C.cutoff))
 
@@ -223,7 +221,7 @@ def cmd_cotor(args, t0):
 
 def cmd_path_loop(args, t0):
     C, A = load_input(args.document, args, simply_connected=True)
-    emit_homology(args, C, "path-loop", PathLoop(A).omega, t0)
+    emit_homology(args, C, "path-loop", CobarAlgebra(path_object(C)), t0)
 
 
 def cmd_double_loop(args, t0):
@@ -267,7 +265,7 @@ def cmd_formal_dl(args, t0):
         raise DocumentError(str(e))
     # the bracket model sees C alone: refuse a diagonal that makes a
     # letter of Omega C non-primitive
-    hopf = InducedHopf(A)
+    hopf = A.hopf
     for l in hopf.omega._ordered:
         if not hopf.delta_red(("w", l)).is_zero():
             raise DocumentError("the bracket model requires primitive "
@@ -290,12 +288,12 @@ def _suite_d2(builder):
 
 def _verify_suites(C, A):
     """Ordered list of (name, runner); each runner returns
-    (status, detail).  The suites share one InducedHopf and one PathLoop,
-    each built on first use; a build that raises is not kept, so every
-    suite that needs it reports the failure itself."""
+    (status, detail).  The suites share the diagonal's Omega C, its
+    induced Hopf algebra A.hopf and one PathLoop over it, each built on
+    first use; a build that raises is not kept, so every suite that needs
+    it reports the failure itself."""
     cutoff = C.cutoff
     small = min(cutoff, 4)
-    induced = functools.cache(lambda: InducedHopf(A))
     path_loop = functools.cache(lambda: PathLoop(A))
 
     def coalgebra(build):
@@ -315,7 +313,7 @@ def _verify_suites(C, A):
 
     def letters(defects_of):
         def run():
-            defects = defects_of(induced())
+            defects = defects_of(A.hopf)
             if not defects:
                 return "pass", None
             return "fail", "letter %s" % label_str(defects[0][0])
@@ -324,8 +322,8 @@ def _verify_suites(C, A):
     def section_defect():
         # the twisted tensor product needs cobar letters of positive degree
         require_degree2(C, "section-defect")
-        hopf = induced()
-        tw = TwistedHopfTensor(hopf, cutoff)
+        hopf = A.hopf
+        tw = TwistedHopfTensor(hopf)
         for n in range(cutoff + 1):
             for b in hopf.omega.words(n):
                 v = Vect.basis(C.ring, b)
@@ -384,15 +382,12 @@ def _verify_suites(C, A):
         return "pass", None
 
     def tensor_split():
-        T = tensor_coalgebra(C, C)
-        omT = CobarAlgebra(T)
-        om = CobarAlgebra(C)
-        tsq = TensorSquare(om, om)
-        split = letterwise_split(omT, tsq)
+        hopf = A.hopf
+        omT, split = hopf.omega_tensor, hopf._split
         for deg in range(small + 1):
             for w in omT.words(deg, omT.cap):
                 lhs = omT.d_word(w).map_terms(split)
-                rhs = split(w).map_terms(tsq.diff)
+                rhs = split(w).map_terms(hopf.tsq.diff)
                 if not (lhs - rhs).is_zero():
                     return "fail", "word %s" % label_str(w)
         return "pass", None
@@ -412,11 +407,11 @@ def _verify_suites(C, A):
         ("induced-coassociativity",
          letters(lambda hopf: hopf.coassociativity_defects())),
         ("induced-chain-map", letters(lambda hopf: hopf.chain_map_defects())),
-        ("cobar-d2", _suite_d2(lambda: CobarAlgebra(C))),
+        ("cobar-d2", _suite_d2(lambda: A.psi.omegas[0])),
         ("acyclic-cobar-d2-right",
-         _suite_d2(lambda: OneSidedCobar(CobarAlgebra(C), side="right"))),
+         _suite_d2(lambda: OneSidedCobar(A.psi.omegas[0], side="right"))),
         ("acyclic-cobar-d2-left",
-         _suite_d2(lambda: OneSidedCobar(CobarAlgebra(C), side="left"))),
+         _suite_d2(lambda: OneSidedCobar(A.psi.omegas[0], side="left"))),
         ("path-object", coalgebra(lambda: path_object(C))),
         ("path-loop-d2", _suite_d2(lambda: path_loop().omega)),
         ("section-defect", section_defect),

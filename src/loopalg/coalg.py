@@ -64,8 +64,8 @@ class DGCoalgebra:
         return out + self.delta_red(label)
 
     def verify(self):
-        """Check co-Leibniz and coassociativity on every generator.
-        Returns (ok, list of (kind, generator, residue))."""
+        """Check d d = 0, co-Leibniz and coassociativity on every
+        generator.  Returns (ok, list of (kind, generator, residue))."""
         problems = []
         for label in self.gens:
             # degree bookkeeping of stored values
@@ -75,6 +75,9 @@ class DGCoalgebra:
             for out, _ in self.delta_red(label).items():
                 if self.degree(out[1]) + self.degree(out[2]) != self.degree(label):
                     problems.append(("delta-degree", label, out))
+            dd = self.d_of(label).map_terms(self.d_of)
+            if not dd.is_zero():
+                problems.append(("d-square", label, dd))
             # co-Leibniz (reduced form): Delta d = the sum over Delta of
             # c (d(a) (x) b + (-1)^|a| a (x) d(b))
             lhs = self.d_of(label).map_terms(self.delta_red)

@@ -169,14 +169,15 @@ class TwistedHopfTensor(OneSidedCobar):
     """Omega H (x) H: the left one-sided cobar construction on an
     InducedHopf H as a comodule over itself (the model of its based-path
     fibration), with its chain algebra structure.  Labels here are ('t',
-    word, h) with word a word in letters s[h] and h a word of H.omega."""
+    word, h) with word a word in letters s[h] and h a word of H.omega;
+    its cutoff is H's."""
 
-    def __init__(self, H, cutoff):
+    def __init__(self, H):
         # letters of Omega H reach degree cutoff, i.e. H elements of
         # degree cutoff + 1; basis() stops the coefficients at the cutoff
-        super().__init__(CobarAlgebra(coalgebra_of_hopf(H, cutoff + 1)),
+        super().__init__(CobarAlgebra(coalgebra_of_hopf(H, H.cutoff + 1)),
                          "left", unit=UNIT_WORD)
-        self.cutoff = cutoff  # omega's is one higher; the cap follows this one
+        self.cutoff = H.cutoff  # omega's is one higher; the cap follows this
 
     def mul_labels(self, l1, l2):
         """(v (x) 1)(v' (x) x) = v v' (x) x.  H(Omega H (x) H) is R in

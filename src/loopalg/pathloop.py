@@ -33,7 +33,7 @@ its coefficients at the start words.
 from .vectors import Vect, label_str, bilinear
 from .coalg import DGCoalgebra, direct_sum
 from .cobar import CobarAlgebra, s_letter
-from .shfamily import SHFamily, InducedHopf, Coaction
+from .shfamily import SHFamily, Coaction
 
 
 def bar(label):
@@ -120,7 +120,7 @@ class PathLoop(_Coaction):
         self.ring = A.ring
         self.cutoff = A.cutoff
         self.omega = CobarAlgebra(path_object(A.C))
-        self.base_hopf = InducedHopf(A)
+        self.base_hopf = A.hopf
         self.omega_base = self.base_hopf.omega
         super().__init__(lambda letter: letter,
                          lambda letter: s_letter(bar(letter[1])))
@@ -256,9 +256,9 @@ class FiberCoaction(_Coaction):
         self.cutoff = min(A.cutoff, Aprime.cutoff)
         self.family = omega_family
         self.omega = CobarAlgebra(direct_sum(Aprime.C, path_object(A.C)))
-        self.base_hopf = InducedHopf(A)
+        self.base_hopf = A.hopf
         self.omega_base = self.base_hopf.omega
-        self.source_hopf = InducedHopf(Aprime)
+        self.source_hopf = Aprime.hopf
         self._theta = omega_family.induced_map(self.source_hopf.omega,
                                                self.omega_base)
         super().__init__(lambda letter: s_letter(("inr", letter[1])),

@@ -20,6 +20,8 @@ prefix times that on its last letter, in Omega C (x) Omega C, on int
 codes, with the antipode and the Hopf-module projection beside it.
 """
 
+import functools
+
 from .vectors import Vect, label_key
 from .coalg import UNIT, tensor_coalgebra
 from .tensoralg import UNIT_WORD
@@ -42,6 +44,7 @@ class SHFamily:
                     if g in source.gens and not v.is_zero()}
             if kept:
                 self.components[int(k)] = kept
+        self._defects = {}
 
     @classmethod
     def strict(cls, source, target, letter_map):
@@ -69,20 +72,18 @@ class SHFamily:
                         problems.append((k, g, label))
         return problems
 
-    def _omegas(self):
-        if not hasattr(self, "_om_pair"):
-            self._om_pair = (CobarAlgebra(self.source),
-                             CobarAlgebra(self.target))
-        return self._om_pair
+    @functools.cached_property
+    def omegas(self):
+        """The cobar algebras of the source and the target, built once for
+        the coherence check and a diagonal's induced Hopf algebra."""
+        return CobarAlgebra(self.source), CobarAlgebra(self.target)
 
     def chain_map_defect(self, gen):
         """d(ind(s[gen])) - ind(d(s[gen])) in the target cobar algebra.
         The family is coherent exactly when this vanishes on every
         generator."""
-        if not hasattr(self, "_defects"):
-            self._defects = {}
         if gen not in self._defects:
-            oms, omt = self._omegas()
+            oms, omt = self.omegas
             ind = self.induced_map(oms, omt)
             letter = ("w", s_letter(gen))
             self._defects[gen] = (ind(letter).map_terms(omt.d_word)
@@ -192,7 +193,8 @@ def psi_one(C):
 
 class AWCoalgebra:
     """A coalgebra together with a homotopy diagonal Psi: an SHFamily from
-    C to C (x) C with Psi_1 the full comultiplication."""
+    C to C (x) C with Psi_1 the full comultiplication, and the one Hopf
+    algebra that Psi induces on Omega C (hopf)."""
 
     def __init__(self, C, psi):
         self.C = C
@@ -215,6 +217,11 @@ class AWCoalgebra:
                     if self.psi.component(1, g) != want[g]]
         ok, more = self.psi.verify()
         return (not problems) and ok, problems + more
+
+    @functools.cached_property
+    def hopf(self):
+        """The InducedHopf of Psi, built on first use and kept."""
+        return InducedHopf(self)
 
 
 class Coaction:
@@ -328,10 +335,22 @@ class Coaction:
 
     def comodule_defects(self):
         """(nu (x) 1)nu - (1 (x) Delta)nu on the letters of omega where it
-        is not 0, Delta the comultiplication of base_hopf: empty exactly
-        when nu is a coaction."""
-        return letter_defects(self.omega._ordered, self.coaction,
-                              self.coaction, self.base_hopf.psi)
+        is not 0, Delta the comultiplication of base_hopf read off its nu:
+        (letter, dict (code word, base code word, base code word) ->
+        nonzero coefficient) pairs, none exactly when nu is a coaction.
+        Both sides are algebra maps, so letters decide."""
+        defects, delta = [], self.base_hopf.nu
+        for l, letter in enumerate(self.omega._ordered):
+            terms = {}
+            for (u, v), c in self.nu((l,)).items():
+                for (a, b), c2 in self.nu(u).items():
+                    terms[(a, b, v)] = terms.get((a, b, v), 0) + c * c2
+                for (a, b), c2 in delta(v).items():
+                    terms[(u, a, b)] = terms.get((u, a, b), 0) - c * c2
+            diff = self.ring.reduce(terms)
+            if diff:
+                defects.append((letter, diff))
+        return defects
 
     def column(self, word):
         """nu(word) - word (x) 1 on codes, for a label word."""
@@ -363,12 +382,10 @@ class InducedHopf(Coaction):
 
     def __init__(self, aw):
         self.aw = aw
-        self.C = aw.C
         self.ring = aw.ring
         self.cutoff = aw.cutoff
-        self.omega = self.omega_base = CobarAlgebra(self.C)
-        self.base_hopf = self
-        self.omega_tensor = CobarAlgebra(aw.tensorC)
+        self.omega, self.omega_tensor = aw.psi.omegas
+        self.omega_base, self.base_hopf = self.omega, self
         self.tsq = TensorSquare(self.omega, self.omega)
         self._split = letterwise_split(self.omega_tensor, self.tsq)
         self._psi_cache = {}
@@ -394,11 +411,11 @@ class InducedHopf(Coaction):
                                                  ("t", UNIT_WORD, word): 1})
 
     def coassociativity_defects(self):
-        """(psi (x) 1)psi - (1 (x) psi)psi on every letter (letter_defects).
-        Nonempty exactly when the homotopy diagonal is not balanced enough
-        for a genuine Hopf structure."""
-        return letter_defects(self.omega._ordered, self.psi, self.psi,
-                              self.psi)
+        """(psi (x) 1)psi - (1 (x) psi)psi on every letter: psi is the
+        regular coaction, so these are its comodule_defects.  Nonempty
+        exactly when the homotopy diagonal is not balanced enough for a
+        genuine Hopf structure."""
+        return self.comodule_defects()
 
     def chain_map_defects(self):
         """psi d - (d (x) 1 + 1 (x) d) psi on every letter."""
@@ -410,23 +427,4 @@ class InducedHopf(Coaction):
             if not (lhs - rhs).is_zero():
                 defects.append((letter, lhs - rhs))
         return defects
-
-
-def letter_defects(letters, nu, left, right):
-    """The letters where (left (x) 1)nu and (1 (x) right)nu differ, each
-    with the difference over ('t', a, b, c); nu, left and right take
-    words to Vects over ('t', word, word).  Both sides are algebra maps
-    where nu, left and right are, so letters decide."""
-    defects = []
-    for letter in letters:
-        value = nu(("w", letter))
-        diff = Vect(value.ring)
-        for (_, u, v), c in value.items():
-            for (_, a, b), c2 in left(u).items():
-                diff.iadd_term(c * c2, ("t", a, b, v))
-            for (_, a, b), c2 in right(v).items():
-                diff.iadd_term(-c * c2, ("t", u, a, b))
-        if not diff.is_zero():
-            defects.append((letter, diff))
-    return defects
 

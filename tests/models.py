@@ -3,7 +3,8 @@ coalgebras, the double-loop and fiber models together with their
 coactions and their reduced coactions over labels, the homotopy diagonals
 on P(C) and on a coproduct from which the coactions were once built and
 which now serve as their oracle, the tensor square of two cobar algebras
-as a chain complex, and a complex's Betti numbers."""
+as a chain complex, a complex's Betti numbers, and quasi-isomorphic
+variants of a document."""
 
 from loopalg.chain import ChainComplex
 from loopalg.coalg import UNIT, DGCoalgebra, direct_sum, tensor_coalgebra
@@ -19,6 +20,17 @@ def sphere_model(n, ring, cutoff, label=None):
         raise ValueError("sphere model requires n >= 2 (simple connectivity)")
     return DGCoalgebra(ring, cutoff, {label or ("x%d" % n): n},
                        name="sphere%d" % n)
+
+
+def wedge_contractible(doc, k):
+    """A coalgebra document quasi-isomorphic to doc: doc wedged with the
+    contractible pair e_{k+1}, f_k, d e = f.  Every loop-space invariant
+    of the variant is that of doc."""
+    e, f = "e%d" % (k + 1), "f%d" % k
+    return dict(doc, name="%s+%s%s" % (doc["name"], e, f),
+                generators=doc["generators"] + [
+                    {"label": e, "degree": k + 1}, {"label": f, "degree": k}],
+                d=dict(doc.get("d") or {}, **{e: [[1, f]]}))
 
 
 def double_loop(A):

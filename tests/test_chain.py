@@ -244,8 +244,8 @@ def test_constructions_own_their_range():
     models = [(CobarAlgebra(A3.C), None), (CobarAlgebra(circle), 5),
               (OneSidedCobar(CobarAlgebra(circle), "left"), 5),
               (OneSidedCobar(CobarAlgebra(A3.C), "right"), None),
-              (TwistedHopfTensor(InducedHopf(A3), 5), None),
-              (TwistedHopfTensor(InducedHopf(A2), 5), 5),
+              (TwistedHopfTensor(A3.hopf), None),
+              (TwistedHopfTensor(A2.hopf), 5),
               (PathLoop(A3).omega, None), (PathLoop(A3).cofixed(), None),
               (PathLoop(A2).omega, 5), (PathLoop(A2).cofixed(), 5),
               (FiberCoaction(A5, A3, trivial_family(A5, A3)).cofixed(), None),

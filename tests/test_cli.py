@@ -87,6 +87,28 @@ def test_cotor_self_builds_the_coalgebra_of_h_once(capsys, monkeypatch):
     assert built == [7]
 
 
+@pytest.mark.parametrize("argv", [
+    ["cotor", "--hopf", "self", sample("sphere3.json"), "--cutoff", "9"],
+    ["cotor", sample("sphere5.json"), "--cutoff", "11"]],
+    ids=["self-S3", "trivial-S5"])
+def test_structure_constants_present_only_degrees_with_classes(monkeypatch,
+                                                               capsys, argv):
+    """The structure constants ask every degree for its representatives,
+    but a degree with no classes has none: over Z, cotor builds a cycle
+    presentation (dense matrix, saturated kernel, Smith form) once for
+    each degree with classes and for no other, here 1 of 9 and 5 of 11."""
+    built = []
+    present = ChainComplex._cycle_presentation
+    monkeypatch.setattr(ChainComplex, "_cycle_presentation",
+                        lambda cx, n: built.append(n) or present(cx, n))
+    code, rep, _ = run_json(capsys, *argv, "--ring", "Z")
+    assert code == 0
+    classes = sorted(int(n) for n, h in rep["homology"].items()
+                     if h["rank"] or h["torsion"])
+    assert built == sorted(built) == classes
+    assert len(classes) == (1 if "self" in argv else 5)
+
+
 def test_verify_sphere3_all_pass(capsys):
     code, rep, _ = run_json(capsys, "verify", sample("sphere3.json"))
     assert code == 0
@@ -115,6 +137,33 @@ def test_verify_incoherent_family_names_generator(capsys, tmp_path):
     bad = [o for o in rep["verifications"] if o["status"] == "fail"]
     assert bad and bad[0]["suite"] == "sh-coherence"
     assert "w7" in bad[0]["detail"]
+
+
+@pytest.mark.parametrize("ring", ["Z", "F2"])
+def test_a_differential_that_does_not_square_to_zero_is_refused(capsys,
+                                                                 tmp_path,
+                                                                 ring):
+    """d a5 = b4 and d b4 = c3 pass every other input check.  The
+    commands refuse the document up front with exit 2, naming a5, and
+    verify's coalgebra suite names it too."""
+    doc = {"name": "dd", "ring": "Z", "cutoff": 8,
+           "generators": [{"label": "a5", "degree": 5},
+                          {"label": "b4", "degree": 4},
+                          {"label": "c3", "degree": 3}],
+           "d": {"a5": [[1, "b4"]], "b4": [[1, "c3"]]}}
+    path = tmp_path / "dd.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["cobar", str(path)], ["double-loop", str(path)],
+                 ["fiber", sample("sphere5.json"), str(path)]):
+        assert run(capsys, *argv, "--ring", ring) == (
+            2, "", "invariant failure: coalgebra dd fails d-square at "
+            "generator a5\n")
+    code, rep, err = run_json(capsys, "verify", str(path), "--ring", ring)
+    assert code == 2 and err.endswith("verification failed: coalgebra\n")
+    suites = {o["suite"]: o for o in rep["verifications"]}
+    assert suites["coalgebra"] == {"suite": "coalgebra", "status": "fail",
+                                   "detail": "d-square at generator a5"}
+    assert suites["sh-coherence"]["status"] == "pass"
 
 
 def test_verify_noncoassoc_fails_coassociativity(capsys):
@@ -494,7 +543,8 @@ def test_benchmark_tracer_reaches_the_layers():
             "                      (['cotor', '--hopf', 'self'], 'Z'),\n"
             "                      (['double-loop'], 'Z'),\n"
             "                      (['formal-dl'], 'F2'),\n"
-            "                      (['fiber', %r], 'Z')):\n"
+            "                      (['fiber', %r], 'Z'),\n"
+            "                      (['verify'], 'Z')):\n"
             "    argv = command + [%r, '--ring', ring, '--cutoff', '6',"
             " '--format', 'json']\n"
             "    assert tracer.root('job', cli.main, argv) == 0\n"
@@ -720,11 +770,11 @@ def test_one_process_runs_jobs_like_fresh_processes():
 
 def test_verify_builds_one_induced_hopf_and_one_path_loop(monkeypatch,
                                                            capsys):
-    from loopalg import cli
+    from loopalg import cli, shfamily
     built = []
-    for name in ("InducedHopf", "PathLoop"):
-        cls = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda A, cls=cls, name=name:
+    for module, name in ((shfamily, "InducedHopf"), (cli, "PathLoop")):
+        cls = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda A, cls=cls, name=name:
                             built.append(name) or cls(A))
     code, rep, _ = run_json(capsys, "verify", sample("sphere3.json"),
                             "--cutoff", "6")

@@ -8,7 +8,7 @@ from loopalg.rings import ZZ, Ring
 from loopalg.vectors import Vect
 from loopalg.coalg import UNIT, DGCoalgebra, tensor_coalgebra, direct_sum
 from loopalg.documents import coalgebra_from_document, load_json
-from loopalg.pathloop import path_object
+from loopalg.pathloop import bar, path_object
 
 from models import sphere_model
 
@@ -59,6 +59,24 @@ def test_coleibniz_koszul_sign_on_a_path_object(ring):
                for g in PC.gens for (_, a, b) in PC.delta_red(g).terms)
     ok, problems = PC.verify()
     assert ok, problems
+
+
+@pytest.mark.parametrize("ring", [ZZ, Ring("Fp", 2)], ids=["Z", "F2"])
+def test_verify_catches_a_differential_that_does_not_square_to_zero(ring):
+    """d a5 = b4 and d b4 = c3 keep every degree and, with no
+    comultiplication, co-Leibniz and coassociativity; only d d a5 = c3
+    shows, at a5 alone; their path object shows it at a5 and bar(a5)."""
+    C = DGCoalgebra(ring, 8, {"a5": 5, "b4": 4, "c3": 3},
+                    d={"a5": Vect(ring, [("b4", 1)]),
+                       "b4": Vect(ring, [("c3", 1)])})
+    ok, problems = C.verify()
+    assert not ok
+    assert problems == [("d-square", "a5", Vect.basis(ring, "c3"))]
+    ok, problems = path_object(C).verify()
+    assert [(kind, g) for kind, g, _ in problems] == [
+        ("d-square", "a5"), ("d-square", bar("a5"))]
+    # at cutoff 4, which drops a5, d squares to zero
+    assert DGCoalgebra(ring, 4, C.gens, d=C.d_map).verify() == (True, [])
 
 
 def test_verify_catches_noncoassociative():

@@ -89,7 +89,7 @@ def test_one_sided_cobar_blocked():
 
 def test_twisted_hopf_tensor_d2_and_acyclic():
     H = hopf(3)
-    tw = TwistedHopfTensor(H, 8)
+    tw = TwistedHopfTensor(H)
     cx = tw.to_chain_complex()
     ok, label, _ = cx.verify_differential()
     assert ok, label
@@ -100,7 +100,7 @@ def test_twisted_hopf_tensor_multiplies_by_the_unit_coefficient_only():
     """The products that cotor --hopf self forms have a left factor v (x)
     1, and (v (x) 1)(v' (x) x) = v v' (x) x; a left factor with another
     coefficient is refused, naming it."""
-    tw = TwistedHopfTensor(hopf(3, cutoff=8), 8)
+    tw = TwistedHopfTensor(hopf(3, cutoff=8))
     small = [l for n in range(4) for l in tw.basis(n)]
     units = [l for l in small if l[2] == UNIT_WORD]
     others = [l for l in small if l[2] != UNIT_WORD]
@@ -116,8 +116,8 @@ def test_twisted_hopf_tensor_multiplies_by_the_unit_coefficient_only():
 
 def test_section_and_defect_identities():
     _, A = coalgebra_from_document(load_json(NONPRIMITIVE), cutoff=6)
-    for H, top in ((hopf(3), 8), (InducedHopf(A), 6)):
-        tw = TwistedHopfTensor(H, top)
+    for H in (hopf(3), InducedHopf(A)):
+        tw = TwistedHopfTensor(H)
         ring = tw.ring
         for n in range(0, 7):
             for b in H.omega.words(n):
@@ -139,7 +139,7 @@ def test_section_and_defect_identities():
 
 def test_product_exceeding_cutoff_raises():
     H = hopf(3, cutoff=4)
-    tw = TwistedHopfTensor(H, 4)
+    tw = TwistedHopfTensor(H)
     l = tw.basis(4)[0]
     with pytest.raises(ValueError):
         tw.mul_labels(l, l)
@@ -155,7 +155,7 @@ def test_cotor_trivial_is_loop_homology():
 
 
 def test_cotor_regular_is_acyclic():
-    tw = TwistedHopfTensor(hopf(3, cutoff=6), 6)
+    tw = TwistedHopfTensor(hopf(3, cutoff=6))
     a = AlgebraOnHomology(tw.to_chain_complex(), tw.mul)
     assert betti(a.complex, 0, 5) == [1, 0, 0, 0, 0, 0]
 

@@ -12,7 +12,7 @@ import pytest
 from loopalg.rings import ZZ, QQ, F2, Ring
 from loopalg.vectors import Vect
 from loopalg.coalg import DGCoalgebra
-from loopalg.cobar import s_letter
+from loopalg.cobar import CobarAlgebra, s_letter
 from loopalg.shfamily import AWCoalgebra, InducedHopf, TensorSquare
 from loopalg.pathloop import (bar, path_object, PathLoop,
                               CofixedSubalgebra, FiberCoaction,
@@ -494,28 +494,29 @@ def test_a_fiber_over_a_non_coassociative_target_is_no_comodule():
     s[u7], and nu restricts to its comultiplication on s[R.u7]: nu is no
     coaction there, nor on the letters of u7 in the source and of bar(u7).
     comodule_defects names them with the nonzero difference of the two
-    sides.  At cutoff 6, which drops u7, there is none."""
+    sides, on codes.  At cutoff 6, which drops u7, there is none."""
     for cutoff, want in ((8, [("inl", "u7"), ("inr", "u7"),
                               ("inr", bar("u7"))]), (6, [])):
         _, A = coalgebra_from_document(load_json(os.path.join(
             SAMPLES, "noncoassoc.json")), cutoff=cutoff)
         defects = FiberCoaction(A, A, identity_family(A)).comodule_defects()
         assert [letter for letter, _ in defects] == list(map(s_letter, want))
-        assert not any(v.is_zero() for _, v in defects)
+        assert all(residue for _, residue in defects)
 
 
 def _run_recording_builds(monkeypatch, capsys, argv):
     """Run a command and record what it builds: the coactions and the
     words that their nu is asked for and works out, each InducedHopf, the
-    number of tensor coalgebras, whichever module calls for them, and
-    each TensorSquare.mul as (inside an InducedHopf letter value, its
-    right factor)."""
+    coalgebra of each CobarAlgebra, the number of tensor coalgebras,
+    whichever module calls for them, and each TensorSquare.mul as (inside
+    an InducedHopf letter value, its right factor)."""
     from loopalg import coalg
     from loopalg.cli import main
-    built = {"coactions": [], "hopfs": [], "tensors": 0, "asked": [],
-             "worked": [], "products": []}
+    built = {"coactions": [], "hopfs": [], "omegas": [], "tensors": 0,
+             "asked": [], "worked": [], "products": []}
     init, nu, tensor = InducedHopf.__init__, PathLoop.nu, \
         coalg.tensor_coalgebra
+    omega_init = CobarAlgebra.__init__
     nu_letter, mul = InducedHopf._nu_letter, TensorSquare.mul
     inside = []
 
@@ -534,6 +535,10 @@ def _run_recording_builds(monkeypatch, capsys, argv):
         built["hopfs"].append(self)
         init(self, aw)
 
+    def recording_omega(self, C):
+        built["omegas"].append(C)
+        omega_init(self, C)
+
     def recording_nu(self, word):
         if self not in built["coactions"]:
             built["coactions"].append(self)
@@ -547,6 +552,7 @@ def _run_recording_builds(monkeypatch, capsys, argv):
         return tensor(C, Cp)
 
     monkeypatch.setattr(InducedHopf, "__init__", recording_init)
+    monkeypatch.setattr(CobarAlgebra, "__init__", recording_omega)
     monkeypatch.setattr(InducedHopf, "_nu_letter", recording_nu_letter)
     monkeypatch.setattr(TensorSquare, "mul", recording_mul)
     for cls in (PathLoop, FiberCoaction):
@@ -583,12 +589,22 @@ def _check_one_product_path(built):
         assert all(len(a) + len(b) == 3 for _, a, b in v.terms), v
 
 
+def _check_one_omega_per_coalgebra(built, count):
+    """The command builds count cobar algebras, no two on one coalgebra,
+    and each InducedHopf reads the Omega C and Omega(C (x) C) of its
+    diagonal's coherence check."""
+    assert len(built["omegas"]) == len(set(map(id, built["omegas"]))) == count
+    for hopf in built["hopfs"]:
+        assert (hopf.omega, hopf.omega_tensor) == hopf.aw.psi.omegas
+        assert hopf is hopf.aw.hopf
+
+
 def test_double_loop_builds_no_comultiplication_of_a_word(monkeypatch,
                                                           capsys):
     """nu comes from the letter values of the base diagonal, on codes:
     the Z double loop of S3 at cutoff 9 builds no InducedHopf but the
-    coaction's base_hopf, and no tensor coalgebra but the document's
-    own."""
+    coaction's base_hopf, no tensor coalgebra but the document's own, and
+    no cobar algebra but Omega C, Omega(C (x) C) and Omega P(C)."""
     built = _run_recording_builds(monkeypatch, capsys, [
         "double-loop", os.path.join(SAMPLES, "sphere3.json"), "--ring", "Z",
         "--cutoff", "9"])
@@ -596,12 +612,14 @@ def test_double_loop_builds_no_comultiplication_of_a_word(monkeypatch,
     assert built["report"]["betti"] == [1, 1, 0, 0, 0, 0, 0, 0, 0]
     pl = _check_nu_on_codes(built)
     assert built["hopfs"] == [pl.base_hopf] and built["tensors"] == 1
+    _check_one_omega_per_coalgebra(built, 3)
 
 
 def test_fiber_builds_no_comultiplication_of_a_word(monkeypatch, capsys):
     """The F2 fiber of the trivial map S5 -> S3 at cutoff 9 builds no
-    InducedHopf but the coaction's base_hopf and source_hopf, and no
-    tensor coalgebra but the two documents' own."""
+    InducedHopf but the coaction's base_hopf and source_hopf, no tensor
+    coalgebra but the two documents' own, and no cobar algebra but those
+    of C', C' (x) C', C, C (x) C and C' (+) P(C)."""
     built = _run_recording_builds(monkeypatch, capsys, [
         "fiber", os.path.join(SAMPLES, "sphere5.json"),
         os.path.join(SAMPLES, "sphere3.json"), "--ring", "F2",
@@ -609,21 +627,39 @@ def test_fiber_builds_no_comultiplication_of_a_word(monkeypatch, capsys):
     fc = _check_nu_on_codes(built)
     assert built["hopfs"] == [fc.base_hopf, fc.source_hopf]
     assert built["tensors"] == 2
+    _check_one_omega_per_coalgebra(built, 5)
 
 
 def test_cotor_takes_psi_of_words_from_nu_on_codes(monkeypatch, capsys):
     """cotor --hopf self of nonprimitive over Z at cutoff 6 reads psi of
-    every word of Omega C through degree 7, and forms no label product of
-    words for it."""
+    every word of Omega C of degrees 1 through 7, and forms no label
+    product of words for it."""
     built = _run_recording_builds(monkeypatch, capsys, [
         "cotor", "--hopf", "self", os.path.join(SAMPLES, "nonprimitive.json"),
         "--ring", "Z", "--cutoff", "6"])
     (hopf,) = built["hopfs"]
     assert built["report"]["betti"] == [1] + [0] * 5
     assert len(hopf._psi_cache) == sum(
-        len(hopf.omega.words(n)) for n in range(8)) == 20
+        len(hopf.omega.words(n)) for n in range(1, 8)) == 19
     assert not built["coactions"]
     _check_one_product_path(built)
+    _check_one_omega_per_coalgebra(built, 3)
+
+
+@pytest.mark.parametrize("argv,omegas", [
+    (["cotor", "--ring", "Z"], 3), (["formal-dl", "--ring", "F2"], 3),
+    (["verify", "--ring", "Z"], 4), (["verify", "--ring", "F2"], 5)],
+    ids=["cotor", "formal-dl", "verify-Z", "verify-F2"])
+def test_commands_build_one_induced_hopf_algebra(monkeypatch, capsys, argv,
+                                                  omegas):
+    """Each command on S3 at cutoff 6 builds the document's InducedHopf
+    once, on its diagonal's Omega C, and at most one cobar algebra on any
+    coalgebra: cotor adds that of H's coalgebra, formal-dl that of P(C),
+    and verify both of these and, over a field, the bracket model's."""
+    built = _run_recording_builds(monkeypatch, capsys, argv + [
+        os.path.join(SAMPLES, "sphere3.json"), "--cutoff", "6"])
+    assert len(built["hopfs"]) == 1
+    _check_one_omega_per_coalgebra(built, omegas)
 
 
 def _index_diff_matches_label_route(sub, top):
