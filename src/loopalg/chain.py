@@ -5,7 +5,9 @@ A complex stores one ordered label list per degree (through a cutoff) and
 a column callback: n -> the sparse columns of d_n on row indices, which
 its builder makes (word algebras from their d_columns, the cofixed models
 from their projections read at the start words, a label rule through
-from_labels, which refuses a term off the stored basis).  Homology is
+from_labels, which refuses a term off the stored basis).  Its label hook
+reads a basis element for error messages and verify_differential (a word
+algebra's word of letter codes as its letters).  Homology is
 reported only through cutoff - 1: at the cutoff the incoming boundary is
 not fully known.
 
@@ -35,12 +37,14 @@ CyclePresentation = namedtuple(
 
 
 class ChainComplex:
-    def __init__(self, ring, bases, columns, cutoff):
+    def __init__(self, ring, bases, columns, cutoff, label=None):
         """bases: dict degree -> iterable of labels, kept in the order
         given (the builders hand over label_key order, which fixes every
         matrix and pivot); columns: callable n -> the columns of d_n, one
-        dict row index -> nonzero entry per label of degree n."""
+        dict row index -> nonzero entry per label of degree n; label: the
+        readable label of a stored one, the identity by default."""
         self.ring = ring
+        self.label = label or (lambda l: l)
         self.cutoff = cutoff
         self.bases = {}
         self._index = {}
@@ -56,7 +60,7 @@ class ChainComplex:
         self._square_zero = set()
 
     @classmethod
-    def from_labels(cls, ring, bases, diff, cutoff):
+    def from_labels(cls, ring, bases, diff, cutoff, label=None):
         """The complex of a label rule diff: label -> Vect of degree one
         lower.  A term off the stored basis is refused."""
         def columns(n):
@@ -69,12 +73,12 @@ class ChainComplex:
                     if i is None:
                         raise ValueError(
                             "differential of %s leaves the stored basis "
-                            "(term %s)" % (label_str(label),
-                                           label_str(out_label)))
+                            "(term %s)" % (label_str(cx.label(label)),
+                                           label_str(cx.label(out_label))))
                     col[i] = c
                 cols.append(col)
             return cols
-        cx = cls(ring, bases, columns, cutoff)
+        cx = cls(ring, bases, columns, cutoff, label)
         return cx
 
     def basis(self, n):
@@ -102,15 +106,16 @@ class ChainComplex:
         """Check d_{n-1} d_n = 0 on the sparse columns, degree by degree
         upwards.  Returns (ok, counterexample_label, residue): the first
         basis label, in basis order, whose d(d(label)) is not zero, with
-        that residue over degree n - 2.  Raises ValueError if the
-        differential leaves the stored basis."""
+        that residue over degree n - 2, both read through label.  Raises
+        ValueError if the differential leaves the stored basis."""
         for n in self.degrees():
             defect = self._square_defect(n)
             if defect:
                 j, residue = defect
                 lower = self.basis(n - 2)
-                return False, self.basis(n)[j], Vect(
-                    self.ring, {lower[i]: c for i, c in residue.items()})
+                return False, self.label(self.basis(n)[j]), Vect(
+                    self.ring, {self.label(lower[i]): c
+                                for i, c in residue.items()})
         return True, None, None
 
     def homology(self, n):

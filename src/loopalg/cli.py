@@ -16,7 +16,6 @@ import time
 from . import linalg
 from .rings import ring_from_name
 from .vectors import Vect, label_str
-from .tensoralg import UNIT_WORD
 from .cobar import (CobarAlgebra, OneSidedCobar, TwistedHopfTensor,
                     AlgebraOnHomology, coalgebra_of_hopf, s_letter)
 from .pathloop import (path_object, PathLoop, FiberCoaction,
@@ -246,6 +245,8 @@ def cmd_fiber(args, t0):
         family = identity_family(A)
     else:
         family = shmap_from_document(load_json(args.map), Cp, C)
+        # check coherence on the cobar algebras that the coaction reads
+        family.omegas = Ap.hopf.omega, A.hopf.omega
         ok, problems = family.verify()
         if not ok:
             raise MathError("map %s fails coherence: %s"
@@ -266,11 +267,11 @@ def cmd_formal_dl(args, t0):
     # the bracket model sees C alone: refuse a diagonal that makes a
     # letter of Omega C non-primitive
     hopf = A.hopf
-    for l in hopf.omega._ordered:
-        if not hopf.delta_red(("w", l)).is_zero():
+    for l, letter in enumerate(hopf.omega._ordered):
+        if not hopf.delta_red((l,)).is_zero():
             raise DocumentError("the bracket model requires primitive "
                                 "letters; the homotopy diagonal makes %s "
-                                "non-primitive" % label_str(l))
+                                "non-primitive" % label_str(letter))
     emit_homology(args, C, "formal-dl", fm, t0)
 
 
@@ -324,15 +325,16 @@ def _verify_suites(C, A):
         require_degree2(C, "section-defect")
         hopf = A.hopf
         tw = TwistedHopfTensor(hopf)
+        letter = tw.omega.code
         for n in range(cutoff + 1):
-            for b in hopf.omega.words(n):
+            for b in map(hopf.omega.label, hopf.omega.words(n)):
                 v = Vect.basis(C.ring, b)
                 # the closed form, from the reduced comultiplication alone
                 want = Vect(C.ring)
                 if n:
-                    want.iadd_term(1, ("t", ("w", s_letter(b)), UNIT_WORD))
-                    for (_, h, bp), c in hopf.delta_red(b).items():
-                        want.iadd_term(c, ("t", ("w", s_letter(h)), bp))
+                    want.iadd_term(1, ("t", (letter[s_letter(b)],), tw.unit))
+                    for (_, h, bp), c in tw.C.delta_red(b).items():
+                        want.iadd_term(c, ("t", (letter[s_letter(h)],), bp))
                 if tw.section_defect(v) != want:
                     return "fail", "element %s" % label_str(b)
                 if not (tw.projection(tw.section(v)) - v).is_zero():
@@ -343,19 +345,21 @@ def _verify_suites(C, A):
         # nu kappa = (kappa (x) 1)psi holds on letters by construction of
         # nu; the suite checks it on longer words, and d kappa + kappa d = 0
         pl = path_loop()
+        ob = pl.omega_base
+        at = ob.label  # a base word as read
         for deg in range(small + 1):
-            for w in pl.omega_base.words(deg, pl.omega_base.cap):
+            for w in ob.words(deg, ob.cap):
                 v = Vect.basis(C.ring, w)
-                if not (pl.kappa(v.map_terms(pl.omega_base.d_word)) +
+                if not (pl.kappa(v.map_terms(ob.d_word)) +
                         pl.kappa(v).map_terms(pl.omega.d_word)).is_zero():
-                    return "fail", "anticommutation at %s" % label_str(w)
+                    return "fail", "anticommutation at %s" % label_str(at(w))
                 left = pl.kappa(v).map_terms(pl.coaction)
                 right = Vect(C.ring)
                 for (_, a, b), c in pl.base_hopf.psi(w).items():
                     for u2, c2 in pl.kappa(Vect.basis(C.ring, a)).items():
                         right.iadd_term(c * c2, ("t", u2, b))
                 if not (left - right).is_zero():
-                    return "fail", "coaction identity at %s" % label_str(w)
+                    return "fail", "coaction identity at %s" % label_str(at(w))
         return "pass", None
 
     def cofreeness():
@@ -389,7 +393,7 @@ def _verify_suites(C, A):
                 lhs = omT.d_word(w).map_terms(split)
                 rhs = split(w).map_terms(hopf.tsq.diff)
                 if not (lhs - rhs).is_zero():
-                    return "fail", "word %s" % label_str(w)
+                    return "fail", "word %s" % label_str(omT.label(w))
         return "pass", None
 
     def formal():

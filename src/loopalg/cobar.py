@@ -15,7 +15,7 @@ by left factors with the unit coefficient.
 
 from .vectors import Vect, label_key, label_str, bilinear
 from .coalg import UNIT, DGCoalgebra
-from .tensoralg import FreeAlgebra, UNIT_WORD, concat
+from .tensoralg import FreeAlgebra
 
 
 def s_letter(label):
@@ -33,14 +33,14 @@ class CobarAlgebra(FreeAlgebra):
         super().__init__(C.ring, C.cutoff, letters, weights)
         self.set_differential(self._d_letter)
 
-    def _d_letter(self, letter):
-        g = letter[1]
+    def _d_letter(self, l):
+        g, code = self._ordered[l][1], self.code
         out = Vect(self.ring)
         for o, c in self.C.d_of(g).items():
-            out.iadd_term(-c, ("w", s_letter(o)))
+            out.iadd_term(-c, (code[s_letter(o)],))
         for (_, a, b), c in self.C.delta_red(g).items():
             sign = -1 if self.C.degree(a) % 2 else 1
-            out.iadd_term(sign * c, ("w", s_letter(a), s_letter(b)))
+            out.iadd_term(sign * c, (code[s_letter(a)], code[s_letter(b)]))
         return out
 
 
@@ -48,9 +48,10 @@ class OneSidedCobar:
     """C (x) Omega C (side 'right') or Omega C (x) C (side 'left'), with
     C = omega.C a comodule over itself by its own comultiplication, and
     the twisted differential.  Labels are ('t', m, word) resp. ('t', word,
-    m), with m a generator of C or unit, which stands for the unit of C
-    in degree 0 and weight 0.  Its cap bounds the total weight across both
-    slots: none if omega is of finite type, else the cutoff."""
+    m), with m a generator of C or unit (the unit of C, in degree 0 and
+    weight 0) and word a word of omega, which readable() reads as letters.
+    Its cap bounds the total weight across both slots: none if omega is
+    of finite type, else the cutoff."""
 
     def __init__(self, omega, side, unit=UNIT):
         if side not in ("left", "right"):
@@ -75,6 +76,10 @@ class OneSidedCobar:
         if self.side == "right":
             return label[1], label[2]
         return label[2], label[1]
+
+    def readable(self, label):
+        m, word = self.split(label)
+        return self.label(m, self.omega.label(word))
 
     def coeff_degree(self, m):
         return self.C.gens.get(m, 0)
@@ -131,8 +136,8 @@ class OneSidedCobar:
             for (_, mi, ci), c in self.coaction(m):
                 # (-1)^(|m_i|+1); test_acceptance criteria 01 and 02 pin it
                 s = 1 if self.coeff_degree(mi) % 2 else -1
-                out.iadd_term(s * c,
-                              self.label(mi, ("w", s_letter(ci)) + word[1:]))
+                out.iadd_term(s * c, self.label(
+                    mi, (self.omega.code[s_letter(ci)],) + word))
         else:
             # d(w (x) x) = dw (x) x + (-1)^{|w|} w (x) dx
             #              + (-1)^{|w|} (w | s[x_i]) (x) x^i
@@ -143,40 +148,45 @@ class OneSidedCobar:
                 out.iadd_term(sign * c, self.label(o, word))
             for (_, ci, mi), c in self.coaction(m):
                 # sign +1; test_cobar and the section-defect test pin it
-                out.iadd_term(sign * c, self.label(mi, word + (s_letter(ci),)))
+                out.iadd_term(sign * c, self.label(
+                    mi, word + (self.omega.code[s_letter(ci)],)))
         return out
 
     def to_chain_complex(self):
         from .chain import ChainComplex
         bases = {n: self.basis(n) for n in range(self.cutoff + 1)}
         return ChainComplex.from_labels(self.ring, bases, self.diff,
-                                        self.cutoff)
+                                        self.cutoff, self.readable)
 
 
 def coalgebra_of_hopf(H, cutoff):
     """The underlying coalgebra of an InducedHopf H through the given
-    degree, on its words of positive degree, so that its cobar algebra
-    can be formed."""
+    degree, on the labels of its words of positive degree, so that its
+    cobar algebra can be formed, with letters such as s[s[x2]|s[y3]]."""
     om = H.omega
-    gens = {h: n for n in range(1, cutoff + 1) for h in om.words(n)}
-    return DGCoalgebra(H.ring, cutoff, gens,
-                       {h: om.d_word(h) for h in gens},
-                       {h: H.delta_red(h) for h in gens},
-                       weights={h: om.weight(h) for h in gens})
+    read = {h: om.label(h) for n in range(cutoff + 1) for h in om.words(n)}
+    gens = [h for h in read if h]
+    return DGCoalgebra(
+        H.ring, cutoff, {read[h]: om.degree(h) for h in gens},
+        {read[h]: Vect(H.ring, [(read[u], c) for u, c in om.d_word(h).items()])
+         for h in gens},
+        {read[h]: Vect(H.ring, [(("t", read[u], read[v]), c) for (_, u, v), c
+                                in H.delta_red(h).items()]) for h in gens},
+        weights={read[h]: om.weight(h) for h in gens})
 
 
 class TwistedHopfTensor(OneSidedCobar):
     """Omega H (x) H: the left one-sided cobar construction on an
     InducedHopf H as a comodule over itself (the model of its based-path
     fibration), with its chain algebra structure.  Labels here are ('t',
-    word, h) with word a word in letters s[h] and h a word of H.omega;
-    its cutoff is H's."""
+    word, h) with word a word in letters s[h] and h the label of a word of
+    H.omega, as coalgebra_of_hopf gives it; its cutoff is H's."""
 
     def __init__(self, H):
         # letters of Omega H reach degree cutoff, i.e. H elements of
         # degree cutoff + 1; basis() stops the coefficients at the cutoff
         super().__init__(CobarAlgebra(coalgebra_of_hopf(H, H.cutoff + 1)),
-                         "left", unit=UNIT_WORD)
+                         "left", unit=H.omega.label(()))
         self.cutoff = H.cutoff  # omega's is one higher; the cap follows this
 
     def mul_labels(self, l1, l2):
@@ -191,15 +201,14 @@ class TwistedHopfTensor(OneSidedCobar):
         if c != self.unit:
             raise ValueError("product with left coefficient %s: only the "
                              "unit is supported" % label_str(c))
-        return Vect.basis(self.ring, ("t", concat(v, vp), x))
+        return Vect.basis(self.ring, ("t", v + vp, x))
 
     def mul(self, u, v):
         return bilinear(self.ring, u, v, self.mul_labels)
 
     def section(self, bvect):
         """The degree-0 splitting b -> 1 (x) b of the projection to H."""
-        return Vect(self.ring, [(("t", UNIT_WORD, b), c)
-                                for b, c in bvect.items()])
+        return Vect(self.ring, [(("t", (), b), c) for b, c in bvect.items()])
 
     def section_defect(self, bvect):
         """d(1 (x) b) - 1 (x) db; a chain homotopy datum.  On a basis
@@ -211,7 +220,7 @@ class TwistedHopfTensor(OneSidedCobar):
     def projection(self, vect):
         """The projection w (x) h -> counit(w) h onto H."""
         return Vect(self.ring, [(h, c) for (_, word, h), c in vect.items()
-                                if word == UNIT_WORD])
+                                if not word])
 
 
 class AlgebraOnHomology:

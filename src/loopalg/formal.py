@@ -67,22 +67,22 @@ class FormalDoubleLoop(FreeAlgebra):
         self.set_differential(self._d_gen)
 
     # -- commutator expansion -------------------------------------------
-    def expand_generator(self, label):
-        """The bracket as a Vect of path-loop cobar words."""
-        if label in self._expansion_cache:
-            return self._expansion_cache[label]
-        (_, vs, w) = label
-        out = Vect.basis(self.ring, ("w", w))
-        deg = self.omega.letters[w]
+    def expand_generator(self, l):
+        """The bracket of code l as a Vect of path-loop cobar words."""
+        if l in self._expansion_cache:
+            return self._expansion_cache[l]
+        (_, vs, w) = self._ordered[l]
+        om = self.omega
+        out, deg = Vect.basis(self.ring, (om.code[w],)), om.letters[w]
         for v in reversed(vs):
-            vdeg = self.omega.letters[v]
-            vv = Vect.basis(self.ring, ("w", v))
+            vdeg = om.letters[v]
+            vv = Vect.basis(self.ring, (om.code[v],))
             left = self.omega.mul(vv, out)
             right = self.omega.mul(out, vv)
             sign = -1 if (vdeg * deg) % 2 else 1
             out = left - right.scale(sign)
             deg += vdeg
-        self._expansion_cache[label] = out
+        self._expansion_cache[l] = out
         return out
 
     def expand(self, vect):
@@ -92,11 +92,10 @@ class FormalDoubleLoop(FreeAlgebra):
         return vect.map_terms(fn)
 
     # -- transported differential ---------------------------------------
-    def _d_gen(self, label):
+    def _d_gen(self, l):
         """Solved once per generator; the derivation caches letter values."""
-        n = self.letters[label]
-        wt = self.weights[label]
-        target = self.expand_generator(label).map_terms(self.omega.d_word)
+        n, wt = self.deg[l], self.wt[l]
+        target = self.expand_generator(l).map_terms(self.omega.d_word)
         words = [u for u in self.words(n - 1, wt)
                  if self.weight(u) == wt] if n >= 1 else []
         expansions = [self.expand(Vect.basis(self.ring, u)).terms
@@ -108,5 +107,5 @@ class FormalDoubleLoop(FreeAlgebra):
         except ValueError:
             raise ValueError(
                 "transported differential of %s does not lie in the "
-                "bracket subalgebra" % label_str(label))
+                "bracket subalgebra" % label_str(self._ordered[l]))
         return Vect(self.ring, list(zip(words, sol)))

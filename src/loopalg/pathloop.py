@@ -87,9 +87,9 @@ class _Coaction(Coaction):
 
     def __init__(self, include, barred):
         super().__init__(include)
-        B = self.omega_base
         # bars: base code -> omega code of the partner; _unbar its inverse
-        self._bars = [self._codes[0][barred(l)] for l in B._ordered]
+        self._bars = [self.omega.code[barred(l)]
+                      for l in self.omega_base._ordered]
         self._unbar = {a: b for b, a in enumerate(self._bars)}
 
     def _nu_letter(self, l):
@@ -128,8 +128,8 @@ class PathLoop(_Coaction):
     def kappa(self, vect):
         """The degree -1 derivation of Omega C into the path-loop algebra
         with kappa(s[c]) = -s[bar c]."""
-        values = {l: Vect.basis(self.ring, ("w", s_letter(bar(l[1]))), -1)
-                  for l in self.omega_base.letters}
+        values = {b: Vect.basis(self.ring, (a,), -1)
+                  for b, a in enumerate(self._bars)}
         return vect.map_terms(self.omega_base.derivation(values))
 
 
@@ -164,7 +164,7 @@ class CofixedSubalgebra:
         if key not in self._kernels:
             co = self.coaction
             words = self.ambient.words(n, self.cap)
-            index = {co._encode(u): j for j, u in enumerate(words)}
+            index = {u: j for j, u in enumerate(words)}
             starts, vecs = {}, []
             for u, j in index.items():
                 if not u or u[-1] not in co._base:
@@ -190,9 +190,6 @@ class CofixedSubalgebra:
     def vector_of(self, label):
         words, vecs = self._kernel(label[1])
         return Vect(self.ring, {words[j]: c for j, c in vecs[label[2]].items()})
-
-    def rank(self, n):
-        return len(self.basis(n))
 
     def coordinates(self, n, vect):
         """A cofixed Vect over ambient words of degree n in the synthetic
@@ -261,6 +258,9 @@ class FiberCoaction(_Coaction):
         self.source_hopf = Aprime.hopf
         self._theta = omega_family.induced_map(self.source_hopf.omega,
                                                self.omega_base)
+        # inl: source code -> omega code of the inl letter
+        self._inl = [self.omega.code[s_letter(("inl", a[1]))]
+                     for a in self.source_hopf.omega._ordered]
         super().__init__(lambda letter: s_letter(("inr", letter[1])),
                          lambda letter: s_letter(("inr", bar(letter[1]))))
 
@@ -268,12 +268,12 @@ class FiberCoaction(_Coaction):
         tag, x = self.omega._ordered[l][1]
         if tag == "inr":
             return super()._nu_letter(l)
-        terms, inl = {}, self._codes[0]
-        for (_, u, v), c in self.source_hopf.psi(("w", s_letter(x))).items():
-            left = tuple(inl[s_letter(("inl", a[1]))] for a in u[1:])
+        terms, inl = {}, self._inl
+        psi = self.source_hopf.nu((self.source_hopf.omega.code[s_letter(x)],))
+        for (u, v), c in psi.items():
+            left = tuple(map(inl.__getitem__, u))
             for w, cw in self._theta(v).items():
-                key = (left, self._encode(w, 1))
-                terms[key] = terms.get(key, 0) + c * cw
+                terms[left, w] = terms.get((left, w), 0) + c * cw
         return self.ring.reduce(terms)
 
 

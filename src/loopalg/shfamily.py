@@ -24,7 +24,6 @@ import functools
 
 from .vectors import Vect, label_key
 from .coalg import UNIT, tensor_coalgebra
-from .tensoralg import UNIT_WORD
 from .cobar import CobarAlgebra, s_letter
 
 
@@ -74,8 +73,8 @@ class SHFamily:
 
     @functools.cached_property
     def omegas(self):
-        """The cobar algebras of the source and the target, built once for
-        the coherence check and a diagonal's induced Hopf algebra."""
+        """The cobar algebras of source and target for the coherence check
+        and a diagonal's InducedHopf, built once unless a caller sets them."""
         return CobarAlgebra(self.source), CobarAlgebra(self.target)
 
     def chain_map_defect(self, gen):
@@ -85,7 +84,7 @@ class SHFamily:
         if gen not in self._defects:
             oms, omt = self.omegas
             ind = self.induced_map(oms, omt)
-            letter = ("w", s_letter(gen))
+            letter = (oms.code[s_letter(gen)],)
             self._defects[gen] = (ind(letter).map_terms(omt.d_word)
                                   - oms.d_word(letter).map_terms(ind))
         return self._defects[gen]
@@ -94,7 +93,7 @@ class SHFamily:
         """Length-k word component of the chain map defect; the level-k
         coherence obstruction of the family at gen."""
         return Vect(self.ring, [t for t in self.chain_map_defect(gen).items()
-                                if len(t[0]) == k + 1])
+                                if len(t[0]) == k])
 
     def verify(self):
         """Check degree bookkeeping and that the induced cobar map is a
@@ -108,12 +107,10 @@ class SHFamily:
                     problems.append(("coherence", k, g, res))
         return (not problems), problems
 
-    def induced_letter_value(self, letter):
+    def induced_letter_value(self, c, omega_target):
         """ind(theta)(s[c]) = sum_k s^{-1 (x)k} theta_k(c), a Vect of words
-        of the target cobar algebra."""
-        ring = self.ring
-        c = letter[1]
-        out = Vect(ring)
+        of omega_target, the target cobar algebra."""
+        out, code = Vect(self.ring), omega_target.code
         for k in self.components:
             for label, coef in self.component(k, c).items():
                 parts = label[1:]
@@ -121,13 +118,15 @@ class SHFamily:
                 exp = sum(degs[i] * (k - 1 - i) for i in range(k))
                 sign = -1 if exp % 2 else 1
                 out.iadd_term(sign * coef,
-                              ("w",) + tuple(s_letter(p) for p in parts))
+                              tuple(code[s_letter(p)] for p in parts))
         return out
 
     def induced_map(self, omega_source, omega_target):
         """The induced algebra map Omega C -> Omega C' on words."""
-        return omega_source.algebra_map(self.induced_letter_value,
-                                        omega_target.mul, omega_target.unit)
+        letters = omega_source._ordered
+        return omega_source.algebra_map(
+            lambda l: self.induced_letter_value(letters[l][1], omega_target),
+            omega_target.mul, omega_target.unit)
 
 
 class TensorSquare:
@@ -141,11 +140,11 @@ class TensorSquare:
         self.cutoff = min(omA.cutoff, omB.cutoff)
 
     def unit(self):
-        return Vect.basis(self.ring, ("t", UNIT_WORD, UNIT_WORD))
+        return Vect.basis(self.ring, ("t", (), ()))
 
     def mul(self, u, v):
         """(a1 (x) a2)(b1 (x) b2) = (-1)^{|a2||b1|} a1 b1 (x) a2 b2."""
-        right = [(b1[1:], b2[1:], cb, self.omA.degree(b1) % 2)
+        right = [(b1, b2, cb, self.omA.degree(b1) % 2)
                  for (_, b1, b2), cb in v.terms.items()]
         terms = {}
         for (_, a1, a2), ca in u.terms.items():
@@ -171,12 +170,12 @@ def letterwise_split(omega_tensor, tsq):
     both components positive go to zero."""
     ring = omega_tensor.ring
 
-    def letter_value(letter):
-        (_, a, b) = letter[1]
+    def letter_value(l):
+        (_, a, b) = omega_tensor._ordered[l][1]
         if b == UNIT:
-            return Vect.basis(ring, ("t", ("w", s_letter(a)), UNIT_WORD))
+            return Vect.basis(ring, ("t", (tsq.omA.code[s_letter(a)],), ()))
         if a == UNIT:
-            return Vect.basis(ring, ("t", UNIT_WORD, ("w", s_letter(b))))
+            return Vect.basis(ring, ("t", (), (tsq.omB.code[s_letter(b)],)))
         return Vect.zero(ring)
 
     return omega_tensor.algebra_map(letter_value, tsq.mul, tsq.unit)
@@ -226,32 +225,25 @@ class AWCoalgebra:
 
 class Coaction:
     """A right coaction nu of a word algebra omega over base_hopf, the
-    induced Hopf algebra on omega_base, on int codes: a letter is its index
-    in label_key order, a word a tuple of codes, a value a dict (code word,
-    base code word) -> nonzero coefficient.  nu is a map of chain algebras,
-    the product of the letter values of _nu_letter.  A subclass sets ring,
-    cutoff, omega, omega_base and base_hopf, then calls this __init__ with
-    include, the letter of omega that a base letter is."""
+    induced Hopf algebra on omega_base, on the algebras' words (tuples of
+    letter codes, see tensoralg): a value is a dict (word, base word) ->
+    nonzero coefficient.  nu is a map of chain algebras, the product of
+    the letter values of _nu_letter.  A subclass sets ring, cutoff, omega,
+    omega_base and base_hopf, then calls this __init__ with include, the
+    letter of omega that a base letter is."""
 
     def __init__(self, include):
         A, B = self.omega, self.omega_base
         self._cap = A.cap  # an attribute: nu reads it on every call
-        self._codes = [{l: i for i, l in enumerate(om._ordered)}
-                       for om in (A, B)]
-        self._decoded = [(om._ordered, {}) for om in (A, B)]
-        self._deg = [A.letters[l] for l in A._ordered]
-        self._wt = [A.weights[l] for l in A._ordered]
-        self._odd_b = [B.letters[l] % 2 for l in B._ordered]
+        self._deg, self._wt = A.deg, A.wt
+        self._odd_b = [d % 2 for d in B.deg]
         self._shapes = set(zip(self._deg, self._wt))
         self._dmin = min(self._deg, default=0)
         self._nu_cache, self._factors, self._odd = {}, {}, {}
         # iota: base code -> omega code of the letter; _base its inverse
-        self._iota = [self._codes[0][include(l)] for l in B._ordered]
+        self._iota = [A.code[include(l)] for l in B._ordered]
         self._base = {a: b for b, a in enumerate(self._iota)}
         self._antipodes = {(): {(): self.ring.one}}
-
-    def _encode(self, word, slot=0):
-        return tuple(map(self._codes[slot].__getitem__, word[1:]))
 
     def _nu_letter(self, l):
         """nu of the code l of an included base letter b: (iota (x)
@@ -353,9 +345,8 @@ class Coaction:
         return defects
 
     def column(self, word):
-        """nu(word) - word (x) 1 on codes, for a label word."""
-        u = self._encode(word)
-        col, key = dict(self.nu(u)), (u, ())
+        """nu(word) - word (x) 1."""
+        col, key = dict(self.nu(word)), (word, ())
         if col.get(key) == 1:
             del col[key]
         else:
@@ -363,22 +354,18 @@ class Coaction:
         return col
 
     def coaction(self, word):
-        """nu of a label word, over ('t', word, base word); each code word
-        is decoded once."""
-        (A, la), (B, lb) = self._decoded
-        return Vect.from_sums(self.ring, {
-            ("t", la.get(u) or la.setdefault(u, ("w", *map(A.__getitem__, u))),
-             lb.get(v) or lb.setdefault(v, ("w", *map(B.__getitem__, v)))): c
-            for (u, v), c in self.nu(self._encode(word)).items()})
+        """nu of a word as a Vect over ('t', word, base word)."""
+        return Vect.from_sums(self.ring, {("t", u, v): c for (u, v), c
+                                          in self.nu(word).items()})
 
 
 class InducedHopf(Coaction):
     """The cobar algebra of C with the comultiplication psi induced by a
     homotopy diagonal, as the regular coaction of Omega C on itself: omega
     is omega_base and include the identity.  A letter's value is ind
-    Psi(letter) pushed through the letterwise split, on codes.  Serves as
-    the Hopf algebra input of the twisted constructions; its element
-    labels are cobar words."""
+    Psi(letter) pushed through the letterwise split.  Serves as the Hopf
+    algebra input of the twisted constructions; its elements are words of
+    omega."""
 
     def __init__(self, aw):
         self.aw = aw
@@ -392,23 +379,23 @@ class InducedHopf(Coaction):
         super().__init__(lambda letter: letter)
 
     def _nu_letter(self, l):
-        value = self.aw.psi.induced_letter_value(self.omega._ordered[l])
-        return {(self._encode(u), self._encode(v)): c
-                for (_, u, v), c in value.map_terms(self._split).items()}
+        value = self.aw.psi.induced_letter_value(self.omega._ordered[l][1],
+                                                 self.omega_tensor)
+        return {t[1:]: c for t, c in value.map_terms(self._split).items()}
 
     def psi(self, word):
-        """Full comultiplication of a label word, over ('t', word, word):
-        nu decoded, kept per word."""
+        """Full comultiplication of a word, over ('t', word, word): nu as a
+        Vect, kept per word."""
         val = self._psi_cache.get(word)
         if val is None:
             val = self._psi_cache[word] = self.coaction(word)
         return val
 
     def delta_red(self, word):
-        if word == UNIT_WORD:
+        if not word:
             return Vect.zero(self.ring)
-        return self.psi(word) - Vect(self.ring, {("t", word, UNIT_WORD): 1,
-                                                 ("t", UNIT_WORD, word): 1})
+        return self.psi(word) - Vect(self.ring, {("t", word, ()): 1,
+                                                 ("t", (), word): 1})
 
     def coassociativity_defects(self):
         """(psi (x) 1)psi - (1 (x) psi)psi on every letter: psi is the
@@ -420,8 +407,8 @@ class InducedHopf(Coaction):
     def chain_map_defects(self):
         """psi d - (d (x) 1 + 1 (x) d) psi on every letter."""
         defects = []
-        for letter in self.omega._ordered:
-            word = ("w", letter)
+        for l, letter in enumerate(self.omega._ordered):
+            word = (l,)
             lhs = self.omega.d_word(word).map_terms(self.psi)
             rhs = self.psi(word).map_terms(self.tsq.diff)
             if not (lhs - rhs).is_zero():

@@ -6,7 +6,8 @@ Labels are strings or nested tuples whose first entry is a constructor tag:
     ("inl", l) / ("inr", l)    direct-sum inclusions
     ("tp", a, b)               generator of a tensor-product coalgebra
     ("s", l)                   cobar letter s^{-1}l
-    ("w", l1, ..., lk)         word in a free algebra (("w",) is the unit)
+    ("w", l1, ..., lk)         a free-algebra word as read (("w",) the unit),
+                               stored as the tuple of its letter codes
     ("t", l1, ..., lk)         element of a tensor product of modules
     ("br", (v...), w)          iterated-bracket generator of the formal model
     ("k", n, i)                synthetic basis vector of a cofixed subalgebra
@@ -34,7 +35,7 @@ def label_str(label):
     """Human-readable rendering, used in reports and error messages."""
     if isinstance(label, str):
         return label
-    tag = label[0]
+    tag = label[:1] and label[0]  # a word of codes has no tag
     if tag == "bar":
         return "bar(%s)" % label_str(label[1])
     if tag == "inl":

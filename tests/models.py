@@ -1,16 +1,16 @@
 """Model builders and readings that only the tests use: sphere
 coalgebras, the double-loop and fiber models together with their
-coactions and their reduced coactions over labels, the homotopy diagonals
-on P(C) and on a coproduct from which the coactions were once built and
-which now serve as their oracle, the tensor square of two cobar algebras
-as a chain complex, a complex's Betti numbers, and quasi-isomorphic
-variants of a document."""
+coactions and their reduced coactions, the homotopy diagonals on P(C) and
+on a coproduct from which the coactions were once built and which now
+serve as their oracle, the reading of word vectors as labels that lets
+algebras with different letter codes be compared, the tensor square of
+two cobar algebras as a chain complex, a complex's Betti numbers, and
+quasi-isomorphic variants of a document."""
 
 from loopalg.chain import ChainComplex
 from loopalg.coalg import UNIT, DGCoalgebra, direct_sum, tensor_coalgebra
 from loopalg.pathloop import PathLoop, FiberCoaction, bar, path_object
 from loopalg.shfamily import AWCoalgebra, SHFamily
-from loopalg.tensoralg import UNIT_WORD
 from loopalg.vectors import Vect, label_key
 
 
@@ -121,7 +121,18 @@ def aw_coproduct(A, Ap):
 def reduced_coaction(co):
     """word -> coaction(word) - word (x) 1 of a path-loop or fiber
     coaction, over ('t', word, base word)."""
-    return lambda u: co.coaction(u) - Vect.basis(co.ring, ("t", u, UNIT_WORD))
+    return lambda u: co.coaction(u) - Vect.basis(co.ring, ("t", u, ()))
+
+
+def read(vect, *algebras):
+    """A Vect over words of one algebra, or over ('t', word, ...) with a
+    word of each algebra in turn, with every word read as its label."""
+    if len(algebras) == 1:
+        return Vect(vect.ring, [(algebras[0].label(w), c)
+                                for w, c in vect.items()])
+    return Vect(vect.ring, [(("t",) + tuple(
+        om.label(w) for om, w in zip(algebras, key[1:])), c)
+        for key, c in vect.items()])
 
 
 def tensor_square_complex(tsq):
@@ -131,7 +142,9 @@ def tensor_square_complex(tsq):
                         for wa in tsq.omA.words(p)
                         for wb in tsq.omB.words(n - p)), key=label_key)
              for n in range(tsq.cutoff + 1)}
-    return ChainComplex.from_labels(tsq.ring, bases, tsq.diff, tsq.cutoff)
+    return ChainComplex.from_labels(
+        tsq.ring, bases, tsq.diff, tsq.cutoff,
+        lambda t: ("t", tsq.omA.label(t[1]), tsq.omB.label(t[2])))
 
 
 def betti(cx, lo=0, hi=None):

@@ -594,6 +594,67 @@ def test_library_error_exits_3_on_one_line(capsys):
                "--verify-all") == (code, out, err)
 
 
+# the words of S2xS3 over F2 at cutoff 5 that leave the weight-capped
+# bases of Omega H, Omega H (x) H and the path-loop algebra, read as labels
+# at the error boundary: the first word, degree by degree in basis order,
+# and the first of its terms above the cap
+H_WORD, H_TERM = ("s[s[x2]]|s[s[x2]]|s[s[x2]]|s[s[x2]]|s[s[z5]]",
+                  "s[s[x2]]|s[s[x2]]|s[s[x2]]|s[s[x2]]|s[s[x2]|s[y3]]")
+PATH_LOOP_LEAK = (
+    "differential of s[bar(x2)]|s[bar(x2)]|s[bar(x2)]|s[bar(x2)]|"
+    "s[bar(z5)] leaves the stored basis (term s[bar(x2)]|s[bar(x2)]|"
+    "s[bar(x2)]|s[bar(x2)]|s[bar(x2)]|s[y3])")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cotor"], "differential of %s leaves the stored basis (term %s)"
+     % (H_WORD, H_TERM)),
+    (["cotor", "--hopf", "self"], "differential of (%s (x) 1) leaves the "
+     "stored basis (term (%s (x) 1))" % (H_WORD, H_TERM)),
+    (["path-loop"], PATH_LOOP_LEAK)],
+    ids=["cotor", "cotor-self", "path-loop"])
+def test_words_are_read_as_labels_in_error_messages(capsys, argv, message):
+    doc = os.path.join(HERE, "tests", "golden", "inputs", "product2-3.json")
+    assert run(capsys, *argv, doc, "--cutoff", "5") == (
+        3, "", "internal error: %s\n" % message)
+
+
+def test_words_are_read_as_labels_in_verify_details(capsys):
+    doc = os.path.join(HERE, "tests", "golden", "inputs", "product2-3.json")
+    code, rep, err = run_json(capsys, "verify", doc, "--cutoff", "5")
+    assert code == 2
+    assert err.endswith("verification failed: path-loop-d2\n")
+    assert [o for o in rep["verifications"] if o["status"] == "fail"] == [
+        {"suite": "path-loop-d2", "status": "fail",
+         "detail": PATH_LOOP_LEAK}]
+
+
+POINT = {"name": "pt", "ring": "Z", "cutoff": 8, "generators": []}
+
+
+@pytest.mark.parametrize("ring", ["Z", "F2", "Fp:3"])
+@pytest.mark.parametrize("doc", sorted(os.listdir(SAMPLES)))
+def test_fibers_of_maps_to_and_from_a_point(capsys, tmp_path, doc, ring):
+    """The fiber of pt -> X is the double loop of X, and the fiber of X ->
+    pt is the loop space of X, on the cobar algebra: the whole homology
+    agrees at cutoff 8, and noncoassoc, whose induced diagonal is not
+    coassociative, is refused by fiber and double-loop alike."""
+    pt = tmp_path / "pt.json"
+    pt.write_text(json.dumps(POINT))
+    flags = ["--ring", ring, "--cutoff", "8"]
+    for fiber, model in (([str(pt), sample(doc)], ["double-loop"]),
+                         ([sample(doc), str(pt)], ["cobar"])):
+        code, rep, err = run_json(capsys, "fiber", *fiber, *flags)
+        want_code, want, want_err = run_json(capsys, *model, sample(doc),
+                                             *flags)
+        refused = doc == "noncoassoc.json" and model == ["double-loop"]
+        assert code == want_code == (2 if refused else 0), fiber
+        if refused:
+            assert err == want_err, fiber
+        else:
+            assert rep["homology"] == want["homology"], fiber
+
+
 @pytest.mark.parametrize("cutoff,status", [(4, "pass"), (5, "fail"),
                                            (6, "fail")])
 def test_verify_refuses_a_differential_that_leaves_the_basis(capsys, cutoff,
@@ -659,14 +720,16 @@ def test_built_bases_are_in_label_key_order(monkeypatch, capsys, command,
                                             flags):
     """ChainComplex keeps the order it is given, so every basis that a
     command builds on the sample and golden documents must come from its
-    builder in label_key order."""
+    builder in label_key order, read through the complex's label hook (a
+    word algebra stores words of letter codes)."""
     built = []
     init = ChainComplex.__init__
 
     def recording(self, ring, bases, *args, **kwargs):
         bases = {n: list(labels) for n, labels in bases.items()}
-        built.append((doc, bases))
         init(self, ring, bases, *args, **kwargs)
+        built.append((doc, {n: list(map(self.label, labels))
+                            for n, labels in bases.items()}))
 
     monkeypatch.setattr(ChainComplex, "__init__", recording)
     for doc in DOCUMENTS:

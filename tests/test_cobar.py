@@ -9,14 +9,13 @@ import pytest
 
 from loopalg.rings import ZZ, F2
 from loopalg.vectors import Vect, label_str
-from loopalg.tensoralg import UNIT_WORD, concat
 from loopalg.coalg import DGCoalgebra
 from loopalg.cobar import (CobarAlgebra, OneSidedCobar, TwistedHopfTensor,
                            AlgebraOnHomology, coalgebra_of_hopf, s_letter)
 from loopalg.shfamily import AWCoalgebra, InducedHopf
 from loopalg.documents import coalgebra_from_document, load_json
 
-from models import sphere_model, betti
+from models import sphere_model, betti, read
 
 NONPRIMITIVE = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "sample_inputs", "nonprimitive.json")
@@ -51,8 +50,10 @@ def test_cobar_differential_on_letter():
                     delta={"v": Vect(ZZ, [(("t", "a", "b"), 1)]),
                            "w": Vect(ZZ, [(("t", "a", "a"), 1)])})
     om = CobarAlgebra(C)
-    dv = om.d_word(("w", s_letter("v")))
-    assert dv.terms == {
+    a, b, v, w = (om.code[s_letter(g)] for g in "abvw")
+    dv = om.d_word((v,))
+    assert dv.terms == {(w,): -1, (a, b): 1}
+    assert read(dv, om).terms == {
         ("w", s_letter("w")): -1,
         ("w", s_letter("a"), s_letter("b")): 1,
     }
@@ -102,12 +103,12 @@ def test_twisted_hopf_tensor_multiplies_by_the_unit_coefficient_only():
     coefficient is refused, naming it."""
     tw = TwistedHopfTensor(hopf(3, cutoff=8))
     small = [l for n in range(4) for l in tw.basis(n)]
-    units = [l for l in small if l[2] == UNIT_WORD]
-    others = [l for l in small if l[2] != UNIT_WORD]
-    assert len(units) > 1 and others
+    units = [l for l in small if l[2] == tw.unit]
+    others = [l for l in small if l[2] != tw.unit]
+    assert tw.unit == ("w",) and len(units) > 1 and others
     for l1, l2 in itertools.product(units, small):
         assert tw.mul(Vect.basis(ZZ, l1), Vect.basis(ZZ, l2)).terms == \
-            {("t", concat(l1[1], l2[1]), l2[2]): 1}
+            {("t", l1[1] + l2[1], l2[2]): 1}
     for l1 in others:
         with pytest.raises(ValueError, match=re.escape(
                 "left coefficient %s:" % label_str(l1[2]))):
@@ -118,21 +119,24 @@ def test_section_and_defect_identities():
     _, A = coalgebra_from_document(load_json(NONPRIMITIVE), cutoff=6)
     for H in (hopf(3), InducedHopf(A)):
         tw = TwistedHopfTensor(H)
-        ring = tw.ring
+        ring, om, letter = tw.ring, H.omega, tw.omega.code
         for n in range(0, 7):
-            for b in H.omega.words(n):
+            for w in om.words(n):
+                # the coefficients of tw are the labels of the words of H
+                b = om.label(w)
                 v = Vect.basis(ring, b)
                 # h(b) = d(s(b)) - s(db) is s[b] (x) 1 plus s[h] (x) b' over
                 # the reduced comultiplication (zero on the unit);
                 # proj s = id, proj h = 0
                 want = Vect(ring)
                 if n:
-                    want.iadd_term(1, ("t", ("w", s_letter(b)), ("w",)))
-                    for (_, h, bp), c in H.delta_red(b).items():
-                        want.iadd_term(c, ("t", ("w", s_letter(h)), bp))
+                    want.iadd_term(1, ("t", (letter[s_letter(b)],), ("w",)))
+                    for (_, h, bp), c in read(H.delta_red(w), om,
+                                              om).items():
+                        want.iadd_term(c, ("t", (letter[s_letter(h)],), bp))
                 assert tw.section_defect(v) == want, b
                 assert tw.section(v).map_terms(tw.diff) == \
-                    tw.section(H.omega.d_word(b)) + want, b
+                    tw.section(read(om.d_word(w), om)) + want, b
                 assert (tw.projection(tw.section(v)) - v).is_zero(), b
                 assert tw.projection(tw.section_defect(v)).is_zero(), b
 

@@ -1,6 +1,8 @@
 """Free algebras on graded alphabets: word enumeration, derivations,
-algebra maps."""
+algebra maps, all on words of letter codes, and the labels they are read
+as."""
 
+import ast
 import os
 from collections import Counter
 from itertools import product
@@ -8,9 +10,10 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import loopalg
 from loopalg.rings import ZZ, F2, Ring
 from loopalg.vectors import Vect, label_key
-from loopalg.tensoralg import FreeAlgebra, UNIT_WORD, concat
+from loopalg.tensoralg import FreeAlgebra
 from loopalg.cobar import CobarAlgebra
 from loopalg.shfamily import AWCoalgebra
 from loopalg.pathloop import PathLoop, FiberCoaction, trivial_family
@@ -39,10 +42,20 @@ def test_word_counts_match_compositions():
 
 def test_degree_and_weight():
     alg = FreeAlgebra(ZZ, 10, {"a": 1, "b": 2}, weights={"b": 3})
-    w = ("w", "a", "b", "a")
+    a, b = alg.code["a"], alg.code["b"]
+    w = (a, b, a)
     assert alg.degree(w) == 4
     assert alg.weight(w) == 5
-    assert alg.degree(UNIT_WORD) == 0
+    assert alg.degree(()) == 0
+
+
+def test_codes_are_label_key_order_and_label_reads_them():
+    alg = FreeAlgebra(ZZ, 10, {("s", "b"): 2, "z": 1, ("s", "a"): 3, 4: 1})
+    assert alg._ordered == ["z", ("s", "a"), ("s", "b"), 4]
+    assert alg.code == {"z": 0, ("s", "a"): 1, ("s", "b"): 2, 4: 3}
+    assert alg.deg == [1, 3, 2, 1] and alg.wt == [1, 1, 1, 1]
+    assert alg.label(()) == ("w",)
+    assert alg.label((2, 0, 3)) == ("w", ("s", "b"), "z", 4)
 
 
 def test_degree_zero_needs_weight_bound():
@@ -52,7 +65,8 @@ def test_degree_zero_needs_weight_bound():
         alg.words(2)
     words = alg.words(2, max_weight=3)
     # b alone, plus b padded with at most two copies of a
-    assert ("w", "b") in words and ("w", "a", "b", "a") in words
+    a, b = alg.code["a"], alg.code["b"]
+    assert (b,) in words and (a, b, a) in words
     assert all(alg.weight(w) <= 3 for w in words)
 
 
@@ -63,19 +77,20 @@ def test_positive_weight_required():
 
 def test_mul_and_unit():
     alg = FreeAlgebra(ZZ, 6, {"a": 1})
-    u = Vect.basis(ZZ, ("w", "a"))
+    u = Vect.basis(ZZ, (0,))
+    assert alg.unit().terms == {(): 1}
     assert alg.mul(alg.unit(), u).terms == u.terms
-    assert alg.mul(u, u).terms == {("w", "a", "a"): 1}
-    assert concat(UNIT_WORD, ("w", "a")) == ("w", "a")
+    assert alg.mul(u, u).terms == {(0, 0): 1}
 
 
 def test_derivation_leibniz():
     alg = FreeAlgebra(ZZ, 8, {"a": 1, "b": 2})
-    vals = {"b": Vect.basis(ZZ, ("w", "a", "a"))}
+    a, b = alg.code["a"], alg.code["b"]
+    vals = {b: Vect.basis(ZZ, (a, a))}
     d = alg.derivation(vals)
     for w1 in alg.words(3):
         for w2 in alg.words(2):
-            lhs = d(concat(w1, w2))
+            lhs = d(w1 + w2)
             sign = -1 if alg.degree(w1) % 2 else 1
             rhs = alg.mul(d(w1), Vect.basis(ZZ, w2)) + \
                 alg.mul(Vect.basis(ZZ, w1), d(w2)).scale(sign)
@@ -84,7 +99,8 @@ def test_derivation_leibniz():
 
 def test_set_differential_squares_to_zero():
     alg = FreeAlgebra(ZZ, 8, {"a": 1, "b": 3})
-    alg.set_differential({"b": Vect.basis(ZZ, ("w", "a", "a"))})
+    a, b = alg.code["a"], alg.code["b"]
+    alg.set_differential({b: Vect.basis(ZZ, (a, a))})
     for n in range(0, 7):
         for w in alg.words(n):
             assert alg.d_word(w).map_terms(alg.d_word).is_zero()
@@ -93,28 +109,34 @@ def test_set_differential_squares_to_zero():
 def test_algebra_map_multiplicative():
     alg = FreeAlgebra(ZZ, 8, {"a": 1, "b": 2})
     tgt = FreeAlgebra(ZZ, 8, {"x": 1})
+    a, b, x = alg.code["a"], alg.code["b"], tgt.code["x"]
     fn = alg.algebra_map(
-        lambda l: Vect.basis(ZZ, ("w", "x")) if l == "a"
-        else Vect.basis(ZZ, ("w", "x", "x"), 2),
+        lambda l: Vect.basis(ZZ, (x,)) if l == a
+        else Vect.basis(ZZ, (x, x), 2),
         tgt.mul, tgt.unit)
-    assert fn(UNIT_WORD).terms == {UNIT_WORD: 1}
-    assert fn(("w", "a", "b")).terms == {("w", "x", "x", "x"): 2}
+    assert fn(()).terms == {(): 1}
+    assert fn((a, b)).terms == {(x, x, x): 2}
 
 
 def test_to_chain_complex_unit_in_degree_zero():
     alg = FreeAlgebra(ZZ, 4, {"a": 2})
     alg.set_differential({})
     cx = alg.to_chain_complex()
-    assert cx.basis(0) == [UNIT_WORD]
+    assert cx.basis(0) == [()]
+    assert cx.label((0,)) == ("w", "a")
     assert betti(cx, 0, 3) == [1, 0, 1, 0]
 
 
 @given(st.lists(st.sampled_from(["a", "b"]), max_size=4),
        st.lists(st.sampled_from(["a", "b"]), max_size=4))
 def test_concat_associative_words(l1, l2):
-    w1 = ("w",) + tuple(l1)
-    w2 = ("w",) + tuple(l2)
-    assert concat(w1, w2)[1:] == tuple(l1) + tuple(l2)
+    """The product of two words is the concatenation of their codes,
+    read as the concatenation of their letters."""
+    alg = FreeAlgebra(ZZ, 8, {"a": 1, "b": 1})
+    w1, w2 = (tuple(map(alg.code.__getitem__, l)) for l in (l1, l2))
+    assert alg.mul(Vect.basis(ZZ, w1), Vect.basis(ZZ, w2)).terms == \
+        {w1 + w2: 1}
+    assert alg.label(w1 + w2)[1:] == tuple(l1) + tuple(l2)
 
 
 # letters of every shape a word algebra meets: generators, cobar letters
@@ -141,13 +163,14 @@ def free_algebra(alphabet):
 @settings(max_examples=150, deadline=None)
 @given(ALPHABETS, st.integers(0, 5), st.one_of(st.none(), st.integers(0, 5)))
 def test_words_come_in_label_key_order(alphabet, n, max_weight):
-    """words() emits label_key order itself: ChainComplex keeps the order
-    it is given, and every matrix and pivot follows from it."""
+    """words() emits the label_key order of the words' labels itself:
+    ChainComplex keeps the order it is given, and every matrix and pivot
+    follows from it."""
     alg = free_algebra(alphabet)
     if max_weight is None and not alg.finite_type:
         max_weight = 5
-    words = alg.words(n, max_weight)
-    assert words == sorted(set(words), key=label_key)
+    labels = list(map(alg.label, alg.words(n, max_weight)))
+    assert labels == sorted(set(labels), key=label_key)
 
 
 @settings(max_examples=150, deadline=None)
@@ -161,12 +184,13 @@ def test_words_are_the_letter_sequences_of_the_degree(alphabet, n,
         max_weight = 5
     longest = min(([n] if alg.finite_type else [])
                   + ([] if max_weight is None else [max_weight]))
-    expected = [w for k in range(longest + 1)
-                for w in (("w",) + seq for seq in product(alg.letters,
-                                                          repeat=k))
-                if alg.degree(w) == n
-                and (max_weight is None or alg.weight(w) <= max_weight)]
-    assert alg.words(n, max_weight) == sorted(expected, key=label_key)
+    expected = [("w",) + seq for k in range(longest + 1)
+                for seq in product(alphabet, repeat=k)
+                if sum(alphabet[l][0] for l in seq) == n
+                and (max_weight is None
+                     or sum(alphabet[l][1] for l in seq) <= max_weight)]
+    assert list(map(alg.label, alg.words(n, max_weight))) == \
+        sorted(expected, key=label_key)
 
 
 class CountingCache(dict):
@@ -215,14 +239,14 @@ def sorted_word_lists(alg, n, cap):
     """Oracle: the word list and prefix maps of (n, cap) by sorts, from
     the cached suffix lists: every l.u in letter order, the indices sorted
     stably by length, and sorted again to invert that permutation."""
-    out, starts = [UNIT_WORD] if n == 0 else [], {}
-    for l in alg._ordered:
-        d, left = alg.letters[l], cap
+    out, starts = [()] if n == 0 else [], {}
+    for l, d in enumerate(alg.deg):
+        left = cap
         if left is not None:
-            left -= alg.weights[l]
+            left -= alg.wt[l]
         if d <= n and (left is None or left >= 0):
             starts[l] = (n - d, left), len(out)
-            out += [("w", l) + u[1:] for u in alg._words(n - d, left)[0]]
+            out += [(l,) + u for u in alg._words(n - d, left)[0]]
     order = sorted(range(len(out)), key=lambda i: len(out[i]))
     place = sorted(range(len(out)), key=order.__getitem__)
     return [out[j] for j in order], {
@@ -278,3 +302,41 @@ def test_d_columns_are_d_word_column_by_column(ring):
                 checked += 1
                 dropped += len(d.terms) - len(col)
     assert checked > 1500 and dropped > 0
+
+
+def _word_format_leaks(tree):
+    """The ("w", ...) tuples of a module's syntax tree and its names of
+    the label-to-code translation, as (line, what) pairs."""
+    leaks = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and node.elts and isinstance(
+                node.elts[0], ast.Constant) and node.elts[0].value == "w":
+            leaks.append((node.lineno, '("w", ...)'))
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else
+                node.name if isinstance(node, (ast.FunctionDef, ast.alias))
+                else node.arg if isinstance(node, ast.arg) else None)
+        if name in ("concat", "_encode", "_codes"):
+            leaks.append((getattr(node, "lineno", None), name))
+    return leaks
+
+
+def test_word_format_lives_in_tensoralg():
+    """Words are tuples of letter codes everywhere; only tensoralg builds
+    their labels ("w", letter, ...), and no module translates labels to
+    codes of its own."""
+    src = os.path.dirname(loopalg.__file__)
+    names = sorted(n for n in os.listdir(src) if n.endswith(".py"))
+    assert "tensoralg.py" in names and "shfamily.py" in names
+    leaks = {}
+    for name in names:
+        with open(os.path.join(src, name)) as fh:
+            found = _word_format_leaks(ast.parse(fh.read()))
+        if found and name != "tensoralg.py":
+            leaks[name] = found
+    assert leaks == {}
+    # the check sees what it looks for
+    assert sorted(_word_format_leaks(ast.parse(
+        'w = ("w", l) + concat(u, v)\nc = self._codes[0]\n'
+        'def _encode(word): pass\n'))) == [
+        (1, '("w", ...)'), (1, "concat"), (2, "_codes"), (3, "_encode")]
