@@ -238,13 +238,14 @@ def cmd_fiber(args, t0):
                             % (Cp.ring.name, C.ring.name))
     if args.map == "trivial":
         family = trivial_family(Ap, A)
-    elif args.map == "identity":
-        if Cp.gens != C.gens:
-            raise DocumentError("identity map needs identical generators "
-                                "in source and target")
-        family = identity_family(A)
     else:
-        family = shmap_from_document(load_json(args.map), Cp, C)
+        if args.map == "identity":
+            if Cp.gens != C.gens:
+                raise DocumentError("identity map needs identical "
+                                    "generators in source and target")
+            family = identity_family(Ap, A)
+        else:
+            family = shmap_from_document(load_json(args.map), Cp, C)
         # check coherence on the cobar algebras that the coaction reads
         family.omegas = Ap.hopf.omega, A.hopf.omega
         ok, problems = family.verify()

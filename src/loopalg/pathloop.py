@@ -27,7 +27,8 @@ P(m) = sum m_(0) S(m_(1)), with S the antipode, projects M onto its
 cofixed part, and the P(w) of the start words (the empty word and the
 words that end outside Omega C) are a basis of it, over Z as over a
 field: P(w) - w ends in Omega C, so a cofixed vector's coordinates are
-its coefficients at the start words.
+its coefficients at the start words.  A start word thus names its P(w):
+the cofixed bases are the start words, and no P(w) is kept.
 """
 
 from .vectors import Vect, label_str, bilinear
@@ -138,13 +139,13 @@ class CofixedSubalgebra:
     a chain complex with a product; it takes the cutoff and cap of the
     coaction's omega, the ambient algebra.
 
-    Degree n is spanned by the P(w) of its start words under the cap (see
-    the module docstring), dicts word index -> coefficient over the
-    ambient words of degree n, which basis() labels.  P keeps the weight
-    where the coaction does, and the capped P(w) span a subcomplex where
-    d does too, as in the primitive situations that produce degree-0
-    letters; DGCoalgebra does not check a document's weights, and terms
-    above the cap are left out."""
+    The basis of degree n is its start words under the cap, in word order
+    (see the module docstring), each standing for its P(w), which is built
+    where it is read: summed into its column of d, or returned by
+    vector_of.  P keeps the weight where the coaction does, and the capped
+    P(w) span a subcomplex where d does too, as in the primitive
+    situations that produce degree-0 letters; DGCoalgebra does not check a
+    document's weights, and terms above the cap are left out."""
 
     def __init__(self, coaction):
         self.coaction = coaction
@@ -153,27 +154,10 @@ class CofixedSubalgebra:
         self.cutoff = self.ambient.cutoff
         self.cap = self.ambient.cap
         self._kernels = {}
-        self._starts = {}
         self._bases = {}
 
-    def _kernel(self, n):
-        """(the ambient words of degree n under the cap, the P(w) of its
-        start words w in word order, as dicts word index -> coefficient).
-        _starts[n] maps a start word's index to its basis index."""
-        key = (n, None)
-        if key not in self._kernels:
-            co = self.coaction
-            words = self.ambient.words(n, self.cap)
-            index = {u: j for j, u in enumerate(words)}
-            starts, vecs = {}, []
-            for u, j in index.items():
-                if not u or u[-1] not in co._base:
-                    starts[j] = len(vecs)
-                    vecs.append({index[v]: c for v, c in co.project(u).items()
-                                 if v in index})
-            self._kernels[key] = (words, vecs)
-            self._starts[n] = starts
-        return self._kernels[key]
+    def _is_start(self, word):
+        return not word or word[-1] not in self.coaction._base
 
     def blocks(self, n):
         """[None], the one key per degree of _kernels, (n, None).  Only
@@ -181,64 +165,75 @@ class CofixedSubalgebra:
         return [None]
 
     def basis(self, n):
-        """Synthetic labels ('k', n, i)."""
+        """The start words of degree n under the cap, in word order; the
+        ambient words of degree n are kept beside them in _kernels."""
         if n not in self._bases:
-            self._bases[n] = [("k", n, i)
-                              for i in range(len(self._kernel(n)[1]))]
+            words = self.ambient.words(n, self.cap)
+            self._bases[n] = [u for u in words if self._is_start(u)]
+            self._kernels[(n, None)] = words, self._bases[n]
         return self._bases[n]
 
-    def vector_of(self, label):
-        words, vecs = self._kernel(label[1])
-        return Vect(self.ring, {words[j]: c for j, c in vecs[label[2]].items()})
+    def vector_of(self, w):
+        """P(w) of the start word w, terms above the cap dropped."""
+        cap, terms = self.cap, self.coaction.project(w)
+        return Vect(self.ring, {u: c for u, c in terms.items() if cap is None
+                                or self.ambient.weight(u) <= cap})
 
     def coordinates(self, n, vect):
-        """A cofixed Vect over ambient words of degree n in the synthetic
+        """A cofixed Vect over ambient words of degree n in the start-word
         basis: its coefficients at the start words; terms above the cap
         dropped, other strays refused."""
-        words = self._kernel(n)[0]
-        index = {u: j for j, u in enumerate(words)}
-        starts, basis, out = self._starts[n], self.basis(n), {}
+        amb, cap, out = self.ambient, self.cap, {}
         for u, c in vect.items():
-            j = index.get(u)
-            if j is None:
-                if self.cap is None or self.ambient.weight(u) <= self.cap:
-                    raise ValueError("vector leaves the stored block")
-            elif j in starts:
-                out[basis[starts[j]]] = c
+            if cap is not None and amb.weight(u) > cap:
+                continue
+            if amb.degree(u) != n:
+                raise ValueError("vector leaves the stored block")
+            if self._is_start(u):
+                out[u] = c
         return out
 
     def columns(self, n):
         """The columns of d_n: each P(w)'s sum of the ambient d_columns of
-        its words, read at the start words one degree down."""
-        d = self.ambient.d_columns(n, self.cap)
-        if n:
-            self._kernel(n - 1)  # fills _starts[n - 1]
-        rows, out = self._starts.get(n - 1, {}), []
-        for vec in self._kernel(n)[1]:
+        its words, read at the start words one degree down.  Each P(w) is
+        built here and dropped once summed."""
+        cap = self.cap
+        d = self.ambient.d_columns(n, cap)
+        index = {u: j for j, u in enumerate(self.ambient.words(n, cap))}
+        rows = {}
+        for r, u in enumerate(self.ambient.words(n - 1, cap)):
+            if self._is_start(u):
+                rows[r] = len(rows)
+        out = []
+        for w in self.basis(n):
             acc = {}
-            for j, c in vec.items():
-                for r, x in d[j].items():
-                    i = rows.get(r)
-                    if i is not None:
-                        acc[i] = acc.get(i, 0) + c * x
+            for u, c in self.coaction.project(w).items():
+                j = index.get(u)  # None above the cap
+                if j is not None:
+                    for r, x in d[j].items():
+                        i = rows.get(r)
+                        if i is not None:
+                            acc[i] = acc.get(i, 0) + c * x
             out.append(self.ring.reduce(acc))
         return out
 
-    def mul_labels(self, l1, l2):
-        prod = self.ambient.mul(self.vector_of(l1), self.vector_of(l2))
-        return Vect(self.ring, self.coordinates(l1[1] + l2[1], prod))
+    def mul_labels(self, w1, w2):
+        n = self.ambient.degree(w1 + w2)
+        prod = self.ambient.mul(self.vector_of(w1), self.vector_of(w2))
+        return Vect(self.ring, self.coordinates(n, prod))
 
     def mul(self, u, v):
         return bilinear(self.ring, u, v, self.mul_labels)
 
     def expand(self, vect):
-        """Synthetic coordinates back to ambient words."""
+        """Start-word coordinates back to ambient words."""
         return vect.map_terms(self.vector_of)
 
     def to_chain_complex(self):
         from .chain import ChainComplex
         bases = {n: self.basis(n) for n in range(self.cutoff + 1)}
-        return ChainComplex(self.ring, bases, self.columns, self.cutoff)
+        return ChainComplex(self.ring, bases, self.columns, self.cutoff,
+                            self.ambient.label)
 
 
 class FiberCoaction(_Coaction):
@@ -277,10 +272,11 @@ class FiberCoaction(_Coaction):
         return self.ring.reduce(terms)
 
 
-def identity_family(A):
-    """The strict homotopy family of the identity map of C."""
-    letter_map = {g: Vect.basis(A.ring, g) for g in A.C.gens}
-    return SHFamily.strict(A.C, A.C, letter_map)
+def identity_family(Aprime, A):
+    """The strict homotopy family that sends each generator of C' to the
+    generator of C with its label: the identity map where C' = C."""
+    letter_map = {g: Vect.basis(A.ring, g) for g in Aprime.C.gens}
+    return SHFamily.strict(Aprime.C, A.C, letter_map)
 
 
 def trivial_family(Aprime, A):

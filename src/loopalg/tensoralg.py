@@ -132,11 +132,14 @@ class FreeAlgebra:
         return self._diff(word)
 
     def d_columns(self, n, cap=None):
-        """d_n on word indices, built once per (n, cap): for each word of
-        words(n, cap), in order, a dict index in words(n - 1, cap) ->
-        nonzero coefficient, leaving out terms above the cap.  The column
-        of l.u is d(l).u plus (-1)^|l| l.(the column of u), carried over
-        by l's prefix map.  No two terms meet: their first letters differ."""
+        """d_n on word indices: for each word of words(n, cap), in order,
+        a dict index in words(n - 1, cap) -> nonzero coefficient, leaving
+        out terms above the cap.  The column of l.u is d(l).u plus
+        (-1)^|l| l.(the column of u), carried over by l's prefix map.  No
+        two terms meet: their first letters differ.  Each (n, cap) is
+        built once and kept, except at the algebra's own cap: the suffix
+        recursion reads only lower bounds, so that list, which its one
+        reader (a chain complex) keeps, is returned unstored."""
         key = (n, cap)
         if key not in self._columns:
             words, prefix = self._words(n, cap)
@@ -155,6 +158,8 @@ class FreeAlgebra:
                     col.pop(None, None)  # terms above the cap
                     col.update({lift[r]: minus - x if odd else x
                                 for r, x in below[i].items()})
+            if cap is not None and cap == self.cap:
+                return cols
             self._columns[key] = cols
         return self._columns[key]
 

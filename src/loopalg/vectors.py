@@ -10,7 +10,6 @@ Labels are strings or nested tuples whose first entry is a constructor tag:
                                stored as the tuple of its letter codes
     ("t", l1, ..., lk)         element of a tensor product of modules
     ("br", (v...), w)          iterated-bracket generator of the formal model
-    ("k", n, i)                synthetic basis vector of a cofixed subalgebra
 label_key is the canonical total order on labels.  The builders establish
 it (word enumeration emits it, the other bases sort by it) and a
 ChainComplex keeps the order it is given, so every matrix is deterministic.
@@ -55,8 +54,6 @@ def label_str(label):
         for v in reversed(label[1]):
             out = "[%s,%s]" % (label_str(v), out)
         return out
-    if tag == "k":
-        return "k" + ".".join(str(x) for x in label[1:])
     return repr(label)
 
 

@@ -134,7 +134,7 @@ def test_criterion_01_differential_integrity():
             ok, label, residue = cx.verify_differential()
             assert ok, ("double-loop", name, label, residue)
         # homotopy fiber of the identity map
-        hf, fc = loop_fiber(A, A, identity_family(A))
+        hf, fc = loop_fiber(A, A, identity_family(A, A))
         if name in big_hf:
             letters_d2(fc.omega, ("fiber ambient", name))
             coaction_chain_map_letters(fc.omega, fc.omega_base, fc.coaction,
@@ -408,7 +408,7 @@ def test_criterion_10_fiber_sanity():
     ranks of the 5-sphere with the double-loop Betti of the 3-sphere,
     through degree 6."""
     A3 = AWCoalgebra.strict(sphere_model(3, ZZ, CUTOFF))
-    hf, _ = loop_fiber(A3, A3, identity_family(A3))
+    hf, _ = loop_fiber(A3, A3, identity_family(A3, A3))
     cx = hf.to_chain_complex()
     assert betti(cx, 0, CUTOFF - 1) == [1] + [0] * (CUTOFF - 1)
 

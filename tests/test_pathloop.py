@@ -89,7 +89,7 @@ def test_cofixed_closure_and_coordinates():
     ring, nu_bar = dl.ring, reduced_coaction(pl)
     for n in range(0, 6):
         basis = dl.basis(n)
-        assert len(basis) == len(dl._kernel(n)[1])
+        assert dl._kernels[(n, None)] == (pl.omega.words(n), basis)
         for label in basis:
             v = dl.vector_of(label)
             # basis vectors are cofixed: the reduced coaction kills them
@@ -130,7 +130,7 @@ def test_double_loop_s3_mod2_betti():
 
 def test_loop_fiber_identity_acyclic():
     A = aw(3, ZZ, 6)
-    hf, _ = loop_fiber(A, A, identity_family(A))
+    hf, _ = loop_fiber(A, A, identity_family(A, A))
     cx = hf.to_chain_complex()
     ok, label, _ = cx.verify_differential()
     assert ok, label
@@ -224,7 +224,7 @@ def test_capped_cofixed_vectors_have_one_weight(model, ring):
     if model == "double-loop":
         sub, _ = double_loop(A2)
     elif model == "identity":
-        sub, _ = loop_fiber(A2, A2, identity_family(A2))
+        sub, _ = loop_fiber(A2, A2, identity_family(A2, A2))
     else:
         A3 = aw(3, ring, 6)
         sub, _ = loop_fiber(A3, A2, trivial_family(A3, A2))
@@ -303,16 +303,15 @@ def test_cofixed_coordinates_with_a_non_unit_pivot(ring):
     x3 = sub.coaction.omega_base.code[s_letter("x3")]
     assert reduced_coaction(sub.coaction)(left) == Vect(
         ring, [(("t", (), (x3,)), 2)])
-    (label,) = [l for l in sub.basis(2) if sub.vector_of(l) == line]
-    assert sub.coordinates(2, line.scale(3)) == {label: 3}
+    assert left in sub.basis(2) and sub.vector_of(left) == line
+    assert sub.coordinates(2, line.scale(3)) == {left: 3}
     if ring.kind == "Q":
         assert sub.coordinates(2, line.scale(Fraction(1, 2))) == \
-            {label: Fraction(1, 2)}
+            {left: Fraction(1, 2)}
     for n in range(7):
-        basis, words = sub.basis(n), sub.ambient.words(n)
-        starts = [words[j] for j in sub._starts[n]]
-        for label, start in zip(basis, starts):
-            v = sub.vector_of(label)
+        starts = sub.basis(n)
+        for start in starts:
+            v = sub.vector_of(start)
             assert {u: v.terms.get(u, 0) for u in starts} == \
                 {u: 1 if u == start else 0 for u in starts}
 
@@ -399,7 +398,7 @@ def test_fiber_nu_is_the_pushed_comultiplication(family, ring):
     if family == "nonprimitive":
         _, A = coalgebra_from_document(load_json(
             COACTION_DOCUMENTS[family]), ring=ring, cutoff=8)
-        fc = FiberCoaction(A, A, identity_family(A))
+        fc = FiberCoaction(A, A, identity_family(A, A))
     else:
         fc = _coaction_of(family, ring, 8)
     hopf = InducedHopf(aw_coproduct(fc.source_hopf.aw,
@@ -451,7 +450,7 @@ def _coaction_of(model, ring, cutoff):
         A5 = aw(5, ring, cutoff)
         return FiberCoaction(A5, A3, trivial_family(A5, A3))
     if model == "identity":
-        return FiberCoaction(A3, A3, identity_family(A3))
+        return FiberCoaction(A3, A3, identity_family(A3, A3))
     p, q, components = MAPS[model]
     Ap, A = aw(p, ring, cutoff), aw(q, ring, cutoff)
     return FiberCoaction(Ap, A, shmap_from_document(
@@ -477,16 +476,17 @@ def test_kernels_are_the_kernels_of_the_label_columns(model, ring):
         cols = [{rows.setdefault(l, len(rows)): c
                  for l, c in nu_bar(u).items()} for u in words]
         rank, _ = linalg.rank_and_torsion(cols, ring)
-        assert len(sub.basis(n)) == len(words) - rank, n
-        starts = [words[j] for j in sub._starts[n]]
+        starts = sub.basis(n)
+        assert len(starts) == len(words) - rank, n
         assert starts == [u for u in words
                           if not u or not _in_omega_c(co, u[-1])]
-        for label, start in zip(sub.basis(n), starts):
-            v = sub.vector_of(label)
-            assert _coaction_kills(ring, nu_bar, v), label
+        assert sub._kernels[(n, None)] == (words, starts)
+        for start in starts:
+            v = sub.vector_of(start)
+            assert _coaction_kills(ring, nu_bar, v), start
             rest = v - Vect.basis(ring, start)
             assert all(u and _in_omega_c(co, u[-1])
-                       for u in rest.terms), label
+                       for u in rest.terms), start
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=RING_IDS)
@@ -508,7 +508,8 @@ def test_a_fiber_over_a_non_coassociative_target_is_no_comodule():
                               ("inr", bar("u7"))]), (6, [])):
         _, A = coalgebra_from_document(load_json(os.path.join(
             SAMPLES, "noncoassoc.json")), cutoff=cutoff)
-        defects = FiberCoaction(A, A, identity_family(A)).comodule_defects()
+        defects = FiberCoaction(A, A,
+                                identity_family(A, A)).comodule_defects()
         assert [letter for letter, _ in defects] == list(map(s_letter, want))
         assert all(residue for _, residue in defects)
 
@@ -720,7 +721,7 @@ def test_index_diff_is_the_label_route_on_fibers(family, ring):
         A5 = aw(5, ring, 8)
         fc = FiberCoaction(A5, A3, trivial_family(A5, A3))
     else:
-        fc = FiberCoaction(A3, A3, identity_family(A3))
+        fc = FiberCoaction(A3, A3, identity_family(A3, A3))
     assert _index_diff_matches_label_route(fc.cofixed(), 8) > 10
 
 
@@ -732,12 +733,15 @@ def test_index_diff_is_the_label_route_with_a_weight_cap():
 def test_homology_takes_each_d_word_once_and_no_vector(monkeypatch):
     """The Z double loop of S3 at cutoff 11: its homology, which agrees
     with the benchmark's oracle, builds each word's column once, among
-    them every ambient word that a basis vector uses, takes d_word only
-    on single letters, and makes no Vect of a kernel vector."""
+    them every ambient word of every P(w), takes d_word only on single
+    letters, projects each start word once, and makes no Vect of a
+    kernel vector."""
+    from loopalg.shfamily import Coaction
     from loopalg.tensoralg import FreeAlgebra
     dl, pl = double_loop(aw(3, ZZ, 11))
-    built, d_words = [], []
+    built, d_words, projected = [], [], []
     d_columns, d_word = FreeAlgebra.d_columns, FreeAlgebra.d_word
+    project = Coaction.project
 
     def counting(self, n, cap=None):
         if self is pl.omega and (n, cap) not in self._columns:
@@ -749,11 +753,16 @@ def test_homology_takes_each_d_word_once_and_no_vector(monkeypatch):
             d_words.append(word)
         return d_word(self, word)
 
+    def projecting(self, word):
+        projected.append(word)
+        return project(self, word)
+
     def refused(self, label):
         raise AssertionError("vector_of called")
 
     monkeypatch.setattr(FreeAlgebra, "d_columns", counting)
     monkeypatch.setattr(FreeAlgebra, "d_word", letters_only)
+    monkeypatch.setattr(Coaction, "project", projecting)
     monkeypatch.setattr(CofixedSubalgebra, "vector_of", refused)
     cx = dl.to_chain_complex()
     report = {"homology": {str(n): {"rank": h.free_rank, "torsion": h.torsion}
@@ -763,8 +772,9 @@ def test_homology_takes_each_d_word_once_and_no_vector(monkeypatch):
     job = {"command": "double-loop", "args": [], "ring": "Z", "cutoff": 11,
            "spaces": [{"family": "sphere", "dims": [3]}]}
     assert homology_mismatches(job, report) == []
-    used = {words[j] for words, vecs in dl._kernels.values()
-            for v in vecs for j in v}
+    starts = [w for n in range(12) for w in dl.basis(n)]
+    assert sorted(projected) == sorted(starts)
+    used = {u for w in starts for u in project(pl, w)}
     assert len(built) == len(set(built)) and len(used) > 300
     assert used <= set(built)
     assert d_words and all(len(w) == 1 for w in d_words)
